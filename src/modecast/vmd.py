@@ -7,10 +7,14 @@ frequency (the power centroid of the mode's one-sided spectrum), and a dual
 variable that enforces exact reconstruction when the ascent rate is nonzero.
 
 Boundary handling mirrors half the signal onto each end before the transform
-and keeps only the center samples afterwards.  All spectra live on the full
-unshifted frequency grid of the mirrored signal (axis ``[0, 1)`` cycles per
-sample) with support restricted to the positive-frequency half; real modes are
-recovered by conjugate-symmetric completion.
+and keeps only the center samples afterwards.  The mirrored signal (length
+2n) is transformed on its full unshifted grid, but the iteration state (signal
+spectrum, mode spectra, dual variable, frequency axis) holds only the first n
+bins: the one-sided grid ``[0, 0.5)`` cycles per sample in steps of
+``1/(2n)``.  The ADMM updates each mode for non-negative frequencies only, so
+the upper half of the full grid would stay zero.  Real modes are recovered by
+conjugate-symmetric completion onto the full grid before the inverse
+transform.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import numpy as np
 __all__ = [
     "VmdConfig",
     "VmdResult",
-    "SpectralBuffer",
     "mirror_extend",
     "dft",
     "idft",
@@ -102,27 +105,6 @@ class VmdResult:
         return self.modes.sum(axis=0)
 
 
-@dataclass
-class SpectralBuffer:
-    """Frequency-domain workspace for one mirrored signal: the one-sided
-    spectrum (upper half zeroed) and its frequency axis, ``[0, 1)`` in steps
-    of ``1/len``."""
-
-    spectrum: np.ndarray  # complex, length = mirrored length
-    freqs: np.ndarray
-
-    @classmethod
-    def from_signal(cls, mirrored: np.ndarray) -> "SpectralBuffer":
-        m_len = mirrored.shape[0]
-        spectrum = dft(mirrored)
-        spectrum[m_len // 2:] = 0.0
-        return cls(spectrum=spectrum, freqs=np.arange(m_len) / m_len)
-
-    def __post_init__(self) -> None:
-        if self.spectrum.shape != self.freqs.shape:
-            raise ValueError("spectrum and frequency axis lengths disagree")
-
-
 def mirror_extend(signal: np.ndarray) -> np.ndarray:
     """Reflect half the signal onto each end: output length is exactly 2n and
     the center n samples equal the input."""
@@ -164,14 +146,14 @@ def update_mode_spectrum(
 
 
 def update_omega(mode_spectrum: np.ndarray, freqs: np.ndarray, fallback: float = 0.0) -> float:
-    """Power-weighted mean frequency of the one-sided spectrum (bins with
-    freq < 0.5).  A zero-power spectrum keeps ``fallback``."""
-    half = len(freqs) // 2
-    power = np.abs(mode_spectrum[:half]) ** 2
+    """Power-weighted mean frequency of a one-sided spectrum: ``mode_spectrum``
+    and ``freqs`` hold the bins with freq < 0.5 only, so every bin counts.  A
+    zero-power spectrum keeps ``fallback``."""
+    power = np.abs(mode_spectrum) ** 2
     total = power.sum()
     if total == 0.0:
         return float(fallback)
-    return float(np.dot(freqs[:half], power) / total)
+    return float(np.dot(freqs, power) / total)
 
 
 def update_lambda(
@@ -194,13 +176,13 @@ def converged(
     """
     if modes_prev.shape != modes_next.shape:
         raise ValueError("iterate shapes disagree")
+    denoms = np.sum(np.abs(modes_prev) ** 2, axis=-1)
+    nums = np.sum(np.abs(modes_next - modes_prev) ** 2, axis=-1)
     residual = 0.0
-    for prev, nxt in zip(modes_prev, modes_next):
-        denom = float(np.sum(np.abs(prev) ** 2))
+    for num, denom in zip(nums.tolist(), denoms.tolist()):
         if denom == 0.0:
             continue
-        diff = nxt - prev
-        residual += float(np.sum(np.abs(diff) ** 2)) / denom
+        residual += num / denom
     return residual < tol, residual
 
 
@@ -231,13 +213,12 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
     mirrored = mirror_extend(x)
     m_len = mirrored.shape[0]          # 2n, always even
     half = m_len // 2
-    workspace = SpectralBuffer.from_signal(mirrored)
-    freqs = workspace.freqs            # cycles/sample on [0, 1)
-    f_hat_plus = workspace.spectrum    # one-sided support
+    f_hat_plus = dft(mirrored)[:half]  # one-sided grid
+    freqs = np.arange(half) / m_len    # cycles/sample on [0, 0.5)
 
     omegas = _initial_omegas(config, n)
-    lambda_hat = np.zeros(m_len, dtype=np.complex128)
-    modes_hat = np.zeros((k, m_len), dtype=np.complex128)
+    lambda_hat = np.zeros(half, dtype=np.complex128)
+    modes_hat = np.zeros((k, half), dtype=np.complex128)
 
     omega_history = np.zeros((config.max_iter, k))
     iterations = 0
@@ -255,7 +236,8 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
             modes_sum += updated - modes_hat[m]   # Gauss-Seidel: next mode sees this one
             modes_hat[m] = updated
             omegas[m] = update_omega(modes_hat[m], freqs, fallback=omegas[m])
-        lambda_hat = update_lambda(lambda_hat, f_hat_plus, modes_sum, config.tau)
+        if config.tau != 0.0:
+            lambda_hat = update_lambda(lambda_hat, f_hat_plus, modes_sum, config.tau)
         omega_history[iterations] = omegas
         iterations += 1
         if iterations >= 2:
@@ -273,8 +255,8 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
     modes = np.empty((k, n))
     for m in range(k):
         full = np.zeros(m_len, dtype=np.complex128)
-        full[:half] = modes_hat[m, :half]
-        full[half + 1:] = np.conj(modes_hat[m, 1:half][::-1])
+        full[:half] = modes_hat[m]
+        full[half + 1:] = np.conj(modes_hat[m, 1:][::-1])
         time_mode = np.real(idft(full))
         modes[m] = time_mode[n // 2: n // 2 + n]
 
@@ -307,12 +289,17 @@ def write_decomposition_csv(path, modes: np.ndarray) -> None:
 
 
 def write_decomposition_metadata(path, config: VmdConfig, result: VmdResult) -> None:
-    """Sidecar JSON recording the configuration and convergence telemetry."""
+    """Sidecar JSON recording the configuration and convergence telemetry.
+
+    ``final_residual`` is ``null`` when fewer than two sweeps ran, because the
+    stopping rule then has no residual to report (``inf`` is not valid JSON).
+    """
+    residual = result.final_residual
     payload = {
         "config": config.to_dict(),
         "omegas": [float(w) for w in result.omegas],
         "iterations": result.iterations,
         "converged": result.converged,
-        "final_residual": result.final_residual,
+        "final_residual": residual if math.isfinite(residual) else None,
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -1,8 +1,18 @@
-"""Shared test helpers: finite-difference gradients and error measures."""
+"""Shared test helpers: finite-difference gradients and error measures, and
+the hypothesis profile every property test runs under."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
+
+# Fixed examples (derandomize) and no per-example deadline: the suite must give
+# the same verdict on every run, however loaded the machine is.  With fixed
+# examples there is nothing for an example database to replay.
+settings.register_profile(
+    "modecast", deadline=None, derandomize=True, max_examples=60, database=None
+)
+settings.load_profile("modecast")
 
 
 def rel_err(got: np.ndarray, want: np.ndarray, floor: float = 1e-6) -> float:

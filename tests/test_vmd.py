@@ -1,10 +1,17 @@
 """Mode decomposition: transforms, ADMM update pieces, and full decompositions."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modecast.vmd import (
     VmdConfig,
+    VmdResult,
+    _initial_omegas,
     converged,
     decompose,
     dft,
@@ -13,6 +20,7 @@ from modecast.vmd import (
     update_lambda,
     update_mode_spectrum,
     update_omega,
+    write_decomposition_metadata,
 )
 
 
@@ -243,6 +251,31 @@ def two_tone(n=2000):
     return np.sin(2 * np.pi * 0.01 * t) + 0.5 * np.sin(2 * np.pi * 0.1 * t)
 
 
+def _make_signal(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "noise":
+        return rng.normal(size=n)
+    if kind == "walk":
+        return np.cumsum(rng.normal(size=n))
+    t = np.arange(n)
+    x = 0.1 * rng.normal(size=n)
+    for _ in range(rng.integers(1, 4)):
+        amplitude, freq, phase = rng.uniform(0.2, 2.0), rng.uniform(0.0, 0.5), rng.uniform(0, 6.3)
+        x += amplitude * np.sin(2 * np.pi * freq * t + phase)
+    return x
+
+
+@st.composite
+def signals(draw, min_len: int = 2, max_len: int = 600):
+    """Finite real signals of every kind the pipeline feeds VMD: noisy tones,
+    random walks (price-like), white noise and constants; odd lengths included."""
+    n = draw(st.integers(min_len, max_len), label="n")
+    kind = draw(st.sampled_from(["tones", "walk", "noise", "constant"]), label="kind")
+    return _make_signal(kind, n, draw(st.integers(0, 2**32 - 1), label="seed"))
+
+
 def test_constant_signal_dc_mode():
     signal = np.full(200, 7.5)
     result = decompose(signal, VmdConfig(n_modes=2))
@@ -291,9 +324,8 @@ def test_decompose_deterministic_bitwise():
     assert a.final_residual == b.final_residual
 
 
-def test_omegas_in_range_at_every_iteration():
-    rng = np.random.default_rng(11)
-    signal = two_tone(500) + 0.1 * rng.normal(size=500)
+@given(signal=signals(min_len=8, max_len=500))
+def test_omegas_in_range_at_every_iteration(signal):
     result = decompose(signal, VmdConfig(n_modes=4, alpha=800.0))
     assert result.omega_history.shape == (result.iterations, 4)
     assert np.all(result.omega_history >= 0.0)
@@ -301,8 +333,8 @@ def test_omegas_in_range_at_every_iteration():
     assert np.all(np.isfinite(result.omega_history))
 
 
-def test_sorted_modes_are_consistent_with_their_centroids():
-    signal = two_tone(800)
+@given(signal=signals(min_len=6, max_len=800))
+def test_sorted_modes_are_consistent_with_their_centroids(signal):
     result = decompose(signal, VmdConfig(n_modes=3, alpha=1000.0, sort_modes=True))
     assert np.all(np.diff(result.omegas) >= 0)
     # re-derive each mode's centroid from scratch and check the pairing
@@ -355,3 +387,145 @@ def test_omega_init_variants_are_deterministic():
         assert np.array_equal(
             decompose(signal, cfg).modes, decompose(signal, cfg).modes
         )
+
+
+@pytest.mark.parametrize("max_iter", [1, 3])
+def test_metadata_is_strict_json(tmp_path, max_iter):
+    # one sweep leaves the stopping rule without a residual (inf), which has
+    # no JSON spelling; it is written as null
+    config = VmdConfig(n_modes=3, max_iter=max_iter)
+    result = decompose(two_tone(400), config)
+    path = tmp_path / "decomposition_meta.json"
+    write_decomposition_metadata(path, config, result)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    meta = json.loads(path.read_text(), parse_constant=reject)
+    assert meta["iterations"] == max_iter
+    if max_iter == 1:
+        assert meta["final_residual"] is None
+    else:
+        assert meta["final_residual"] == result.final_residual
+
+
+# -- one-sided iteration against the full-grid reference ---------------------------
+
+
+def _full_grid_omega(mode_spectrum, freqs, fallback=0.0):
+    half = len(freqs) // 2
+    power = np.abs(mode_spectrum[:half]) ** 2
+    total = power.sum()
+    if total == 0.0:
+        return float(fallback)
+    return float(np.dot(freqs[:half], power) / total)
+
+
+def _per_mode_converged(modes_prev, modes_next, tol):
+    residual = 0.0
+    for prev, nxt in zip(modes_prev, modes_next):
+        denom = float(np.sum(np.abs(prev) ** 2))
+        if denom == 0.0:
+            continue
+        diff = nxt - prev
+        residual += float(np.sum(np.abs(diff) ** 2)) / denom
+    return residual < tol, residual
+
+
+def full_grid_decompose(signal, config):
+    """Reference: the ADMM loop run over all 2n bins of the mirrored signal's
+    grid, with the upper half held at zero, and the per-mode stopping rule."""
+    x = np.asarray(signal, dtype=np.float64)
+    n = x.shape[0]
+    k = config.n_modes
+
+    mirrored = mirror_extend(x)
+    m_len = mirrored.shape[0]          # 2n, always even
+    half = m_len // 2
+    f_hat_plus = dft(mirrored)
+    f_hat_plus[half:] = 0.0            # one-sided support
+    freqs = np.arange(m_len) / m_len   # cycles/sample on [0, 1)
+
+    omegas = _initial_omegas(config, n)
+    lambda_hat = np.zeros(m_len, dtype=np.complex128)
+    modes_hat = np.zeros((k, m_len), dtype=np.complex128)
+
+    omega_history = np.zeros((config.max_iter, k))
+    iterations = 0
+    done = False
+    residual = math.inf
+
+    while iterations < config.max_iter and not done:
+        prev_modes_hat = modes_hat.copy()
+        modes_sum = modes_hat.sum(axis=0)
+        for m in range(k):
+            others = modes_sum - modes_hat[m]
+            updated = update_mode_spectrum(
+                f_hat_plus, lambda_hat, others, omegas[m], config.alpha, freqs
+            )
+            modes_sum += updated - modes_hat[m]   # Gauss-Seidel: next mode sees this one
+            modes_hat[m] = updated
+            omegas[m] = _full_grid_omega(modes_hat[m], freqs, fallback=omegas[m])
+        lambda_hat = update_lambda(lambda_hat, f_hat_plus, modes_sum, config.tau)
+        omega_history[iterations] = omegas
+        iterations += 1
+        if iterations >= 2:
+            done, residual = _per_mode_converged(prev_modes_hat, modes_hat, config.tol)
+            if not math.isfinite(residual):
+                raise FloatingPointError(
+                    f"non-finite convergence residual at iteration {iterations}"
+                )
+
+    omega_history = omega_history[:iterations]
+
+    # conjugate-symmetric completion, inverse transform, un-mirror
+    modes = np.empty((k, n))
+    for m in range(k):
+        full = np.zeros(m_len, dtype=np.complex128)
+        full[:half] = modes_hat[m, :half]
+        full[half + 1:] = np.conj(modes_hat[m, 1:half][::-1])
+        time_mode = np.real(idft(full))
+        modes[m] = time_mode[n // 2: n // 2 + n]
+
+    if config.sort_modes:
+        order = np.argsort(omegas, kind="stable")
+        omegas = omegas[order]
+        modes = modes[order]
+        omega_history = omega_history[:, order]
+
+    return VmdResult(
+        modes=modes,
+        omegas=np.asarray(omegas),
+        iterations=iterations,
+        converged=done,
+        final_residual=residual,
+        omega_history=omega_history,
+    )
+
+
+@given(data=st.data())
+def test_one_sided_decompose_matches_full_grid_reference(data):
+    k = data.draw(st.integers(1, 10), label="n_modes")
+    signal = data.draw(signals(min_len=2 * k), label="signal")
+    config = VmdConfig(
+        n_modes=k,
+        alpha=data.draw(st.sampled_from([200.0, 2000.0]), label="alpha"),
+        tau=data.draw(st.sampled_from([0.0, 0.1]), label="tau"),
+        max_iter=data.draw(st.integers(1, 120), label="max_iter"),
+        omega_init=data.draw(st.sampled_from(["uniform", "zero", "random"]), label="omega_init"),
+        seed=data.draw(st.integers(0, 1000), label="seed"),
+        sort_modes=data.draw(st.booleans(), label="sort_modes"),
+    )
+    got = decompose(signal, config)
+    want = full_grid_decompose(signal, config)
+    assert np.array_equal(got.modes, want.modes)
+    assert np.array_equal(got.omegas, want.omegas)
+    assert np.array_equal(got.omega_history, want.omega_history)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    # the norms now sum over half as many bins, which regroups the pairwise
+    # summation: equal up to a few units in the last place
+    if math.isinf(want.final_residual):
+        assert got.final_residual == want.final_residual
+    else:
+        assert got.final_residual == pytest.approx(want.final_residual, rel=1e-12, abs=0.0)
