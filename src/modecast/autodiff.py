@@ -154,15 +154,6 @@ class Tape:
 
         return self._record((a, b), out, bwd)
 
-    def sub(self, a, b) -> Tensor:
-        a, b = self._lift(a), self._lift(b)
-        out = a.values - b.values
-
-        def bwd(g):
-            return _unbroadcast(g, a.values.shape), _unbroadcast(-g, b.values.shape)
-
-        return self._record((a, b), out, bwd)
-
     def mul(self, a, b) -> Tensor:
         a, b = self._lift(a), self._lift(b)
         av, bv = a.values, b.values
@@ -186,10 +177,6 @@ class Tape:
 
         return self._record((a, b), out, bwd)
 
-    def neg(self, a) -> Tensor:
-        a = self._lift(a)
-        return self._record((a,), -a.values, lambda g: (-g,))
-
     def add_scalar(self, a, c: float) -> Tensor:
         a = self._lift(a)
         return self._record((a,), a.values + float(c), lambda g: (g,))
@@ -199,31 +186,12 @@ class Tape:
         c = float(c)
         return self._record((a,), a.values * c, lambda g: (g * c,))
 
-    def sqrt(self, a) -> Tensor:
-        a = self._lift(a)
-        out = np.sqrt(a.values)
-
-        def bwd(g):
-            return (g / (2.0 * out),)
-
-        return self._record((a,), out, bwd)
-
     def exp(self, a) -> Tensor:
         a = self._lift(a)
         out = np.exp(a.values)
 
         def bwd(g):
             return (g * out,)
-
-        return self._record((a,), out, bwd)
-
-    def relu(self, a) -> Tensor:
-        a = self._lift(a)
-        mask = a.values > 0.0
-        out = np.where(mask, a.values, 0.0)
-
-        def bwd(g):
-            return (g * mask,)
 
         return self._record((a,), out, bwd)
 
@@ -290,19 +258,6 @@ class Tape:
 
         return self._record((a,), out, bwd)
 
-    def slice(self, a, key) -> Tensor:
-        """Basic (view) slicing; ``key`` is anything numpy basic indexing takes."""
-        a = self._lift(a)
-        out = a.values[key]
-        shape = a.values.shape
-
-        def bwd(g):
-            full = np.zeros(shape, dtype=np.float64)
-            full[key] = g
-            return (full,)
-
-        return self._record((a,), out, bwd)
-
     def concat(self, tensors: Sequence, axis: int = 0) -> Tensor:
         ts = [self._lift(t) for t in tensors]
         out = np.concatenate([t.values for t in ts], axis=axis)
@@ -326,22 +281,6 @@ class Tape:
                 return (np.broadcast_to(g, shape).copy(),)
             gx = g if keepdims else np.expand_dims(g, axis)
             return (np.broadcast_to(gx, shape).copy(),)
-
-        return self._record((a,), out, bwd)
-
-    def mean(self, a, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
-        a = self._lift(a)
-        out = a.values.mean(axis=axis, keepdims=keepdims)
-        shape = a.values.shape
-        count = a.values.size if axis is None else np.prod(
-            [shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-        )
-
-        def bwd(g):
-            if axis is None:
-                return (np.broadcast_to(g / count, shape).copy(),)
-            gx = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(gx / count, shape).copy(),)
 
         return self._record((a,), out, bwd)
 

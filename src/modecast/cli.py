@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import logging
 import os
@@ -33,6 +32,7 @@ from .metrics import metric_pair
 from .pipeline import (
     forecast_from_dir,
     load_series,
+    render_report_text,
     run_backtest,
     train_period_to_dir,
     write_forecast_csv,
@@ -158,19 +158,17 @@ def cmd_forecast(args) -> int:
 
 def _merge_manifest(outdir: Path, config: dict, seeds, new_paths) -> None:
     """Write the manifest, folding new artifacts into an existing one (the
-    forecast command usually writes into the directory that 'train' filled)."""
+    forecast command usually writes into the directory that 'train' filled):
+    the existing config and seeds are kept and every listed artifact is
+    re-hashed."""
     manifest_path = outdir / "manifest.json"
+    paths = set(new_paths)
     if manifest_path.exists():
         existing = json.loads(manifest_path.read_text())
         config = existing.get("config", config)
         seeds = existing.get("seeds", seeds)
-        artifacts = existing.get("artifacts", {})
-        for p in new_paths:
-            artifacts[str(p.relative_to(outdir))] = hashlib.sha256(p.read_bytes()).hexdigest()
-        existing = {"config": config, "seeds": seeds, "artifacts": artifacts}
-        manifest_path.write_text(json.dumps(existing, indent=2, sort_keys=True) + "\n")
-    else:
-        write_manifest(outdir, config, seeds, list(new_paths))
+        paths.update(outdir / name for name in existing.get("artifacts", {}))
+    write_manifest(outdir, config, seeds, list(paths))
 
 
 def _read_metric_column(path: Path, preferred: str) -> np.ndarray:
@@ -249,24 +247,10 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_report(args) -> int:
-    run_dir = Path(args.run_dir)
-    text = run_dir / "report.txt"
-    data = run_dir / "report.json"
-    if text.exists():
-        print(text.read_text(), end="")
-        return EXIT_OK
+    data = Path(args.run_dir) / "report.json"
     if not data.exists():
-        raise UserError(f"{run_dir} has neither report.txt nor report.json")
-    payload = json.loads(data.read_text())
-    aggregate = payload.get("aggregate", {})
-    for period, mean in sorted(aggregate.get("periods", {}).items()):
-        if mean is None:
-            print(f"period {period}: no successful cells")
-        else:
-            print(f"period {period}: mse={mean['mse']:.6g} smape={mean['smape']:.6g}")
-    overall = aggregate.get("overall")
-    if overall:
-        print(f"overall: mse={overall['mse']:.6g} smape={overall['smape']:.6g}")
+        raise UserError(f"{args.run_dir} has no report.json")
+    print(render_report_text(json.loads(data.read_text())), end="")
     return EXIT_OK
 
 

@@ -7,8 +7,9 @@ values are coerced to the type of the default they replace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
@@ -49,19 +50,22 @@ class AswlConfig:
     enabled: bool = True
     train_theta: bool = True
     init: str = "ranges"   # ranges | uniform
-    aggregate: str = "sum"
 
     def __post_init__(self) -> None:
         if self.init not in ("ranges", "uniform"):
             raise ConfigError(f"aswl.init must be 'ranges' or 'uniform', got {self.init!r}")
-        if self.aggregate != "sum":
-            raise ConfigError("aswl.aggregate supports only 'sum'")
 
 
 @dataclass(frozen=True)
 class SplitConfig:
     n_periods: int = 5
     train_fraction: float = 0.8
+
+    def __post_init__(self) -> None:
+        if self.n_periods < 1:
+            raise ConfigError("split.n_periods must be >= 1")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError("split.train_fraction must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,10 @@ class TrainingConfig:
             raise ConfigError("training.epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("training.batch_size must be >= 1")
-        if not self.seeds:
-            raise ConfigError("training.seeds must be nonempty")
+        if not self.learning_rate >= 0.0:   # also rejects NaN
+            raise ConfigError("training.learning_rate must be >= 0")
+        if not self.seeds or not all(isinstance(s, int) for s in self.seeds):
+            raise ConfigError("training.seeds must be a nonempty list of integers")
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,8 @@ class BaselineConfig:
         for name in self.names:
             if name not in ("naive", "linear_ar"):
                 raise ConfigError(f"unknown baseline {name!r}")
+        if self.ar_order < 1:
+            raise ConfigError("baselines.ar_order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -113,101 +121,44 @@ class ExperimentConfig:
     backtest: BacktestConfig = field(default_factory=BacktestConfig)
 
     def to_dict(self) -> dict:
+        """Plain nested dict; tuples become lists, so it round-trips through
+        YAML and JSON."""
         return {
-            "data": {
-                "path": self.data.path,
-                "column": self.data.column,
-                "date_column": self.data.date_column,
-                "generator": self.data.generator,
-            },
-            "vmd": self.vmd.to_dict(),
-            "model": self.model.to_dict(),
-            "aswl": {
-                "enabled": self.aswl.enabled,
-                "train_theta": self.aswl.train_theta,
-                "init": self.aswl.init,
-                "aggregate": self.aswl.aggregate,
-            },
-            "split": {
-                "n_periods": self.split.n_periods,
-                "train_fraction": self.split.train_fraction,
-            },
-            "training": {
-                "epochs": self.training.epochs,
-                "batch_size": self.training.batch_size,
-                "learning_rate": self.training.learning_rate,
-                "seeds": list(self.training.seeds),
-            },
-            "baselines": {
-                "names": list(self.baselines.names),
-                "ar_order": self.baselines.ar_order,
-            },
-            "backtest": {
-                "strict_causal": self.backtest.strict_causal,
-                "workers": self.backtest.workers,
-            },
+            f.name: {
+                key: list(value) if isinstance(value, tuple) else value
+                for key, value in asdict(getattr(self, f.name)).items()
+            }
+            for f in fields(self)
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {
-            "data", "vmd", "model", "aswl", "split", "training", "baselines", "backtest",
-        }
-        unknown = set(raw) - known
+        """Build from a nested dict.  Missing sections and keys take the
+        section dataclasses' defaults; lists become tuples."""
+        sections = {f.name: f for f in fields(cls)}
+        unknown = set(raw) - set(sections)
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         if "data" not in raw:
             raise ConfigError("config must have a 'data' section")
-
-        def build(section: str, factory, defaults: dict):
-            merged = dict(defaults)
-            merged.update(raw.get(section) or {})
-            extra = set(merged) - set(defaults)
+        types = get_type_hints(cls)
+        built = {}
+        for name, f in sections.items():
+            given = raw.get(name) or {}
+            if not isinstance(given, dict):
+                raise ConfigError(f"section '{name}' must be a mapping")
+            extra = set(given) - {g.name for g in fields(types[name])}
             if extra:
-                raise ConfigError(f"unknown keys in '{section}': {sorted(extra)}")
+                raise ConfigError(f"unknown keys in '{name}': {sorted(extra)}")
+            given = {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
             try:
-                return factory(**merged)
+                if f.default_factory is MISSING:
+                    built[name] = types[name](**given)
+                else:
+                    built[name] = replace(f.default_factory(), **given)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad '{section}' section: {exc}") from exc
-
-        data = build("data", DataConfig, {
-            "path": None, "column": "close", "date_column": "date", "generator": None,
-        })
-        vmd = build("vmd", VmdConfig, {
-            "n_modes": 10, "alpha": 2000.0, "tau": 0.0, "tol": 1e-7,
-            "max_iter": 500, "omega_init": "uniform", "seed": 0, "sort_modes": True,
-        })
-        model = build("model", ForecasterConfig, ForecasterConfig().to_dict())
-        aswl = build("aswl", AswlConfig, {
-            "enabled": True, "train_theta": True, "init": "ranges", "aggregate": "sum",
-        })
-        split = build("split", SplitConfig, {"n_periods": 5, "train_fraction": 0.8})
-
-        training_defaults = {
-            "epochs": 20, "batch_size": 32, "learning_rate": 0.001, "seeds": (0,),
-        }
-        training_raw = dict(training_defaults)
-        training_raw.update(raw.get("training") or {})
-        extra = set(training_raw) - set(training_defaults)
-        if extra:
-            raise ConfigError(f"unknown keys in 'training': {sorted(extra)}")
-        training_raw["seeds"] = tuple(int(s) for s in training_raw["seeds"])
-        training = TrainingConfig(**training_raw)
-
-        baseline_defaults = {"names": ("naive", "linear_ar"), "ar_order": 8}
-        baseline_raw = dict(baseline_defaults)
-        baseline_raw.update(raw.get("baselines") or {})
-        extra = set(baseline_raw) - set(baseline_defaults)
-        if extra:
-            raise ConfigError(f"unknown keys in 'baselines': {sorted(extra)}")
-        baseline_raw["names"] = tuple(baseline_raw["names"])
-        baselines = BaselineConfig(**baseline_raw)
-
-        backtest = build("backtest", BacktestConfig, {"strict_causal": False, "workers": 1})
-        return cls(
-            data=data, vmd=vmd, model=model, aswl=aswl, split=split,
-            training=training, baselines=baselines, backtest=backtest,
-        )
+                raise ConfigError(f"bad '{name}' section: {exc}") from exc
+        return cls(**built)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -232,9 +183,12 @@ def _coerce(text: str, like) -> object:
         return int(text)
     if isinstance(like, float):
         return float(text)
-    if isinstance(like, (list, tuple)):
-        return yaml.safe_load(text)
-    if like is None:
+    if isinstance(like, dict):
+        value = yaml.safe_load(text)
+        if not isinstance(value, dict):
+            raise ConfigError(f"expected a mapping such as '{{name: x}}', got {text!r}")
+        return value
+    if isinstance(like, (list, tuple)) or like is None:
         return yaml.safe_load(text)
     return text
 
@@ -255,5 +209,8 @@ def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experimen
         leaf = keys[-1]
         if not isinstance(node, dict) or leaf not in node:
             raise ConfigError(f"override {dotted!r}: no such config key")
-        node[leaf] = _coerce(text, node[leaf])
+        try:
+            node[leaf] = _coerce(text, node[leaf])
+        except ValueError as exc:   # e.g. int("abc")
+            raise ConfigError(f"override {dotted!r}: {exc}") from exc
     return ExperimentConfig.from_dict(tree)

@@ -13,11 +13,12 @@ return at the input's scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import Adam, BatchNormState, Tape, Tensor
+from .scale_weights import ScaleWeights, weighted_loss, weights
 
 __all__ = [
     "ForecasterConfig",
@@ -45,7 +46,6 @@ class ForecasterConfig:
     n_layers: int = 2
     d_ff: int = 128
     norm: str = "batch"   # batch | layer
-    dropout: float = 0.0  # reserved knob; nonzero is rejected
 
     def __post_init__(self) -> None:
         if self.lookback < 2:
@@ -64,8 +64,6 @@ class ForecasterConfig:
             )
         if self.norm not in ("batch", "layer"):
             raise ValueError(f"unknown norm {self.norm!r}")
-        if self.dropout != 0.0:
-            raise ValueError("dropout is not supported; set it to 0")
 
     @property
     def n_patches(self) -> int:
@@ -76,18 +74,7 @@ class ForecasterConfig:
         return self.d_model // self.n_heads
 
     def to_dict(self) -> dict:
-        return {
-            "lookback": self.lookback,
-            "horizon": self.horizon,
-            "patch_len": self.patch_len,
-            "stride": self.stride,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "d_ff": self.d_ff,
-            "norm": self.norm,
-            "dropout": self.dropout,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ForecasterConfig":
@@ -214,9 +201,6 @@ class PatchForecaster:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def param_arrays(self) -> dict[str, np.ndarray]:
         """Flat name -> array map, including batch-norm running statistics."""
         out = {name: p.values.copy() for name, p in self.params.items()}
@@ -312,33 +296,53 @@ class PatchForecaster:
 
 
 def train_epoch(
-    model: PatchForecaster,
+    models: list[PatchForecaster],
     inputs: np.ndarray,
     targets: np.ndarray,
     optimizer: Adam,
     batch_size: int,
     rng: np.random.Generator,
-) -> float:
-    """One pass of minibatch MSE training for a single channel; returns the
-    mean minibatch loss.  Aborts on a non-finite loss."""
+    sw: ScaleWeights | None = None,
+) -> tuple[float, list[float]]:
+    """One shuffled pass of minibatch training over K channel-independent models.
+
+    ``inputs`` is ``[n, lookback, K]`` and ``targets`` ``[n, horizon, K]``;
+    model ``m`` sees only channel ``m``.  Each minibatch records every
+    channel's MSE on one tape and combines them with :func:`weighted_loss`
+    (the scale weights ``sw``, or the plain sum when ``sw`` is None), so the
+    optimizer may also hold ``sw.theta``.  Returns the mean minibatch loss and
+    the total weight mass after every step (empty when ``sw`` is None).
+    Aborts on a non-finite loss.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if inputs.shape[0] != targets.shape[0] or inputs.shape[0] == 0:
         raise ValueError("inputs and targets must be nonempty and aligned")
     order = rng.permutation(inputs.shape[0])
     losses = []
+    weight_sums: list[float] = []
     for start in range(0, len(order), batch_size):
         idx = order[start: start + batch_size]
         tape = Tape()
-        pred = model.forward_on_tape(tape, inputs[idx], training=True)
-        loss = tape.mse(pred, Tensor(targets[idx]))
-        value = float(loss.values)
+        channel_losses = [
+            tape.mse(
+                model.forward_on_tape(tape, inputs[idx, :, m], training=True),
+                Tensor(targets[idx, :, m]),
+            )
+            for m, model in enumerate(models)
+        ]
+        total = weighted_loss(tape, channel_losses, sw)
+        value = float(total.values)
         if not math.isfinite(value):
             raise FloatingPointError(
                 f"non-finite training loss {value} at minibatch starting {start}"
             )
         optimizer.zero_grad()
-        tape.backward(loss)
+        if sw is not None:
+            sw.theta.zero_grad()
+        tape.backward(total)
         optimizer.step()
         losses.append(value)
-    return float(np.mean(losses))
+        if sw is not None:
+            weight_sums.append(float(weights(sw).sum()))
+    return float(np.mean(losses)), weight_sums

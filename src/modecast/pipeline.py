@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -23,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import scale_weights as swmod
-from .autodiff import Adam, Tape, Tensor, load_checkpoint, save_checkpoint
+from .autodiff import Adam, load_checkpoint, save_checkpoint
 from .baselines import baseline_linear_ar, baseline_naive
 from .config import ExperimentConfig
-from .forecaster import PatchForecaster
+from .forecaster import PatchForecaster, train_epoch
 from .metrics import MetricPair, metric_pair
 from .series_io import (
     NormalizationParams,
@@ -132,22 +131,19 @@ class ExperimentReport:
         return [c for c in self.cells if not c.ok]
 
     def period_mean(self, period_index: int) -> MetricPair | None:
-        cells = [c for c in self.succeeded if c.period_index == period_index]
-        if not cells:
-            return None
-        return MetricPair(
-            mse=float(np.mean([c.overall.mse for c in cells])),
-            smape=float(np.mean([c.overall.smape for c in cells])),
-        )
+        return _mean_metrics([c for c in self.succeeded if c.period_index == period_index])
 
     def overall_mean(self) -> MetricPair | None:
-        cells = self.succeeded
-        if not cells:
-            return None
-        return MetricPair(
-            mse=float(np.mean([c.overall.mse for c in cells])),
-            smape=float(np.mean([c.overall.smape for c in cells])),
-        )
+        return _mean_metrics(self.succeeded)
+
+
+def _mean_metrics(cells: list[PeriodCell]) -> MetricPair | None:
+    if not cells:
+        return None
+    return MetricPair(
+        mse=float(np.mean([c.overall.mse for c in cells])),
+        smape=float(np.mean([c.overall.smape for c in cells])),
+    )
 
 
 def load_series(config: ExperimentConfig) -> np.ndarray:
@@ -230,78 +226,49 @@ def _train_stage(
     weights_initial = swmod.weights(sw).tolist() if sw is not None else None
     weight_sum_history: list[float] = []
     epoch_losses: list[float] = []
-    n_windows = batch.n_windows
     for _epoch in range(config.training.epochs):
-        order = shuffle_rng.permutation(n_windows)
-        batch_losses = []
-        for start in range(0, n_windows, config.training.batch_size):
-            idx = order[start: start + config.training.batch_size]
-            tape = Tape()
-            losses = []
-            for m in range(k):
-                pred = models[m].forward_on_tape(tape, batch.inputs[idx, :, m], training=True)
-                losses.append(tape.mse(pred, Tensor(batch.targets[idx, :, m])))
-            total = swmod.weighted_loss(tape, losses, sw)
-            value = float(total.values)
-            if not math.isfinite(value):
-                raise FloatingPointError(f"non-finite training loss {value}")
-            optimizer.zero_grad()
-            if sw is not None:
-                sw.theta.zero_grad()
-            tape.backward(total)
-            optimizer.step()
-            batch_losses.append(value)
-            if sw is not None:
-                weight_sum_history.append(float(swmod.weights(sw).sum()))
-        epoch_losses.append(float(np.mean(batch_losses)))
+        loss, weight_sums = train_epoch(
+            models, batch.inputs, batch.targets, optimizer,
+            config.training.batch_size, shuffle_rng, sw,
+        )
+        epoch_losses.append(loss)
+        weight_sum_history.extend(weight_sums)
 
     weights_final = swmod.weights(sw).tolist() if sw is not None else None
     return models, sw, weights_initial, weights_final, weight_sum_history, epoch_losses
 
 
-def _block_starts(train_size: int, n: int, horizon: int) -> np.ndarray:
-    return np.arange(train_size, n, horizon)
-
-
 @_stage("forecast")
-def _forecast_full_period(
+def _forecast_stage(
+    values: np.ndarray,
+    modes: np.ndarray,        # [K, n]
     modes_norm: np.ndarray,   # [K, n]
     params: list[NormalizationParams],
     models: list[PatchForecaster],
     train_size: int,
+    label: str,
     config: ExperimentConfig,
 ):
-    """Rolling forecast with true history: horizon-sized blocks whose lookback
-    windows are built from the actual (decomposed) series."""
-    k, n = modes_norm.shape
+    """Forecast the test segment in horizon-sized blocks under the protocol
+    named by ``label``; returns ``(channel_pred, channel_actual)``, both
+    ``[K, n_test]`` at the raw scale.
+
+    ``full_period`` builds every lookback window from the period's own modes
+    (true history).  ``strict_causal`` re-decomposes the observed prefix at
+    every block, so no test-range sample enters a decomposition; it has no
+    single set of test modes, so ``channel_actual`` is None.
+    """
+    k, n = len(models), values.shape[0]
     lookback, horizon = config.model.lookback, config.model.horizon
-    starts = _block_starts(train_size, n, horizon)
+    starts = np.arange(train_size, n, horizon)
     n_test = n - train_size
     channel_pred = np.empty((k, n_test))
-    for m in range(k):
-        windows = np.stack([modes_norm[m, s - lookback: s] for s in starts])
-        preds = models[m].predict(windows)            # [blocks, horizon]
-        flat = preds.reshape(-1)[:n_test]
-        channel_pred[m] = minmax_invert(flat, params[m])
-    return channel_pred
-
-
-@_stage("forecast")
-def _forecast_strict_causal(
-    values: np.ndarray,
-    params: list[NormalizationParams],
-    models: list[PatchForecaster],
-    train_size: int,
-    config: ExperimentConfig,
-):
-    """Re-decompose the observed prefix at every forecast block; no test-range
-    samples ever enter the decomposition."""
-    k = len(models)
-    n = values.shape[0]
-    lookback, horizon = config.model.lookback, config.model.horizon
-    starts = _block_starts(train_size, n, horizon)
-    n_test = n - train_size
-    channel_pred = np.empty((k, n_test))
+    if label != "strict_causal":
+        for m in range(k):
+            windows = np.stack([modes_norm[m, s - lookback: s] for s in starts])
+            preds = models[m].predict(windows)            # [blocks, horizon]
+            channel_pred[m] = minmax_invert(preds.reshape(-1)[:n_test], params[m])
+        return channel_pred, modes[:, train_size:]
     for s in starts:
         prefix = decompose(values[:s], config.vmd)
         for m in range(k):
@@ -310,7 +277,7 @@ def _forecast_strict_causal(
             chunk = minmax_invert(pred, params[m])
             stop = min(s + horizon, n)
             channel_pred[m, s - train_size: stop - train_size] = chunk[: stop - s]
-    return channel_pred
+    return channel_pred, None
 
 
 def run_period(
@@ -357,16 +324,12 @@ def _run_period_full(
         epoch_losses,
     ) = _train_stage(modes_norm[:, :train_size], ranges, config, seed)
 
-    if label == "strict_causal":
-        channel_pred = _forecast_strict_causal(values, params, models, train_size, config)
-        channel_actual = None
-        per_channel = None
-    else:
-        channel_pred = _forecast_full_period(modes_norm, params, models, train_size, config)
-        channel_actual = modes[:, train_size:]
-        per_channel = [
-            metric_pair(channel_actual[m], channel_pred[m]) for m in range(len(models))
-        ]
+    channel_pred, channel_actual = _forecast_stage(
+        values, modes, modes_norm, params, models, train_size, label, config
+    )
+    per_channel = None if channel_actual is None else [
+        metric_pair(actual_m, pred_m) for actual_m, pred_m in zip(channel_actual, channel_pred)
+    ]
 
     predicted = channel_pred.sum(axis=0)
     actual = values[train_size:]
@@ -495,7 +458,7 @@ def _cell_dict(cell: PeriodCell | FailedCell) -> dict:
             "stage": cell.stage,
             "message": cell.message,
         }
-    out = {
+    return {
         "period": cell.period_index,
         "seed": cell.seed,
         "ok": True,
@@ -522,7 +485,6 @@ def _cell_dict(cell: PeriodCell | FailedCell) -> dict:
         },
         "epoch_losses": cell.epoch_losses,
     }
-    return out
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
@@ -558,70 +520,61 @@ def _fmt(x: float) -> str:
     return format(x, ".8g")
 
 
-def render_report_text(report: ExperimentReport) -> str:
-    """Human-readable report body.  Deterministic: no timestamps or runtimes
-    (those live in timing.json)."""
-    lines: list[str] = []
-    cfg_json = json.dumps(report.config, sort_keys=True)
+def _metric_text(pair: dict | None) -> str:
+    if pair is None:
+        return "no successful cells"
+    return f"mse={_fmt(pair['mse'])} smape={_fmt(pair['smape'])}"
+
+
+def render_report_text(doc: dict) -> str:
+    """Human-readable report body rendered from :func:`report_to_dict`'s dict
+    (or the ``report.json`` it was saved as).  Deterministic: no timestamps
+    or runtimes (those live in timing.json)."""
+    cfg_json = json.dumps(doc["config"], sort_keys=True)
     cfg_hash = hashlib.sha256(cfg_json.encode()).hexdigest()[:16]
-    lines.append("# modecast backtest report")
-    lines.append(f"config_hash: {cfg_hash}")
-    lines.append(f"periods: {len(report.splits)}")
-    seeds = report.config.get("training", {}).get("seeds", [])
-    lines.append(f"seeds: {seeds}")
-    lines.append("")
-    for cell in report.cells:
-        if not cell.ok:
-            lines.append(f"## period {cell.period_index} seed {cell.seed}: FAILED")
-            lines.append(f"stage: {cell.stage}")
-            lines.append(f"message: {cell.message}")
-            lines.append("")
+    lines = [
+        "# modecast backtest report",
+        f"config_hash: {cfg_hash}",
+        f"periods: {len(doc['splits'])}",
+        f"seeds: {doc['config']['training']['seeds']}",
+        "",
+    ]
+    for cell in doc["cells"]:
+        title = f"## period {cell['period']} seed {cell['seed']}"
+        if not cell["ok"]:
+            lines += [f"{title}: FAILED", f"stage: {cell['stage']}",
+                      f"message: {cell['message']}", ""]
             continue
-        lines.append(f"## period {cell.period_index} seed {cell.seed}")
-        lines.append(f"decomposition: {cell.decomposition_label}")
-        lines.append(f"overall: mse={_fmt(cell.overall.mse)} smape={_fmt(cell.overall.smape)}")
-        for name in sorted(cell.baselines):
-            mp = cell.baselines[name]
-            lines.append(f"baseline {name}: mse={_fmt(mp.mse)} smape={_fmt(mp.smape)}")
-        if cell.aswl_enabled:
-            init_w = " ".join(_fmt(w) for w in cell.aswl_weights_initial)
-            final_w = " ".join(_fmt(w) for w in cell.aswl_weights_final)
-            lines.append(f"aswl weights initial: {init_w}")
-            lines.append(f"aswl weights final:   {final_w}")
+        lines += [title, f"decomposition: {cell['decomposition']}",
+                  f"overall: {_metric_text(cell)}"]
+        for name in sorted(cell["baselines"]):
+            lines.append(f"baseline {name}: {_metric_text(cell['baselines'][name])}")
+        aswl = cell["aswl"]
+        if aswl["enabled"]:
+            lines.append(f"aswl weights initial: {' '.join(map(_fmt, aswl['weights_initial']))}")
+            lines.append(f"aswl weights final:   {' '.join(map(_fmt, aswl['weights_final']))}")
         else:
             lines.append("aswl: off")
-        omegas = " ".join(_fmt(w) for w in cell.vmd_omegas)
+        vmd = cell["vmd"]
         lines.append(
-            f"vmd: iterations={cell.vmd_iterations} converged={cell.vmd_converged} omegas=[{omegas}]"
+            f"vmd: iterations={vmd['iterations']} converged={vmd['converged']} "
+            f"omegas=[{' '.join(map(_fmt, vmd['omegas']))}]"
         )
-        if cell.per_channel is not None:
-            for m, mp in enumerate(cell.per_channel):
-                lines.append(f"  imf{m}: mse={_fmt(mp.mse)} smape={_fmt(mp.smape)}")
+        for m, pair in enumerate(cell["per_channel"] or []):
+            lines.append(f"  imf{m}: {_metric_text(pair)}")
         lines.append("")
     lines.append("## aggregate")
-    for split in report.splits:
-        mean = report.period_mean(split.period_index)
-        text = "no successful cells" if mean is None else (
-            f"mse={_fmt(mean.mse)} smape={_fmt(mean.smape)}"
-        )
-        lines.append(f"period {split.period_index} mean: {text}")
-    overall = report.overall_mean()
-    text = "no successful cells" if overall is None else (
-        f"mse={_fmt(overall.mse)} smape={_fmt(overall.smape)}"
-    )
-    lines.append(f"overall mean: {text}")
-    if report.failed:
-        lines.append(f"failed cells: {len(report.failed)}")
+    means = doc["aggregate"]["periods"]
+    for split in doc["splits"]:
+        period = split["period"]
+        lines.append(f"period {period} mean: {_metric_text(means[str(period)])}")
+    lines.append(f"overall mean: {_metric_text(doc['aggregate']['overall'])}")
+    if doc["n_failed"]:
+        lines.append(f"failed cells: {doc['n_failed']}")
     lines.append("")
-    lines.append(f"note: {SMAPE_NOTE}")
+    lines += [f"note: {note}" for note in doc["notes"]]
     lines.append("")
     return "\n".join(lines)
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
 
 
 def write_manifest(outdir, config: dict, seeds, paths: list[Path]) -> None:
@@ -631,7 +584,10 @@ def write_manifest(outdir, config: dict, seeds, paths: list[Path]) -> None:
     manifest = {
         "config": config,
         "seeds": list(seeds),
-        "artifacts": {str(p.relative_to(outdir)): _sha256(p) for p in sorted(paths)},
+        "artifacts": {
+            str(p.relative_to(outdir)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(paths)
+        },
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -665,12 +621,13 @@ def write_backtest_artifacts(report: ExperimentReport, outdir) -> None:
                 )
                 emitted.append(path)
 
+    doc = report_to_dict(report)
     report_txt = outdir / "report.txt"
-    report_txt.write_text(render_report_text(report))
+    report_txt.write_text(render_report_text(doc))
     emitted.append(report_txt)
 
     report_json = outdir / "report.json"
-    report_json.write_text(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
+    report_json.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     emitted.append(report_json)
 
     timing = {
@@ -781,12 +738,9 @@ def forecast_from_dir(run_dir) -> dict:
         models.append(model)
 
     modes_norm = np.stack([minmax_apply(modes[m], params[m]) for m in range(k)])
-    if meta["decomposition"] == "strict_causal":
-        channel_pred = _forecast_strict_causal(values, params, models, train_size, config)
-        channel_actual = None
-    else:
-        channel_pred = _forecast_full_period(modes_norm, params, models, train_size, config)
-        channel_actual = modes[:, train_size:]
+    channel_pred, channel_actual = _forecast_stage(
+        values, modes, modes_norm, params, models, train_size, meta["decomposition"], config
+    )
 
     predicted = channel_pred.sum(axis=0)
     actual = values[train_size:]

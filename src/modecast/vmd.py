@@ -8,13 +8,13 @@ variable that enforces exact reconstruction when the ascent rate is nonzero.
 
 Boundary handling mirrors half the signal onto each end before the transform
 and keeps only the center samples afterwards.  The mirrored signal (length
-2n) is transformed on its full unshifted grid, but the iteration state (signal
+2n) is transformed with ``np.fft.fft`` on its full unshifted grid
+(``X[k] = sum_t x[t] exp(-2*pi*i*k*t/N)``), but the iteration state (signal
 spectrum, mode spectra, dual variable, frequency axis) holds only the first n
 bins: the one-sided grid ``[0, 0.5)`` cycles per sample in steps of
 ``1/(2n)``.  The ADMM updates each mode for non-negative frequencies only, so
 the upper half of the full grid would stay zero.  Real modes are recovered by
-conjugate-symmetric completion onto the full grid before the inverse
-transform.
+conjugate-symmetric completion onto the full grid before ``np.fft.ifft``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,6 @@ __all__ = [
     "VmdConfig",
     "VmdResult",
     "mirror_extend",
-    "dft",
-    "idft",
     "update_mode_spectrum",
     "update_omega",
     "update_lambda",
@@ -77,16 +75,7 @@ class VmdConfig:
             raise ValueError(f"unknown omega_init {self.omega_init!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "n_modes": self.n_modes,
-            "alpha": self.alpha,
-            "tau": self.tau,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "omega_init": self.omega_init,
-            "seed": self.seed,
-            "sort_modes": self.sort_modes,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -114,21 +103,6 @@ def mirror_extend(signal: np.ndarray) -> np.ndarray:
         raise ValueError("mirror_extend needs a 1D signal of length >= 2")
     half = n // 2
     return np.concatenate([x[:half][::-1], x, x[half:][::-1]])
-
-
-def dft(values: np.ndarray) -> np.ndarray:
-    """Discrete Fourier transform, X[k] = sum_t x[t] exp(-2*pi*i*k*t/N)."""
-    values = np.asarray(values)
-    if values.size < 1:
-        raise ValueError("dft needs at least one sample")
-    return np.fft.fft(values)
-
-def idft(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse transform; idft(dft(x)) == x to floating-point accuracy."""
-    spectrum = np.asarray(spectrum)
-    if spectrum.size < 1:
-        raise ValueError("idft needs at least one bin")
-    return np.fft.ifft(spectrum)
 
 
 def update_mode_spectrum(
@@ -213,7 +187,7 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
     mirrored = mirror_extend(x)
     m_len = mirrored.shape[0]          # 2n, always even
     half = m_len // 2
-    f_hat_plus = dft(mirrored)[:half]  # one-sided grid
+    f_hat_plus = np.fft.fft(mirrored)[:half]  # one-sided grid
     freqs = np.arange(half) / m_len    # cycles/sample on [0, 0.5)
 
     omegas = _initial_omegas(config, n)
@@ -257,7 +231,7 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
         full = np.zeros(m_len, dtype=np.complex128)
         full[:half] = modes_hat[m]
         full[half + 1:] = np.conj(modes_hat[m, 1:][::-1])
-        time_mode = np.real(idft(full))
+        time_mode = np.real(np.fft.ifft(full))
         modes[m] = time_mode[n // 2: n // 2 + n]
 
     if config.sort_modes:

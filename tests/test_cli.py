@@ -194,3 +194,31 @@ def test_outdir_env_default(tmp_path, monkeypatch, capsys):
     write_two_column(a, "actual", [1.0])
     assert main(["evaluate", "--forecast", str(f), "--actual", str(a)]) == 0
     assert (tmp_path / "envout" / "metrics.json").exists()
+
+
+def test_report_renders_report_json_like_report_txt(tmp_path, capsys):
+    # failed cells need no training; with 11 periods, split order puts "2" before "10"
+    from modecast.config import ExperimentConfig
+    from modecast.pipeline import ExperimentReport, FailedCell, write_backtest_artifacts
+    from modecast.series_io import split_periods
+
+    config = ExperimentConfig.from_dict(backtest_raw())
+    splits = split_periods(1100, 11, 0.8)
+    cells = [FailedCell(s.period_index, 0, "window", "too short") for s in splits]
+    run_dir = tmp_path / "run"
+    write_backtest_artifacts(ExperimentReport(config.to_dict(), splits, cells), run_dir)
+    expected = (run_dir / "report.txt").read_text()
+    (run_dir / "report.txt").unlink()  # the report must come from report.json
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert out == expected
+    periods = [line.split()[1] for line in out.splitlines()
+               if line.startswith("period ") and " mean: " in line]
+    assert periods == [str(p) for p in range(11)]
+
+
+def test_report_without_report_json_exits_2(tmp_path, capsys):
+    (tmp_path / "report.txt").write_text("stale\n")
+    assert main(["report", "--run-dir", str(tmp_path)]) == 2
+    assert "report.json" in capsys.readouterr().err

@@ -57,12 +57,17 @@ def test_overrides_coerce_types():
         "aswl.enabled=false",
         "training.seeds=[5, 6]",
         "model.norm=layer",
+        "data.generator={name: trend_two_tone, n: 700}",
     ])
     assert out.vmd.alpha == 750.0
     assert out.training.epochs == 3
     assert out.aswl.enabled is False
     assert out.training.seeds == (5, 6)
     assert out.model.norm == "layer"
+    assert out.data.generator == {"name": "trend_two_tone", "n": 700}
+    for bad in ("data.generator=trend_two_tone", "data.generator=[1, 2]", "training.epochs=abc"):
+        with pytest.raises(ConfigError):
+            apply_overrides(cfg, [bad])
 
 
 def test_overrides_must_reference_existing_keys():
@@ -79,3 +84,13 @@ def test_invalid_values_rejected_through_overrides():
         apply_overrides(cfg, ["vmd.alpha=-5"])
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["aswl.init=bogus"])
+    for bad in (
+        "split.train_fraction=1.5",
+        "split.train_fraction=0",
+        "split.n_periods=0",
+        "training.learning_rate=-1",
+        "training.learning_rate=nan",
+        "baselines.ar_order=0",
+    ):
+        with pytest.raises(ConfigError, match=bad.split("=")[0].split(".")[1]):
+            apply_overrides(cfg, [bad])

@@ -7,6 +7,7 @@ import pytest
 from conftest import numeric_gradient, rel_err
 
 from modecast.autodiff import Adam, Tape, Tensor, load_checkpoint, save_checkpoint
+from modecast.config import ConfigError, ExperimentConfig
 from modecast.forecaster import (
     ForecasterConfig,
     PatchForecaster,
@@ -31,8 +32,10 @@ def test_config_validation():
         ForecasterConfig(patch_len=200, lookback=96)
     with pytest.raises(ValueError):
         ForecasterConfig(d_model=10, n_heads=4)
-    with pytest.raises(ValueError, match="dropout"):
-        ForecasterConfig(dropout=0.1)
+    for section, key in (("model", "dropout"), ("aswl", "aggregate")):
+        with pytest.raises(ConfigError, match=f"unknown keys in '{section}'.*{key}"):
+            ExperimentConfig.from_dict({"data": {"generator": {"name": "two_tone"}},
+                                        section: {key: 0}})
     with pytest.raises(ValueError):
         ForecasterConfig(norm="group")
 
@@ -274,8 +277,10 @@ def test_train_epoch_zero_learning_rate_freezes_parameters():
     rng = np.random.default_rng(22)
     inputs = rng.normal(size=(6, 8))
     targets = rng.normal(size=(6, 1))
-    first = train_epoch(model, inputs, targets, opt, 4, np.random.default_rng(0))
-    second = train_epoch(model, inputs, targets, opt, 4, np.random.default_rng(0))
+    first, _ = train_epoch([model], inputs[:, :, None], targets[:, :, None], opt, 4,
+                           np.random.default_rng(0))
+    second, _ = train_epoch([model], inputs[:, :, None], targets[:, :, None], opt, 4,
+                            np.random.default_rng(0))
     for k, v in model.params.items():
         assert np.array_equal(before[k], v.values)
     assert first == second
@@ -288,7 +293,8 @@ def test_train_epoch_memorizes_constant_pair():
     targets = np.array([[0.7]])
     loss = np.inf
     for _ in range(200):
-        loss = train_epoch(model, inputs, targets, opt, 32, np.random.default_rng(1))
+        loss, _ = train_epoch([model], inputs[:, :, None], targets[:, :, None], opt, 32,
+                              np.random.default_rng(1))
     assert loss < 1e-4
 
 
@@ -304,7 +310,10 @@ def test_training_curve_decreases_on_sinusoid():
     targets = series[16:196][:, None]
     opt = Adam(model.parameters(), lr=0.002)
     shuffle = np.random.default_rng(2)
-    losses = [train_epoch(model, windows, targets, opt, 32, shuffle) for _ in range(50)]
+    losses = [
+        train_epoch([model], windows[:, :, None], targets[:, :, None], opt, 32, shuffle)[0]
+        for _ in range(50)
+    ]
     assert losses[-1] < losses[0]
 
 
@@ -314,7 +323,8 @@ def test_train_epoch_aborts_on_nan():
     inputs = np.random.default_rng(26).normal(size=(4, 8))
     targets = np.full((4, 1), np.nan)
     with pytest.raises(FloatingPointError, match="non-finite"):
-        train_epoch(model, inputs, targets, opt, 4, np.random.default_rng(3))
+        train_epoch([model], inputs[:, :, None], targets[:, :, None], opt, 4,
+                    np.random.default_rng(3))
 
 
 # -- persistence --------------------------------------------------------------------
@@ -329,7 +339,7 @@ def test_checkpoint_reload_reproduces_forecasts_bitwise(tmp_path):
     # train a little so running statistics are nontrivial
     rng = np.random.default_rng(28)
     opt = Adam(model.parameters(), lr=0.002)
-    train_epoch(model, rng.normal(size=(20, 16)), rng.normal(size=(20, 2)), opt, 8,
+    train_epoch([model], rng.normal(size=(20, 16, 1)), rng.normal(size=(20, 2, 1)), opt, 8,
                 np.random.default_rng(4))
     windows = rng.normal(size=(5, 16))
     want = model.predict(windows)

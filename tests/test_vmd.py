@@ -1,4 +1,4 @@
-"""Mode decomposition: transforms, ADMM update pieces, and full decompositions."""
+"""Mode decomposition: mirror extension, ADMM update pieces, and full decompositions."""
 
 import json
 import math
@@ -14,23 +14,12 @@ from modecast.vmd import (
     _initial_omegas,
     converged,
     decompose,
-    dft,
-    idft,
     mirror_extend,
     update_lambda,
     update_mode_spectrum,
     update_omega,
     write_decomposition_metadata,
 )
-
-
-def naive_dft(x: np.ndarray) -> np.ndarray:
-    """O(N^2) direct-summation transform; the independent oracle."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[0]
-    k = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return kernel @ x
 
 
 # -- mirror extension ----------------------------------------------------------
@@ -59,40 +48,6 @@ def test_mirror_center_recovers_input(n):
 def test_mirror_rejects_short_input():
     with pytest.raises(ValueError):
         mirror_extend(np.array([1.0]))
-
-
-# -- transforms ----------------------------------------------------------------
-
-
-def test_dft_constant_signal():
-    out = dft(np.ones(4))
-    assert np.allclose(out, [4, 0, 0, 0], atol=1e-12)
-
-
-def test_dft_unit_impulse():
-    x = np.zeros(8)
-    x[0] = 1.0
-    assert np.allclose(dft(x), np.ones(8), atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [16, 100, 257, 1000])
-def test_dft_matches_naive_oracle_and_round_trips(n):
-    rng = np.random.default_rng(n)
-    x = rng.normal(size=n)
-    spectrum = dft(x)
-    oracle = naive_dft(x)
-    assert np.max(np.abs(spectrum - oracle)) / np.max(np.abs(oracle)) < 1e-9
-    back = idft(spectrum)
-    assert np.max(np.abs(back - x)) / np.max(np.abs(x)) < 1e-9
-
-
-@pytest.mark.parametrize("n", [16, 100, 257])
-def test_parseval(n):
-    rng = np.random.default_rng(n + 1)
-    x = rng.normal(size=n)
-    lhs = np.sum(np.abs(x) ** 2)
-    rhs = np.sum(np.abs(dft(x)) ** 2) / n
-    assert abs(lhs - rhs) / lhs < 1e-9
 
 
 # -- ADMM update pieces ---------------------------------------------------------
@@ -442,7 +397,7 @@ def full_grid_decompose(signal, config):
     mirrored = mirror_extend(x)
     m_len = mirrored.shape[0]          # 2n, always even
     half = m_len // 2
-    f_hat_plus = dft(mirrored)
+    f_hat_plus = np.fft.fft(mirrored)
     f_hat_plus[half:] = 0.0            # one-sided support
     freqs = np.arange(m_len) / m_len   # cycles/sample on [0, 1)
 
@@ -484,7 +439,7 @@ def full_grid_decompose(signal, config):
         full = np.zeros(m_len, dtype=np.complex128)
         full[:half] = modes_hat[m, :half]
         full[half + 1:] = np.conj(modes_hat[m, 1:half][::-1])
-        time_mode = np.real(idft(full))
+        time_mode = np.real(np.fft.ifft(full))
         modes[m] = time_mode[n // 2: n // 2 + n]
 
     if config.sort_modes:
