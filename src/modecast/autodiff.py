@@ -72,16 +72,31 @@ class Tensor:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting), one axis
+    per call: extra leading axes, then size-1 axes left to right.  That fixes
+    the summation order whether or not a channel axis leads the others."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def _norm_shape(xv: np.ndarray, gamma: Tensor, beta: Tensor, name: str) -> tuple[int, ...]:
+    """Check that ``x`` is ``[K, batch, features(, tokens)]`` and scale/shift
+    ``[K, features]``; return the shape that broadcasts those against ``x``."""
+    if xv.ndim not in (3, 4):
+        raise ValueError(
+            f"{name} expects [K, batch, features(, tokens)] input, got shape {xv.shape}"
+        )
+    k, n_features = xv.shape[0], xv.shape[2]
+    if gamma.shape != (k, n_features) or beta.shape != (k, n_features):
+        raise ValueError(
+            f"{name} scale/shift must have shape ({k}, {n_features}), "
+            f"got {gamma.shape} and {beta.shape}"
+        )
+    return (k, 1, n_features) + (1,) * (xv.ndim - 3)
 
 
 @dataclass
@@ -93,17 +108,20 @@ class _TapeEntry:
 
 @dataclass
 class BatchNormState:
-    """Running statistics for one batch-norm layer (inference path)."""
+    """Running ``[K, features]`` statistics for one batch-norm layer (inference
+    path)."""
 
     running_mean: np.ndarray
     running_var: np.ndarray
     momentum: float = 0.1
 
     @classmethod
-    def for_features(cls, n_features: int, momentum: float = 0.1) -> "BatchNormState":
+    def for_features(
+        cls, n_channels: int, n_features: int, momentum: float = 0.1
+    ) -> "BatchNormState":
         return cls(
-            running_mean=np.zeros(n_features, dtype=np.float64),
-            running_var=np.ones(n_features, dtype=np.float64),
+            running_mean=np.zeros((n_channels, n_features), dtype=np.float64),
+            running_var=np.ones((n_channels, n_features), dtype=np.float64),
             momentum=momentum,
         )
 
@@ -213,26 +231,22 @@ class Tape:
     # -- linear algebra and shape ----------------------------------------
 
     def matmul(self, a, b) -> Tensor:
-        """Matrix product.  2D @ 2D, 3D @ 3D (matched batch), or 2D broadcast
-        against a batched 3D operand."""
+        """Matrix product over the last two axes; leading axes broadcast as in
+        ``np.matmul`` (a ``[K, 1, m, n]`` weight stack against ``[K, B, n, p]``
+        activations, say)."""
         a, b = self._lift(a), self._lift(b)
         av, bv = a.values, b.values
-        if av.ndim not in (2, 3) or bv.ndim not in (2, 3):
-            raise ValueError(f"matmul expects 2D/3D operands, got {av.shape} @ {bv.shape}")
+        if av.ndim < 2 or bv.ndim < 2:
+            raise ValueError(f"matmul expects operands of ndim >= 2, got {av.shape} @ {bv.shape}")
         if av.shape[-1] != bv.shape[-2]:
             raise ValueError(f"matmul inner dims disagree: {av.shape} @ {bv.shape}")
-        if av.ndim == 3 and bv.ndim == 3 and av.shape[0] != bv.shape[0]:
-            raise ValueError(f"matmul batch dims disagree: {av.shape} @ {bv.shape}")
-        out = np.matmul(av, bv)
+        out = np.matmul(av, bv)  # raises ValueError if the leading dims do not broadcast
 
         def bwd(g):
-            ga = np.matmul(g, np.swapaxes(bv, -1, -2))
-            gb = np.matmul(np.swapaxes(av, -1, -2), g)
-            if ga.ndim > av.ndim:
-                ga = ga.sum(axis=0)
-            if gb.ndim > bv.ndim:
-                gb = gb.sum(axis=0)
-            return ga, gb
+            return (
+                _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape),
+                _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape),
+            )
 
         return self._record((a, b), out, bwd)
 
@@ -299,19 +313,20 @@ class Tape:
         return self._record((a,), out, bwd)
 
     def mse(self, pred, target) -> Tensor:
-        """Mean squared difference, reduced to a scalar."""
+        """Mean squared difference per channel: a ``[K]`` vector holding the
+        mean over every axis but the leading channel axis."""
         pred, target = self._lift(pred), self._lift(target)
         if pred.shape != target.shape:
             raise ValueError(f"mse shape mismatch: {pred.shape} vs {target.shape}")
         diff = pred.values - target.values
-        out = np.asarray((diff * diff).mean())
-        scale = 2.0 / diff.size
+        squared = (diff * diff).reshape(diff.shape[0], -1)
+        scale = 2.0 / squared.shape[1]
 
         def bwd(g):
-            gd = g * scale * diff
+            gd = (g * scale).reshape((-1,) + (1,) * (diff.ndim - 1)) * diff
             return gd, -gd
 
-        return self._record((pred, target), out, bwd)
+        return self._record((pred, target), squared.mean(axis=1), bwd)
 
     def batch_norm(
         self,
@@ -322,8 +337,9 @@ class Tape:
         training: bool = True,
         eps: float = 1e-5,
     ) -> Tensor:
-        """Per-feature normalization over the batch axis (and token axis for 3D
-        ``[batch, features, tokens]`` input), with trainable scale/shift.
+        """Per-(channel, feature) normalization over the batch axis (and token
+        axis for ``[K, batch, features, tokens]`` input), with trainable
+        scale/shift.
 
         Training mode normalizes by batch statistics and folds them into
         ``state`` with its momentum; eval mode normalizes by the running
@@ -331,20 +347,8 @@ class Tape:
         """
         x = self._lift(x)
         xv = x.values
-        if xv.ndim == 2:
-            axes: tuple[int, ...] = (0,)
-            pshape = (1, xv.shape[1])
-        elif xv.ndim == 3:
-            axes = (0, 2)
-            pshape = (1, xv.shape[1], 1)
-        else:
-            raise ValueError(f"batch_norm expects 2D/3D input, got shape {xv.shape}")
-        n_features = xv.shape[1]
-        if gamma.shape != (n_features,) or beta.shape != (n_features,):
-            raise ValueError(
-                f"batch_norm scale/shift must have shape ({n_features},), "
-                f"got {gamma.shape} and {beta.shape}"
-            )
+        pshape = _norm_shape(xv, gamma, beta, "batch_norm")
+        axes = (1,) if xv.ndim == 3 else (1, 3)
         gv = gamma.values.reshape(pshape)
 
         if training:
@@ -352,8 +356,8 @@ class Tape:
             var = xv.var(axis=axes, keepdims=True)
             if state is not None:
                 m = state.momentum
-                state.running_mean += m * (mu.reshape(n_features) - state.running_mean)
-                state.running_var += m * (var.reshape(n_features) - state.running_var)
+                state.running_mean += m * (mu.reshape(gamma.shape) - state.running_mean)
+                state.running_var += m * (var.reshape(gamma.shape) - state.running_var)
         else:
             if state is None:
                 raise ValueError("batch_norm eval mode needs running statistics")
@@ -378,19 +382,13 @@ class Tape:
         return self._record((x, gamma, beta), out, bwd)
 
     def layer_norm(self, x, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-        """Per-position normalization over the feature axis (axis 1)."""
+        """Per-position normalization over the feature axis (axis 2 of
+        ``[K, batch, features(, tokens)]``)."""
         x = self._lift(x)
         xv = x.values
-        if xv.ndim not in (2, 3):
-            raise ValueError(f"layer_norm expects 2D/3D input, got shape {xv.shape}")
-        n_features = xv.shape[1]
-        axis = 1
-        pshape = (1, n_features) if xv.ndim == 2 else (1, n_features, 1)
-        if gamma.shape != (n_features,) or beta.shape != (n_features,):
-            raise ValueError(
-                f"layer_norm scale/shift must have shape ({n_features},), "
-                f"got {gamma.shape} and {beta.shape}"
-            )
+        pshape = _norm_shape(xv, gamma, beta, "layer_norm")
+        axis = 2
+        others = (1,) if xv.ndim == 3 else (1, 3)
         gv = gamma.values.reshape(pshape)
         mu = xv.mean(axis=axis, keepdims=True)
         var = xv.var(axis=axis, keepdims=True)
@@ -399,8 +397,8 @@ class Tape:
         out = gv * xhat + beta.values.reshape(pshape)
 
         def bwd(g):
-            dgamma = (g * xhat).sum(axis=tuple(i for i in range(xv.ndim) if i != axis))
-            dbeta = g.sum(axis=tuple(i for i in range(xv.ndim) if i != axis))
+            dgamma = (g * xhat).sum(axis=others)
+            dbeta = g.sum(axis=others)
             gm = (g * gv).mean(axis=axis, keepdims=True)
             gxm = (g * gv * xhat).mean(axis=axis, keepdims=True)
             dx = inv * (g * gv - gm - xhat * gxm)
@@ -428,7 +426,9 @@ class Tape:
             loss.node_id: np.ones_like(loss.values)
         }
         for entry in reversed(self._entries):
-            g = grads.get(entry.output_id)
+            # every consumer of an op's output was recorded after the op, so
+            # its gradient is complete here and is dropped once propagated
+            g = grads.pop(entry.output_id, None)
             if g is None:
                 continue
             input_grads = entry.backward(g)

@@ -26,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import load_checkpoint
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .metrics import metric_pair
 from .pipeline import (
+    config_period,
     forecast_from_dir,
     load_series,
     render_report_text,
@@ -38,7 +38,6 @@ from .pipeline import (
     write_forecast_csv,
     write_manifest,
 )
-from .series_io import split_periods
 from .vmd import decompose, write_decomposition_csv, write_decomposition_metadata
 
 log = logging.getLogger("modecast")
@@ -59,14 +58,9 @@ def _default_outdir() -> str:
 def _load_config(args) -> ExperimentConfig:
     if not args.config:
         raise UserError("this command needs --config")
-    try:
-        config = load_config(args.config)
-        if args.override:
-            config = apply_overrides(config, args.override)
-    except FileNotFoundError as exc:
-        raise UserError(str(exc)) from exc
-    except ConfigError as exc:
-        raise UserError(str(exc)) from exc
+    config = load_config(args.config)
+    if args.override:
+        config = apply_overrides(config, args.override)
     if getattr(args, "seed", None) is not None:
         config = apply_overrides(
             config,
@@ -81,23 +75,12 @@ def _outdir(args) -> Path:
     return out
 
 
-def _period_slice(config: ExperimentConfig, values: np.ndarray, period: int | None):
-    if period is None:
-        return values, None
-    splits = split_periods(len(values), config.split.n_periods, config.split.train_fraction)
-    if not 0 <= period < len(splits):
-        raise UserError(f"--period {period} out of range [0, {len(splits)})")
-    split = splits[period]
-    return values[split.start: split.stop], split
-
-
 def cmd_decompose(args) -> int:
     config = _load_config(args)
-    try:
-        values = load_series(config)
-    except FileNotFoundError as exc:
-        raise UserError(str(exc)) from exc
-    values, _split = _period_slice(config, values, args.period)
+    values = load_series(config)
+    if args.period is not None:
+        split = config_period(config, len(values), args.period)
+        values = values[split.start: split.stop]
     result = decompose(values, config.vmd)
     outdir = _outdir(args)
     csv_path = outdir / "decomposition.csv"
@@ -116,10 +99,7 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     seed = args.seed if args.seed is not None else config.training.seeds[0]
     outdir = _outdir(args)
-    try:
-        cell = train_period_to_dir(config, args.period, seed, outdir)
-    except FileNotFoundError as exc:
-        raise UserError(str(exc)) from exc
+    cell = train_period_to_dir(config, args.period, seed, outdir)
     emitted = sorted(p for p in outdir.glob("*") if p.is_file() and p.name != "manifest.json")
     write_manifest(outdir, config.to_dict(), [seed], emitted)
     print(
@@ -132,8 +112,9 @@ def cmd_train(args) -> int:
 
 def cmd_forecast(args) -> int:
     run_dir = Path(args.run_dir)
-    if not (run_dir / "state.npz").exists():
-        raise UserError(f"{run_dir} does not contain a trained run (state.npz missing)")
+    for name in ("state.npz", "model.npz"):
+        if not (run_dir / name).exists():
+            raise UserError(f"{run_dir} does not contain a trained run ({name} missing)")
     result = forecast_from_dir(run_dir)
     outdir = Path(args.outdir) if args.outdir else run_dir
     outdir.mkdir(parents=True, exist_ok=True)
@@ -149,8 +130,7 @@ def cmd_forecast(args) -> int:
             )
             emitted.append(path)
     mp = result["metrics"]
-    _, meta = load_checkpoint(run_dir / "state.npz")
-    _merge_manifest(outdir, meta["config"], [meta["seed"]], emitted)
+    _merge_manifest(outdir, result["config"], [result["seed"]], emitted)
     print(f"forecast ({result['decomposition']}): mse={mp.mse:.6g} smape={mp.smape:.6g}")
     print(f"wrote {forecast_path}")
     return EXIT_OK
@@ -221,10 +201,7 @@ def cmd_evaluate(args) -> int:
 def cmd_backtest(args) -> int:
     config = _load_config(args)
     outdir = _outdir(args)
-    try:
-        report = run_backtest(config, outdir)
-    except FileNotFoundError as exc:
-        raise UserError(str(exc)) from exc
+    report = run_backtest(config, outdir)
     overall = report.overall_mean()
     for split in report.splits:
         mean = report.period_mean(split.period_index)
@@ -278,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=int, help="decompose one split period instead of the whole series")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("train", help="train one period's models and persist them")
+    p = sub.add_parser("train", help="train one period's model and persist it")
     common(p)
     p.add_argument("--period", type=int, default=0, help="period index to train (default 0)")
     p.set_defaults(func=cmd_train)
@@ -311,10 +288,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except UserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except (ConfigError, FileNotFoundError) as exc:
+    except (UserError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except Exception as exc:  # internal failure

@@ -1,19 +1,22 @@
 """Channel-independent patch-based attention forecaster.
 
-One model owns one univariate channel.  A forward pass normalizes each window
-to zero mean/unit variance, slices it into overlapping patches (the last value
-is first repeated ``stride`` times so the tail is never dropped), projects
-patches into a latent space with an additive learned positional encoding, runs
-them through a stack of multi-head self-attention encoder layers, and maps the
-flattened token matrix to the forecast horizon through a linear head.  The
-per-window statistics are applied back to the head output, so predictions
-return at the input's scale.
+One model holds K univariate channels: every parameter has a leading channel
+axis and channel ``m`` sees only its own slice (PatchTST's channel
+independence), so one forward and one backward pass serve all K.  A forward
+pass normalizes each window to zero mean/unit variance, slices it into
+overlapping patches (the last value is first repeated ``stride`` times so the
+tail is never dropped), projects patches into a latent space with an additive
+learned positional encoding, runs them through a stack of multi-head
+self-attention encoder layers, and maps the flattened token matrix to the
+forecast horizon through a linear head.  The per-window statistics are applied
+back to the head output, so predictions return at the input's scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +36,7 @@ __all__ = [
 ]
 
 INSTANCE_STD_FLOOR = 1e-5
+PREDICT_ROWS = 32  # windows per encoder pass in predict (the default batch size)
 
 
 @dataclass(frozen=True)
@@ -84,10 +88,10 @@ class ForecasterConfig:
 @dataclass(frozen=True)
 class InstanceStats:
     """Per-window mean and (floored) standard deviation, shaped to broadcast
-    over ``[batch, time]`` arrays."""
+    over ``[..., time]`` arrays."""
 
-    mean: np.ndarray  # [batch, 1]
-    std: np.ndarray   # [batch, 1], >= INSTANCE_STD_FLOOR
+    mean: np.ndarray  # [..., 1]
+    std: np.ndarray   # [..., 1], >= INSTANCE_STD_FLOOR
 
 
 def n_patches(lookback: int, patch_len: int, stride: int) -> int:
@@ -98,17 +102,17 @@ def n_patches(lookback: int, patch_len: int, stride: int) -> int:
 
 
 def instance_normalize(window: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
-    """Zero-mean/unit-variance scaling per window.  Accepts ``[L]`` or
-    ``[batch, L]``; a constant window hits the std floor and normalizes to
-    zeros."""
+    """Zero-mean/unit-variance scaling per window along the last axis.
+    Accepts ``[L]`` or ``[..., L]``; a constant window hits the std floor and
+    normalizes to zeros."""
     x = np.asarray(window, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
         x = x[None, :]
-    if x.shape[1] < 2:
+    if x.shape[-1] < 2:
         raise ValueError("instance normalization needs windows of length >= 2")
-    mean = x.mean(axis=1, keepdims=True)
-    std = np.maximum(x.std(axis=1, keepdims=True), INSTANCE_STD_FLOOR)
+    mean = x.mean(axis=-1, keepdims=True)
+    std = np.maximum(x.std(axis=-1, keepdims=True), INSTANCE_STD_FLOOR)
     normed = (x - mean) / std
     if squeeze:
         normed = normed[0]
@@ -127,56 +131,55 @@ def instance_denormalize(pred: np.ndarray, stats: InstanceStats) -> np.ndarray:
 
 def patchify(window: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
     """Slice a window into overlapping patches after repeating the final value
-    ``stride`` times.  ``[L] -> [P, N]`` or ``[batch, L] -> [batch, P, N]``;
-    patch ``j`` covers padded indices ``[j*stride, j*stride + patch_len)``."""
+    ``stride`` times.  ``[..., L] -> [..., P, N]``; patch ``j`` covers padded
+    indices ``[j*stride, j*stride + patch_len)``."""
     x = np.asarray(window, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    lookback = x.shape[1]
-    count = n_patches(lookback, patch_len, stride)
-    pad = np.repeat(x[:, -1:], stride, axis=1)
-    padded = np.concatenate([x, pad], axis=1)
-    patches = np.stack(
-        [padded[:, j * stride: j * stride + patch_len] for j in range(count)],
-        axis=2,
-    )  # [batch, P, N]
-    return patches[0] if squeeze else patches
+    count = n_patches(x.shape[-1], patch_len, stride)
+    pad = np.repeat(x[..., -1:], stride, axis=-1)
+    padded = np.concatenate([x, pad], axis=-1)
+    return np.stack(
+        [padded[..., j * stride: j * stride + patch_len] for j in range(count)],
+        axis=-1,
+    )
 
 
 def embed(tape: Tape, patches, w_patch: Tensor, w_pos: Tensor) -> Tensor:
     """Project patches into the latent space and add the positional encoding:
-    ``w_patch @ patches + w_pos``.  Accepts ``[P, N]`` or batched ``[B, P, N]``
-    patches."""
+    ``w_patch @ patches + w_pos``, broadcasting leading axes (``[K, 1, D, P]``
+    weights against ``[K, B, P, N]`` patches, say)."""
     if not isinstance(patches, Tensor):
         patches = Tensor(patches)
     return tape.add(tape.matmul(w_patch, patches), w_pos)
 
 
 class PatchForecaster:
-    """One channel's forecaster: parameters, forward pass, and persistence.
+    """K channels' forecasters as one model: parameters, forward pass, and
+    persistence.
 
-    Parameters are initialized uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) in a
-    fixed draw order, so a seed fully determines the model.
+    Every parameter and batch-norm statistic has a leading ``[K]`` channel
+    axis.  Channel ``m``'s slice is drawn from ``rngs[m]``, uniform(-1/sqrt(
+    fan_in), +1/sqrt(fan_in)) in a fixed draw order, so the generators fully
+    determine the model and each slice equals a one-channel model drawn from
+    the same generator.
     """
 
-    def __init__(self, config: ForecasterConfig, rng: np.random.Generator):
+    def __init__(self, config: ForecasterConfig, rngs: Sequence[np.random.Generator]):
         self.config = config
+        self.n_channels = k = len(rngs)
         self.params: dict[str, Tensor] = {}
         self.bn_states: dict[str, BatchNormState] = {}
         d, p, n, t = config.d_model, config.patch_len, config.n_patches, config.horizon
 
         def init(name: str, shape: tuple[int, ...], fan_in: int) -> None:
             bound = 1.0 / math.sqrt(fan_in)
-            self.params[name] = Tensor(
-                rng.uniform(-bound, bound, size=shape), requires_grad=True
-            )
+            values = np.stack([rng.uniform(-bound, bound, size=shape) for rng in rngs])
+            self.params[name] = Tensor(values, requires_grad=True)
 
         def init_norm(name: str) -> None:
-            self.params[f"{name}.gamma"] = Tensor(np.ones(d), requires_grad=True)
-            self.params[f"{name}.beta"] = Tensor(np.zeros(d), requires_grad=True)
+            self.params[f"{name}.gamma"] = Tensor(np.ones((k, d)), requires_grad=True)
+            self.params[f"{name}.beta"] = Tensor(np.zeros((k, d)), requires_grad=True)
             if config.norm == "batch":
-                self.bn_states[name] = BatchNormState.for_features(d)
+                self.bn_states[name] = BatchNormState.for_features(k, d)
 
         init("w_patch", (d, p), p)
         init("w_pos", (d, n), d)
@@ -226,6 +229,11 @@ class PatchForecaster:
 
     # -- forward ----------------------------------------------------------
 
+    def _weight(self, tape: Tape, name: str) -> Tensor:
+        """Parameter ``name`` with a batch axis to broadcast: ``[K, 1, ...]``."""
+        p = self.params[name]
+        return tape.reshape(p, (p.shape[0], 1) + p.shape[1:])
+
     def _norm(self, tape: Tape, x, name: str, training: bool):
         gamma = self.params[f"{name}.gamma"]
         beta = self.params[f"{name}.beta"]
@@ -235,68 +243,89 @@ class PatchForecaster:
 
     def _attention_layer(self, tape: Tape, x, index: int, training: bool, attn_sink=None):
         cfg = self.config
-        xt = tape.transpose(x)  # [B, N, D]
+        xt = tape.transpose(x)  # [K, B, N, D]
         heads = []
         scale = 1.0 / math.sqrt(cfg.head_dim)
         for h in range(cfg.n_heads):
-            q = tape.matmul(xt, self.params[f"layer{index}.head{h}.w_q"])
-            k = tape.matmul(xt, self.params[f"layer{index}.head{h}.w_k"])
-            v = tape.matmul(xt, self.params[f"layer{index}.head{h}.w_v"])
+            q = tape.matmul(xt, self._weight(tape, f"layer{index}.head{h}.w_q"))
+            k = tape.matmul(xt, self._weight(tape, f"layer{index}.head{h}.w_k"))
+            v = tape.matmul(xt, self._weight(tape, f"layer{index}.head{h}.w_v"))
             scores = tape.mul_scalar(tape.matmul(q, tape.transpose(k)), scale)
             attn = tape.softmax(scores, axis=-1)
             if attn_sink is not None:
                 attn_sink.append(attn.values)
             heads.append(tape.matmul(attn, v))
-        merged = tape.concat(heads, axis=-1)                       # [B, N, D]
-        projected = tape.matmul(merged, self.params[f"layer{index}.w_attn_out"])
-        z = tape.add(x, tape.transpose(projected))                 # residual, [B, D, N]
+        merged = tape.concat(heads, axis=-1)                       # [K, B, N, D]
+        projected = tape.matmul(merged, self._weight(tape, f"layer{index}.w_attn_out"))
+        z = tape.add(x, tape.transpose(projected))                 # residual, [K, B, D, N]
         z = self._norm(tape, z, f"layer{index}.norm1", training)
         hidden = tape.add(
-            tape.matmul(self.params[f"layer{index}.w_ff1"], z),
-            self.params[f"layer{index}.b_ff1"],
+            tape.matmul(self._weight(tape, f"layer{index}.w_ff1"), z),
+            self._weight(tape, f"layer{index}.b_ff1"),
         )
         hidden = tape.gelu(hidden)
         ff = tape.add(
-            tape.matmul(self.params[f"layer{index}.w_ff2"], hidden),
-            self.params[f"layer{index}.b_ff2"],
+            tape.matmul(self._weight(tape, f"layer{index}.w_ff2"), hidden),
+            self._weight(tape, f"layer{index}.b_ff2"),
         )
         z = tape.add(z, ff)                                        # residual
         return self._norm(tape, z, f"layer{index}.norm2", training)
 
+    def _channel_major(self, windows: np.ndarray) -> np.ndarray:
+        """Validate ``[batch, lookback, K]`` windows and return them as
+        ``[K, batch, lookback]``."""
+        cfg = self.config
+        x = np.asarray(windows, dtype=np.float64)
+        if x.ndim != 3 or x.shape[1:] != (cfg.lookback, self.n_channels):
+            raise ValueError(
+                f"expected windows of shape [batch, {cfg.lookback}, {self.n_channels}], "
+                f"got {x.shape}"
+            )
+        # contiguous: window statistics then sum as in a one-channel model
+        return np.ascontiguousarray(np.moveaxis(x, -1, 0))
+
+    def _encode(self, tape: Tape, normed: np.ndarray, training: bool, attn_sink=None) -> Tensor:
+        """``[K, batch, lookback]`` normalized windows -> ``[K, batch, D*N]``."""
+        cfg = self.config
+        patches = patchify(normed, cfg.patch_len, cfg.stride)      # [K, B, P, N]
+        z = embed(tape, patches, self._weight(tape, "w_patch"), self._weight(tape, "w_pos"))
+        for i in range(cfg.n_layers):
+            z = self._attention_layer(tape, z, i, training, attn_sink)
+        return tape.reshape(z, normed.shape[:2] + (cfg.d_model * cfg.n_patches,))
+
+    def _head(self, tape: Tape, flat: Tensor, stats: InstanceStats) -> Tensor:
+        """Linear head, back at the windows' scale: ``[K, batch, horizon]``."""
+        pred = tape.add(
+            tape.matmul(flat, tape.transpose(self.params["w_head"])),
+            self._weight(tape, "b_head"),
+        )
+        return tape.add(tape.mul(pred, Tensor(stats.std)), Tensor(stats.mean))
+
     def forward_on_tape(
         self, tape: Tape, windows: np.ndarray, training: bool = False, attn_sink=None
     ) -> Tensor:
-        """Record the full forward pass on ``tape``; returns the ``[batch,
-        horizon]`` prediction at the input's original scale."""
-        cfg = self.config
-        x = np.asarray(windows, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != cfg.lookback:
-            raise ValueError(f"expected windows of shape [batch, {cfg.lookback}], got {x.shape}")
-        batch = x.shape[0]
-        normed, stats = instance_normalize(x)
-        patches = patchify(normed, cfg.patch_len, cfg.stride)      # [B, P, N]
-        z = embed(tape, patches, self.params["w_patch"], self.params["w_pos"])
-        for i in range(cfg.n_layers):
-            z = self._attention_layer(tape, z, i, training, attn_sink)
-        flat = tape.reshape(z, (batch, cfg.d_model * cfg.n_patches))
-        pred = tape.add(
-            tape.matmul(flat, tape.transpose(self.params["w_head"])),
-            self.params["b_head"],
-        )                                                          # [B, T]
-        pred = tape.add(tape.mul(pred, Tensor(stats.std)), Tensor(stats.mean))
-        return pred
+        """Record one forward pass for all K channels on ``tape``.  ``windows``
+        is ``[batch, lookback, K]``; returns the ``[K, batch, horizon]``
+        prediction at the input's original scale."""
+        normed, stats = instance_normalize(self._channel_major(windows))
+        return self._head(tape, self._encode(tape, normed, training, attn_sink), stats)
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
-        """Inference forward pass (running statistics, no state mutation)."""
-        squeeze = np.asarray(windows).ndim == 1
-        out = self.forward_on_tape(Tape(), windows, training=False).values
-        return out[0] if squeeze else out
+        """Inference forward pass (running statistics, no state mutation):
+        ``[batch, lookback, K]`` windows to ``[K, batch, horizon]`` forecasts.
+        The encoder, which treats windows independently, runs on
+        ``PREDICT_ROWS`` at a time to bound memory; the head runs once on all
+        rows, since its matrix product can round differently on fewer."""
+        normed, stats = instance_normalize(self._channel_major(windows))
+        flat = np.concatenate([
+            self._encode(Tape(), normed[:, i: i + PREDICT_ROWS], False).values
+            for i in range(0, normed.shape[1], PREDICT_ROWS)
+        ], axis=1)
+        return self._head(Tape(), Tensor(flat), stats).values
 
 
 def train_epoch(
-    models: list[PatchForecaster],
+    model: PatchForecaster,
     inputs: np.ndarray,
     targets: np.ndarray,
     optimizer: Adam,
@@ -304,15 +333,15 @@ def train_epoch(
     rng: np.random.Generator,
     sw: ScaleWeights | None = None,
 ) -> tuple[float, list[float]]:
-    """One shuffled pass of minibatch training over K channel-independent models.
+    """One shuffled pass of minibatch training over the model's K channels.
 
     ``inputs`` is ``[n, lookback, K]`` and ``targets`` ``[n, horizon, K]``;
-    model ``m`` sees only channel ``m``.  Each minibatch records every
-    channel's MSE on one tape and combines them with :func:`weighted_loss`
-    (the scale weights ``sw``, or the plain sum when ``sw`` is None), so the
-    optimizer may also hold ``sw.theta``.  Returns the mean minibatch loss and
-    the total weight mass after every step (empty when ``sw`` is None).
-    Aborts on a non-finite loss.
+    channel ``m`` sees only its own inputs.  Each minibatch records one forward
+    pass and the ``[K]`` per-channel MSE on one tape and combines it with
+    :func:`weighted_loss` (the scale weights ``sw``, or the plain sum when
+    ``sw`` is None), so the optimizer may also hold ``sw.theta``.  Returns the
+    mean minibatch loss and the total weight mass after every step (empty when
+    ``sw`` is None).  Aborts on a non-finite loss.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -324,14 +353,9 @@ def train_epoch(
     for start in range(0, len(order), batch_size):
         idx = order[start: start + batch_size]
         tape = Tape()
-        channel_losses = [
-            tape.mse(
-                model.forward_on_tape(tape, inputs[idx, :, m], training=True),
-                Tensor(targets[idx, :, m]),
-            )
-            for m, model in enumerate(models)
-        ]
-        total = weighted_loss(tape, channel_losses, sw)
+        pred = model.forward_on_tape(tape, inputs[idx], training=True)   # [K, B, T]
+        target = Tensor(np.moveaxis(targets[idx], -1, 0))
+        total = weighted_loss(tape, tape.mse(pred, target), sw)
         value = float(total.values)
         if not math.isfinite(value):
             raise FloatingPointError(

@@ -24,7 +24,7 @@ import numpy as np
 from . import scale_weights as swmod
 from .autodiff import Adam, load_checkpoint, save_checkpoint
 from .baselines import baseline_linear_ar, baseline_naive
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .forecaster import PatchForecaster, train_epoch
 from .metrics import MetricPair, metric_pair
 from .series_io import (
@@ -46,6 +46,8 @@ __all__ = [
     "ExperimentReport",
     "PipelineStageError",
     "load_series",
+    "config_splits",
+    "config_period",
     "run_period",
     "run_backtest",
     "train_period_to_dir",
@@ -82,7 +84,6 @@ class PeriodCell:
     overall: MetricPair
     per_channel: list[MetricPair] | None
     baselines: dict[str, MetricPair]
-    aswl_enabled: bool
     aswl_weights_initial: list[float] | None
     aswl_weights_final: list[float] | None
     weight_sum_history: list[float]
@@ -154,6 +155,24 @@ def load_series(config: ExperimentConfig) -> np.ndarray:
     return np.asarray(generate(config.data.generator), dtype=np.float64)
 
 
+def config_splits(config: ExperimentConfig, n_samples: int) -> list[PeriodSplit]:
+    """The configured period splits of an ``n_samples``-long series; a split
+    the series cannot hold is a :class:`ConfigError`."""
+    try:
+        return split_periods(n_samples, config.split.n_periods, config.split.train_fraction)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def config_period(config: ExperimentConfig, n_samples: int, period_index: int) -> PeriodSplit:
+    """One period of :func:`config_splits`; an index outside them is a
+    :class:`ConfigError`."""
+    splits = config_splits(config, n_samples)
+    if not 0 <= period_index < len(splits):
+        raise ConfigError(f"period {period_index} out of range [0, {len(splits)})")
+    return splits[period_index]
+
+
 # -- single-period pipeline ---------------------------------------------------
 
 
@@ -183,18 +202,17 @@ def _decompose_stage(values: np.ndarray, train_size: int, config: ExperimentConf
     return result, "full_period"
 
 
+def _per_channel(fn, rows, params: list[NormalizationParams]) -> np.ndarray:
+    """Apply ``minmax_apply`` or ``minmax_invert`` to each channel's row."""
+    return np.stack([fn(row, p) for row, p in zip(rows, params)])
+
+
 @_stage("normalize")
 def _normalize_stage(modes: np.ndarray, train_size: int):
     """Fit min-max on each mode's train portion only; reuse for test."""
-    params: list[NormalizationParams] = []
-    ranges = np.empty(modes.shape[0])
-    normed = np.empty_like(modes)
-    for m, mode in enumerate(modes):
-        p = minmax_fit(mode[:train_size])
-        params.append(p)
-        ranges[m] = p.range
-        normed[m] = minmax_apply(mode, p)
-    return params, ranges, normed
+    params = [minmax_fit(mode[:train_size]) for mode in modes]
+    ranges = np.array([p.range for p in params])
+    return params, ranges, _per_channel(minmax_apply, modes, params)
 
 
 @_stage("train")
@@ -208,7 +226,7 @@ def _train_stage(
     cfg_m = config.model
     batch = make_windows(train_norm.T, cfg_m.lookback, cfg_m.horizon)
     children = np.random.SeedSequence(seed).spawn(k + 1)
-    models = [PatchForecaster(cfg_m, np.random.default_rng(children[m])) for m in range(k)]
+    model = PatchForecaster(cfg_m, [np.random.default_rng(c) for c in children[:k]])
     shuffle_rng = np.random.default_rng(children[k])
 
     sw = None
@@ -218,7 +236,7 @@ def _train_stage(
             if config.aswl.init == "ranges"
             else swmod.uniform(k)
         )
-    params = [p for model in models for p in model.parameters()]
+    params = model.parameters()
     if sw is not None and config.aswl.train_theta:
         params.append(sw.theta)
     optimizer = Adam(params, lr=config.training.learning_rate)
@@ -228,14 +246,14 @@ def _train_stage(
     epoch_losses: list[float] = []
     for _epoch in range(config.training.epochs):
         loss, weight_sums = train_epoch(
-            models, batch.inputs, batch.targets, optimizer,
+            model, batch.inputs, batch.targets, optimizer,
             config.training.batch_size, shuffle_rng, sw,
         )
         epoch_losses.append(loss)
         weight_sum_history.extend(weight_sums)
 
     weights_final = swmod.weights(sw).tolist() if sw is not None else None
-    return models, sw, weights_initial, weights_final, weight_sum_history, epoch_losses
+    return model, sw, weights_initial, weights_final, weight_sum_history, epoch_losses
 
 
 @_stage("forecast")
@@ -244,7 +262,7 @@ def _forecast_stage(
     modes: np.ndarray,        # [K, n]
     modes_norm: np.ndarray,   # [K, n]
     params: list[NormalizationParams],
-    models: list[PatchForecaster],
+    model: PatchForecaster,
     train_size: int,
     label: str,
     config: ExperimentConfig,
@@ -258,26 +276,21 @@ def _forecast_stage(
     every block, so no test-range sample enters a decomposition; it has no
     single set of test modes, so ``channel_actual`` is None.
     """
-    k, n = len(models), values.shape[0]
-    lookback, horizon = config.model.lookback, config.model.horizon
-    starts = np.arange(train_size, n, horizon)
-    n_test = n - train_size
-    channel_pred = np.empty((k, n_test))
+    lookback = config.model.lookback
+    starts = np.arange(train_size, values.shape[0], config.model.horizon)
     if label != "strict_causal":
-        for m in range(k):
-            windows = np.stack([modes_norm[m, s - lookback: s] for s in starts])
-            preds = models[m].predict(windows)            # [blocks, horizon]
-            channel_pred[m] = minmax_invert(preds.reshape(-1)[:n_test], params[m])
-        return channel_pred, modes[:, train_size:]
-    for s in starts:
-        prefix = decompose(values[:s], config.vmd)
-        for m in range(k):
-            window = minmax_apply(prefix.modes[m, s - lookback: s], params[m])
-            pred = models[m].predict(window[None, :]).reshape(-1)
-            chunk = minmax_invert(pred, params[m])
-            stop = min(s + horizon, n)
-            channel_pred[m, s - train_size: stop - train_size] = chunk[: stop - s]
-    return channel_pred, None
+        windows = np.stack([modes_norm[:, s - lookback: s].T for s in starts])
+        preds, channel_actual = model.predict(windows), modes[:, train_size:]
+    else:
+        blocks = []
+        for s in starts:
+            prefix = decompose(values[:s], config.vmd)
+            window = _per_channel(minmax_apply, prefix.modes[:, s - lookback: s], params)
+            blocks.append(model.predict(window.T[None]))
+        preds, channel_actual = np.concatenate(blocks, axis=1), None
+    # [K, blocks, horizon] -> [K, n_test]: the last block may overrun the period
+    preds = preds.reshape(modes.shape[0], -1)[:, : values.shape[0] - train_size]
+    return _per_channel(minmax_invert, preds, params), channel_actual
 
 
 def run_period(
@@ -316,7 +329,7 @@ def _run_period_full(
     modes = vmd_result.modes
     params, ranges, modes_norm = _normalize_stage(modes, train_size)
     (
-        models,
+        model,
         sw,
         weights_initial,
         weights_final,
@@ -325,7 +338,7 @@ def _run_period_full(
     ) = _train_stage(modes_norm[:, :train_size], ranges, config, seed)
 
     channel_pred, channel_actual = _forecast_stage(
-        values, modes, modes_norm, params, models, train_size, label, config
+        values, modes, modes_norm, params, model, train_size, label, config
     )
     per_channel = None if channel_actual is None else [
         metric_pair(actual_m, pred_m) for actual_m, pred_m in zip(channel_actual, channel_pred)
@@ -353,7 +366,6 @@ def _run_period_full(
         overall=overall,
         per_channel=per_channel,
         baselines=baseline_scores,
-        aswl_enabled=config.aswl.enabled,
         aswl_weights_initial=weights_initial,
         aswl_weights_final=weights_final,
         weight_sum_history=weight_sum_history,
@@ -370,7 +382,7 @@ def _run_period_full(
         modes=modes,
     )
     artifacts = {
-        "models": models,
+        "model": model,
         "scale_weights": sw,
         "vmd_result": vmd_result,
         "params": params,
@@ -405,7 +417,7 @@ def run_backtest(config: ExperimentConfig, outdir=None) -> ExperimentReport:
     CSVs, decomposition CSVs, plot data, the report, and a manifest."""
     t_begin = time.perf_counter()
     values = load_series(config)
-    splits = split_periods(len(values), config.split.n_periods, config.split.train_fraction)
+    splits = config_splits(config, len(values))
     jobs = [(values, split, config, seed) for split in splits for seed in config.training.seeds]
 
     if config.backtest.workers > 1:
@@ -474,7 +486,7 @@ def _cell_dict(cell: PeriodCell | FailedCell) -> dict:
             else [{"mse": mp.mse, "smape": mp.smape} for mp in cell.per_channel]
         ),
         "aswl": {
-            "enabled": cell.aswl_enabled,
+            "enabled": cell.aswl_weights_initial is not None,
             "weights_initial": cell.aswl_weights_initial,
             "weights_final": cell.aswl_weights_final,
         },
@@ -652,13 +664,10 @@ def write_backtest_artifacts(report: ExperimentReport, outdir) -> None:
 def train_period_to_dir(
     config: ExperimentConfig, period_index: int, seed: int, outdir
 ) -> PeriodCell:
-    """Train one (period, seed) cell and persist models plus the state needed
-    to forecast later: decomposition, normalization, weights, config."""
+    """Train one (period, seed) cell and persist the model plus the state
+    needed to forecast later: decomposition, normalization, weights, config."""
     values = load_series(config)
-    splits = split_periods(len(values), config.split.n_periods, config.split.train_fraction)
-    if not 0 <= period_index < len(splits):
-        raise ValueError(f"period_index {period_index} out of range [0, {len(splits)})")
-    split = splits[period_index]
+    split = config_period(config, len(values), period_index)
     slice_values = values[split.start: split.stop]
     cell, artifacts = _run_period_full(
         slice_values,
@@ -668,32 +677,28 @@ def train_period_to_dir(
         period_index=period_index,
         global_start=split.start,
     )
-    models = artifacts["models"]
     sw = artifacts["scale_weights"]
     vmd_result = artifacts["vmd_result"]
     params = artifacts["params"]
-    ranges = artifacts["ranges"]
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for m, model in enumerate(models):
-        save_checkpoint(
-            outdir / f"channel{m}.npz",
-            model.param_arrays(),
-            meta={
-                "model": config.model.to_dict(),
-                "channel": m,
-                "seed": seed,
-                "epochs_trained": config.training.epochs,
-            },
-        )
+    save_checkpoint(
+        outdir / "model.npz",
+        artifacts["model"].param_arrays(),
+        meta={
+            "model": config.model.to_dict(),
+            "seed": seed,
+            "epochs_trained": config.training.epochs,
+        },
+    )
     state = {
         "values": slice_values,
         "modes": vmd_result.modes,
         "mins": np.array([p.min for p in params]),
         "maxs": np.array([p.max for p in params]),
-        "ranges": ranges,
-        "theta": sw.theta.values if sw is not None else np.zeros(len(models)),
+        "ranges": artifacts["ranges"],
+        "theta": sw.theta.values if sw is not None else np.zeros(len(params)),
         "train_size": np.array(split.train_size),
         "period_index": np.array(period_index),
         "global_start": np.array(split.start),
@@ -705,7 +710,6 @@ def train_period_to_dir(
             "config": config.to_dict(),
             "seed": seed,
             "decomposition": cell.decomposition_label,
-            "aswl_enabled": config.aswl.enabled,
         },
     )
     write_decomposition_csv(outdir / "decomposition.csv", vmd_result.modes)
@@ -714,7 +718,8 @@ def train_period_to_dir(
 
 
 def forecast_from_dir(run_dir) -> dict:
-    """Load a trained run directory and produce the test-segment forecast.
+    """Load a trained run directory (``state.npz`` and ``model.npz``) and
+    produce the test-segment forecast, with the saved config dict and seed.
 
     Pure function of the persisted state: repeated calls are bit-identical.
     """
@@ -725,21 +730,16 @@ def forecast_from_dir(run_dir) -> dict:
     modes = state["modes"]
     train_size = int(np.asarray(state["train_size"]).reshape(-1)[0])
     global_start = int(np.asarray(state["global_start"]).reshape(-1)[0])
-    k = modes.shape[0]
     params = [
-        NormalizationParams(min=float(state["mins"][m]), max=float(state["maxs"][m]))
-        for m in range(k)
+        NormalizationParams(min=float(lo), max=float(hi))
+        for lo, hi in zip(state["mins"], state["maxs"])
     ]
-    models = []
-    for m in range(k):
-        arrays, _ = load_checkpoint(run_dir / f"channel{m}.npz")
-        model = PatchForecaster(config.model, np.random.default_rng(0))
-        model.load_param_arrays(arrays)
-        models.append(model)
+    model = PatchForecaster(config.model, [np.random.default_rng(0)] * len(params))
+    model.load_param_arrays(load_checkpoint(run_dir / "model.npz")[0])
 
-    modes_norm = np.stack([minmax_apply(modes[m], params[m]) for m in range(k)])
+    modes_norm = _per_channel(minmax_apply, modes, params)
     channel_pred, channel_actual = _forecast_stage(
-        values, modes, modes_norm, params, models, train_size, meta["decomposition"], config
+        values, modes, modes_norm, params, model, train_size, meta["decomposition"], config
     )
 
     predicted = channel_pred.sum(axis=0)
@@ -752,4 +752,6 @@ def forecast_from_dir(run_dir) -> dict:
         "channel_predicted": channel_pred,
         "metrics": metric_pair(actual, predicted),
         "decomposition": meta["decomposition"],
+        "config": meta["config"],
+        "seed": meta["seed"],
     }

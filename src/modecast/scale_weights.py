@@ -84,17 +84,15 @@ def weights(sw: ScaleWeights) -> np.ndarray:
     return weights_on_tape(Tape(), sw).values.copy()
 
 
-def weighted_loss(tape: Tape, per_channel_losses: list[Tensor], sw: ScaleWeights | None) -> Tensor:
-    """Scalar training loss: sum of per-channel losses scaled by the adaptive
-    weights, or the plain sum when ``sw`` is None.  Both paths reduce the same
-    concatenated vector, so uniform weights reproduce the plain sum bitwise."""
-    if not per_channel_losses:
-        raise ValueError("need at least one per-channel loss")
-    if sw is not None and len(per_channel_losses) != sw.n_channels:
-        raise ValueError(
-            f"got {len(per_channel_losses)} losses for {sw.n_channels} channels"
-        )
-    stacked = tape.concat([tape.reshape(l, (1,)) for l in per_channel_losses], axis=0)
+def weighted_loss(tape: Tape, per_channel_loss: Tensor, sw: ScaleWeights | None) -> Tensor:
+    """Scalar training loss: the ``[M]`` per-channel losses scaled by the
+    adaptive weights and summed, or their plain sum when ``sw`` is None.  A
+    uniform theta yields weights of exactly 1.0, so uniform weights reproduce
+    the plain sum bitwise."""
     if sw is not None:
-        stacked = tape.mul(stacked, weights_on_tape(tape, sw))
-    return tape.sum(stacked)
+        if per_channel_loss.size != sw.n_channels:
+            raise ValueError(
+                f"got {per_channel_loss.size} losses for {sw.n_channels} channels"
+            )
+        per_channel_loss = tape.mul(per_channel_loss, weights_on_tape(tape, sw))
+    return tape.sum(per_channel_loss)

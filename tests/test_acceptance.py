@@ -120,20 +120,20 @@ def test_criterion_3_gradient_integrity():
         for name, (build, shapes, kwargs) in sorted(OP_CASES.items()):
             _gradcheck(build, shapes, seeds=range(10), **kwargs)
 
-        state = BatchNormState.for_features(3)
-        state.running_mean = np.array([0.1, -0.2, 0.3])
-        state.running_var = np.array([1.1, 0.7, 1.4])
+        state = BatchNormState.for_features(2, 3)
+        state.running_mean = np.array([[0.1, -0.2, 0.3], [0.2, 0.0, -0.1]])
+        state.running_var = np.array([[1.1, 0.7, 1.4], [0.9, 1.3, 0.6]])
         for training in (True, False):
             _gradcheck(
                 lambda tp, ts, tr=training: tp.batch_norm(
                     ts[0], ts[1], ts[2], state=None if tr else state, training=tr
                 ),
-                [(4, 3, 5), (3,), (3,)],
+                [(2, 4, 3, 5), (2, 3), (2, 3)],
                 seeds=range(10),
             )
         _gradcheck(
             lambda tp, ts: tp.layer_norm(ts[0], ts[1], ts[2]),
-            [(4, 3, 5), (3,), (3,)],
+            [(2, 4, 3, 5), (2, 3), (2, 3)],
             seeds=range(10),
         )
 
@@ -142,20 +142,22 @@ def test_criterion_3_gradient_integrity():
             n_layers=1, d_ff=8,
         )
         for seed in range(10):
-            model = PatchForecaster(tiny, np.random.default_rng(seed))
+            model = PatchForecaster(
+                tiny, [np.random.default_rng(seed), np.random.default_rng(100 + seed)]
+            )
             rng = np.random.default_rng(1000 + seed)
-            windows = rng.normal(size=(3, 8))
-            targets = rng.normal(size=(3, 1))
+            windows = rng.normal(size=(3, 8, 2))
+            targets = rng.normal(size=(2, 3, 1))
 
             def value():
                 tape = Tape()
                 pred = model.forward_on_tape(tape, windows, training=True)
-                return float(tape.mse(pred, Tensor(targets)).values)
+                return float(tape.sum(tape.mse(pred, Tensor(targets))).values)
 
             tape = Tape()
-            loss = tape.mse(
+            loss = tape.sum(tape.mse(
                 model.forward_on_tape(tape, windows, training=True), Tensor(targets)
-            )
+            ))
             for p in model.parameters():
                 p.zero_grad()
             tape.backward(loss)
@@ -196,10 +198,10 @@ def test_criterion_5_adaptive_weight_contract():
             lookback=8, horizon=1, patch_len=4, stride=2, d_model=4, n_heads=2,
             n_layers=1, d_ff=8,
         )
-        models = [PatchForecaster(tiny, np.random.default_rng(m)) for m in range(k)]
+        model = PatchForecaster(tiny, [np.random.default_rng(m) for m in range(k)])
         ranges = np.array([8.0, 2.5, 0.4])
         weights_obj = sw.init_from_scales(ranges)
-        params = [p for m in models for p in m.parameters()] + [weights_obj.theta]
+        params = model.parameters() + [weights_obj.theta]
         opt = Adam(params, lr=0.01)
         inputs = rng.normal(size=(48, 8, k))
         targets = rng.normal(size=(48, 1, k))
@@ -209,13 +211,10 @@ def test_criterion_5_adaptive_weight_contract():
             for start in range(0, 48, 16):
                 idx = order[start: start + 16]
                 tape = Tape()
-                losses = [
-                    tape.mse(
-                        models[m].forward_on_tape(tape, inputs[idx, :, m], training=True),
-                        Tensor(targets[idx, :, m]),
-                    )
-                    for m in range(k)
-                ]
+                losses = tape.mse(
+                    model.forward_on_tape(tape, inputs[idx], training=True),
+                    Tensor(targets[idx].transpose(2, 0, 1)),
+                )
                 total = sw.weighted_loss(tape, losses, weights_obj)
                 opt.zero_grad()
                 tape.backward(total)

@@ -33,11 +33,11 @@ def test_matmul_identity():
 
 def test_mse_zero_loss_and_zero_gradient():
     tape = Tape()
-    x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    x = Tensor(np.array([[1.0, -2.0, 3.0]]), requires_grad=True)
     loss = tape.mse(x, Tensor(x.values.copy()))
     assert loss.values == 0.0
     grads = tape.backward(loss)
-    assert np.array_equal(grads[x], np.zeros(3))
+    assert np.array_equal(grads[x], np.zeros((1, 3)))
 
 
 def test_matmul_shape_errors_report_both_shapes():
@@ -168,6 +168,7 @@ OP_CASES = {
     "matmul_3d": (lambda tp, ts: tp.matmul(ts[0], ts[1]), [(2, 3, 4), (2, 4, 5)], {}),
     "matmul_2d_3d": (lambda tp, ts: tp.matmul(ts[0], ts[1]), [(3, 4), (2, 4, 5)], {}),
     "matmul_3d_2d": (lambda tp, ts: tp.matmul(ts[0], ts[1]), [(2, 3, 4), (4, 5)], {}),
+    "matmul_broadcast": (lambda tp, ts: tp.matmul(ts[0], ts[1]), [(2, 1, 3, 4), (2, 5, 4, 2)], {}),
     "transpose": (lambda tp, ts: tp.transpose(ts[0]), [(2, 3, 4)], {}),
     "reshape": (lambda tp, ts: tp.reshape(ts[0], (6, 2)), [(3, 4)], {}),
     "concat": (lambda tp, ts: tp.concat(ts, axis=1), [(2, 3), (2, 2)], {}),
@@ -189,32 +190,33 @@ def test_gradcheck_op(name):
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("ndim", [2, 3])
 def test_gradcheck_batch_norm(training, ndim):
-    shape = (4, 3) if ndim == 2 else (4, 3, 5)
-    state = BatchNormState.for_features(3)
-    state.running_mean = np.array([0.1, -0.2, 0.3])
-    state.running_var = np.array([1.1, 0.7, 1.4])
+    # ndim counts the axes after the leading channel axis (2 channels here)
+    shape = (2, 4, 3) if ndim == 2 else (2, 4, 3, 5)
+    state = BatchNormState.for_features(2, 3)
+    state.running_mean = np.array([[0.1, -0.2, 0.3], [0.2, 0.0, -0.1]])
+    state.running_var = np.array([[1.1, 0.7, 1.4], [0.9, 1.3, 0.6]])
 
     def build(tp, ts):
         return tp.batch_norm(ts[0], ts[1], ts[2], state=None if training else state,
                              training=training)
 
-    _gradcheck(build, [shape, (3,), (3,)], seeds=range(5))
+    _gradcheck(build, [shape, (2, 3), (2, 3)], seeds=range(5))
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
 def test_gradcheck_layer_norm(ndim):
-    shape = (4, 3) if ndim == 2 else (4, 3, 5)
+    shape = (2, 4, 3) if ndim == 2 else (2, 4, 3, 5)
 
     def build(tp, ts):
         return tp.layer_norm(ts[0], ts[1], ts[2])
 
-    _gradcheck(build, [shape, (3,), (3,)], seeds=range(5))
+    _gradcheck(build, [shape, (2, 3), (2, 3)], seeds=range(5))
 
 
 def test_batch_norm_updates_running_stats_only_in_training():
-    state = BatchNormState.for_features(2)
-    x = Tensor(np.random.default_rng(0).normal(size=(8, 2)))
-    gamma, beta = Tensor(np.ones(2)), Tensor(np.zeros(2))
+    state = BatchNormState.for_features(1, 2)
+    x = Tensor(np.random.default_rng(0).normal(size=(1, 8, 2)))
+    gamma, beta = Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2)))
     before = state.running_mean.copy()
     Tape().batch_norm(x, gamma, beta, state=state, training=True)
     assert not np.array_equal(before, state.running_mean)

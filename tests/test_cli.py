@@ -2,12 +2,15 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import yaml
 
 from modecast.cli import main
 from modecast.synthetic import two_tone, write_series_csv
+
+SYNTHETIC = str(Path(__file__).resolve().parents[1] / "configs" / "synthetic.yaml")
 
 
 def write_config(tmp_path, raw, name="cfg.yaml"):
@@ -158,7 +161,7 @@ def test_train_forecast_report_round_trip(tmp_path, capsys):
     run_dir = tmp_path / "run"
     assert main(["train", "-c", str(cfg), "--period", "0", "--outdir", str(run_dir)]) == 0
     assert (run_dir / "state.npz").exists()
-    assert (run_dir / "channel0.npz").exists()
+    assert (run_dir / "model.npz").exists()
 
     assert main(["forecast", "--run-dir", str(run_dir)]) == 0
     first = (run_dir / "forecast.csv").read_bytes()
@@ -175,6 +178,35 @@ def test_train_forecast_report_round_trip(tmp_path, capsys):
 def test_forecast_without_state_exits_2(tmp_path, capsys):
     assert main(["forecast", "--run-dir", str(tmp_path)]) == 2
     assert "state.npz" in capsys.readouterr().err
+
+
+def test_forecast_from_per_channel_run_dir_exits_2(tmp_path, capsys):
+    # a run directory in the older layout (channel{m}.npz, no model.npz)
+    cfg = write_config(tmp_path, backtest_raw())
+    run_dir = tmp_path / "run"
+    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+    (run_dir / "model.npz").rename(run_dir / "channel0.npz")
+    capsys.readouterr()
+    assert main(["forecast", "--run-dir", str(run_dir)]) == 2
+    assert "model.npz" in capsys.readouterr().err
+
+
+def test_backtest_series_too_short_for_periods_exits_2(tmp_path, capsys):
+    assert main(["backtest", "-c", SYNTHETIC, "-o", "split.n_periods=1000",
+                 "--outdir", str(tmp_path / "o")]) == 2
+    assert "series too short" in capsys.readouterr().err
+
+
+def test_backtest_empty_split_exits_2(tmp_path, capsys):
+    assert main(["backtest", "-c", SYNTHETIC, "-o", "split.train_fraction=0.0001",
+                 "--outdir", str(tmp_path / "o")]) == 2
+    assert "empty split" in capsys.readouterr().err
+
+
+def test_train_period_out_of_range_exits_2(tmp_path, capsys):
+    assert main(["train", "-c", SYNTHETIC, "--period", "7",
+                 "--outdir", str(tmp_path / "o")]) == 2
+    assert "period 7 out of range [0, 3)" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_training_seed(tmp_path):

@@ -1,5 +1,6 @@
 """Patch forecaster: patching, instance scaling, attention, training, persistence."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import numeric_gradient, rel_err
 from modecast.autodiff import Adam, Tape, Tensor, load_checkpoint, save_checkpoint
 from modecast.config import ConfigError, ExperimentConfig
 from modecast.forecaster import (
+    PREDICT_ROWS,
     ForecasterConfig,
     PatchForecaster,
     embed,
@@ -145,9 +147,9 @@ def test_attention_softmax_rows_sum_to_one_everywhere():
         lookback=16, horizon=2, patch_len=4, stride=2, d_model=8, n_heads=2,
         n_layers=2, d_ff=16,
     )
-    model = PatchForecaster(cfg, np.random.default_rng(5))
+    model = PatchForecaster(cfg, [np.random.default_rng(5)])
     sink = []
-    model.forward_on_tape(Tape(), np.random.default_rng(6).normal(size=(3, 16)),
+    model.forward_on_tape(Tape(), np.random.default_rng(6).normal(size=(3, 16, 1)),
                           training=True, attn_sink=sink)
     assert len(sink) == cfg.n_layers * cfg.n_heads
     for attn in sink:
@@ -155,11 +157,11 @@ def test_attention_softmax_rows_sum_to_one_everywhere():
 
 
 def test_attention_zero_values_keep_layer_finite():
-    model = PatchForecaster(TINY, np.random.default_rng(7))
+    model = PatchForecaster(TINY, [np.random.default_rng(7)])
     for name, p in model.params.items():
         if ".w_v" in name:
             p.values[...] = 0.0
-    out = model.forward_on_tape(Tape(), np.random.default_rng(8).normal(size=(2, 8)),
+    out = model.forward_on_tape(Tape(), np.random.default_rng(8).normal(size=(2, 8, 1)),
                                 training=True)
     assert np.all(np.isfinite(out.values))
 
@@ -171,38 +173,38 @@ def test_attention_hand_computed_single_head():
         lookback=4, horizon=1, patch_len=4, stride=4, d_model=2, n_heads=1,
         n_layers=1, d_ff=4,
     )
-    model = PatchForecaster(cfg, np.random.default_rng(9))
+    model = PatchForecaster(cfg, [np.random.default_rng(9)])
     assert cfg.n_patches == 2
     wq = np.array([[0.3, -0.1], [0.2, 0.4]])
     wk = np.array([[-0.5, 0.2], [0.1, 0.3]])
     wv = np.array([[0.7, 0.0], [-0.2, 0.5]])
-    model.params["layer0.head0.w_q"].values = wq.copy()
-    model.params["layer0.head0.w_k"].values = wk.copy()
-    model.params["layer0.head0.w_v"].values = wv.copy()
+    model.params["layer0.head0.w_q"].values = wq[None].copy()
+    model.params["layer0.head0.w_k"].values = wk[None].copy()
+    model.params["layer0.head0.w_v"].values = wv[None].copy()
 
     x_d = np.array([[0.5, -1.0], [1.5, 0.25]])  # [D, N]
     sink = []
     tape = Tape()
-    model._attention_layer(tape, Tensor(x_d[None, :, :]), 0, training=True, attn_sink=sink)
+    model._attention_layer(tape, Tensor(x_d[None, None]), 0, training=True, attn_sink=sink)
 
     q = x_d.T @ wq
     k = x_d.T @ wk
     scores = q @ k.T / math.sqrt(2.0)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
-    assert np.max(np.abs(sink[0][0] - attn)) < 1e-10
+    assert np.max(np.abs(sink[0][0, 0] - attn)) < 1e-10
 
 
 # -- forward -------------------------------------------------------------------
 
 
 def test_zero_head_predicts_window_mean():
-    model = PatchForecaster(TINY, np.random.default_rng(10))
+    model = PatchForecaster(TINY, [np.random.default_rng(10)])
     model.params["w_head"].values[...] = 0.0
     model.params["b_head"].values[...] = 0.0
-    windows = np.random.default_rng(11).normal(size=(5, 8)) * 3.0 + 50.0
+    windows = np.random.default_rng(11).normal(size=(5, 8, 1)) * 3.0 + 50.0
     pred = model.predict(windows)
-    assert np.max(np.abs(pred[:, 0] - windows.mean(axis=1))) < 1e-10
+    assert np.max(np.abs(pred[0, :, 0] - windows[:, :, 0].mean(axis=1))) < 1e-10
 
 
 @pytest.mark.parametrize("lookback,patch_len,stride,horizon", [
@@ -213,52 +215,88 @@ def test_forward_output_shapes(lookback, patch_len, stride, horizon):
         lookback=lookback, horizon=horizon, patch_len=patch_len, stride=stride,
         d_model=4, n_heads=2, n_layers=1, d_ff=8,
     )
-    model = PatchForecaster(cfg, np.random.default_rng(12))
-    out = model.predict(np.random.default_rng(13).normal(size=(3, lookback)))
-    assert out.shape == (3, horizon)
+    model = PatchForecaster(cfg, [np.random.default_rng(12)])
+    out = model.predict(np.random.default_rng(13).normal(size=(3, lookback, 1)))
+    assert out.shape == (1, 3, horizon)
 
 
 def test_forward_is_pure():
-    model = PatchForecaster(TINY, np.random.default_rng(14))
-    window = np.random.default_rng(15).normal(size=(1, 8))
+    model = PatchForecaster(TINY, [np.random.default_rng(14)])
+    window = np.random.default_rng(15).normal(size=(1, 8, 1))
     assert np.array_equal(model.predict(window), model.predict(window))
 
 
+def test_predict_in_row_chunks_matches_one_forward_pass():
+    # predict encodes PREDICT_ROWS windows at a time; the result must equal
+    # one inference pass over every row, bit for bit
+    model = PatchForecaster(TINY, [np.random.default_rng(40), np.random.default_rng(41)])
+    windows = np.random.default_rng(42).normal(size=(2 * PREDICT_ROWS + 5, 8, 2))
+    one_pass = model.forward_on_tape(Tape(), windows, training=False).values
+    assert np.array_equal(model.predict(windows), one_pass)
+
+
 def test_forward_rejects_wrong_length():
-    model = PatchForecaster(TINY, np.random.default_rng(16))
+    model = PatchForecaster(TINY, [np.random.default_rng(16)])
     with pytest.raises(ValueError, match="batch, 8"):
-        model.predict(np.zeros((2, 9)))
+        model.predict(np.zeros((2, 9, 1)))
+
+
+def _forward_and_gradients(model, windows, targets):
+    """Inference forecast, then one training forward/backward (which also
+    folds batch statistics into the running ones)."""
+    pred = model.predict(windows)
+    tape = Tape()
+    loss = tape.mse(model.forward_on_tape(tape, windows, training=True), Tensor(targets))
+    for p in model.parameters():
+        p.zero_grad()
+    tape.backward(tape.sum(loss))
+    return pred, {name: p.grad.copy() for name, p in model.params.items()}
 
 
 def test_channel_independence():
-    # two channels, two models; perturbing channel 1's data must leave
-    # channel 0's forecasts bitwise unchanged
+    # perturbing channel j's windows, parameters and running statistics must
+    # leave every other channel's forecast and gradients bitwise unchanged
+    k = 3
     rng = np.random.default_rng(17)
-    data = rng.normal(size=(2, 40))
-    model0 = PatchForecaster(TINY, np.random.default_rng(18))
-    window0 = data[0, :8][None, :]
-    before = model0.predict(window0)
-    data[1] += 100.0  # channel 1 perturbed; model0 never sees it
-    after = model0.predict(window0)
-    assert np.array_equal(before, after)
+    windows = rng.normal(size=(4, 8, k))
+    targets = rng.normal(size=(k, 4, 1))
+    for norm, j in itertools.product(("batch", "layer"), range(k)):
+        cfg = ForecasterConfig(**dict(TINY.to_dict(), norm=norm))
+        base = PatchForecaster(cfg, [np.random.default_rng(18 + m) for m in range(k)])
+        moved = PatchForecaster(cfg, [np.random.default_rng(18 + m) for m in range(k)])
+        moved_windows = windows.copy()
+        moved_windows[:, :, j] = moved_windows[:, :, j] * 5.0 + 100.0
+        for p in moved.parameters():
+            p.values[j] += rng.normal(size=p.values[j].shape)
+        for state in moved.bn_states.values():
+            state.running_mean[j] += 1.0
+            state.running_var[j] *= 3.0
+        pred, grads = _forward_and_gradients(base, windows, targets)
+        moved_pred, moved_grads = _forward_and_gradients(moved, moved_windows, targets)
+        others = [i for i in range(k) if i != j]
+        assert not np.array_equal(pred[j], moved_pred[j])
+        assert np.array_equal(pred[others], moved_pred[others]), (norm, j)
+        for name in grads:
+            assert np.array_equal(grads[name][others], moved_grads[name][others]), (norm, j, name)
 
 
 # -- full-model gradient integrity ------------------------------------------------
 
 
 def test_full_model_gradient_against_finite_differences():
-    model = PatchForecaster(TINY, np.random.default_rng(19))
+    model = PatchForecaster(TINY, [np.random.default_rng(19), np.random.default_rng(119)])
     rng = np.random.default_rng(20)
-    windows = rng.normal(size=(3, 8))
-    targets = rng.normal(size=(3, 1))
+    windows = rng.normal(size=(3, 8, 2))
+    targets = rng.normal(size=(2, 3, 1))
 
     def value():
         tape = Tape()
         pred = model.forward_on_tape(tape, windows, training=True)
-        return float(tape.mse(pred, Tensor(targets)).values)
+        return float(tape.sum(tape.mse(pred, Tensor(targets))).values)
 
     tape = Tape()
-    loss = tape.mse(model.forward_on_tape(tape, windows, training=True), Tensor(targets))
+    loss = tape.sum(tape.mse(model.forward_on_tape(tape, windows, training=True),
+                             Tensor(targets)))
     for p in model.parameters():
         p.zero_grad()
     tape.backward(loss)
@@ -271,15 +309,15 @@ def test_full_model_gradient_against_finite_differences():
 
 
 def test_train_epoch_zero_learning_rate_freezes_parameters():
-    model = PatchForecaster(TINY, np.random.default_rng(21))
+    model = PatchForecaster(TINY, [np.random.default_rng(21)])
     before = {k: v.values.copy() for k, v in model.params.items()}
     opt = Adam(model.parameters(), lr=0.0)
     rng = np.random.default_rng(22)
     inputs = rng.normal(size=(6, 8))
     targets = rng.normal(size=(6, 1))
-    first, _ = train_epoch([model], inputs[:, :, None], targets[:, :, None], opt, 4,
+    first, _ = train_epoch(model, inputs[:, :, None], targets[:, :, None], opt, 4,
                            np.random.default_rng(0))
-    second, _ = train_epoch([model], inputs[:, :, None], targets[:, :, None], opt, 4,
+    second, _ = train_epoch(model, inputs[:, :, None], targets[:, :, None], opt, 4,
                             np.random.default_rng(0))
     for k, v in model.params.items():
         assert np.array_equal(before[k], v.values)
@@ -287,13 +325,13 @@ def test_train_epoch_zero_learning_rate_freezes_parameters():
 
 
 def test_train_epoch_memorizes_constant_pair():
-    model = PatchForecaster(TINY, np.random.default_rng(23))
+    model = PatchForecaster(TINY, [np.random.default_rng(23)])
     opt = Adam(model.parameters(), lr=0.005)
     inputs = np.linspace(0.0, 1.0, 8)[None, :]
     targets = np.array([[0.7]])
     loss = np.inf
     for _ in range(200):
-        loss, _ = train_epoch([model], inputs[:, :, None], targets[:, :, None], opt, 32,
+        loss, _ = train_epoch(model, inputs[:, :, None], targets[:, :, None], opt, 32,
                               np.random.default_rng(1))
     assert loss < 1e-4
 
@@ -303,7 +341,7 @@ def test_training_curve_decreases_on_sinusoid():
         lookback=16, horizon=1, patch_len=4, stride=2, d_model=8, n_heads=2,
         n_layers=1, d_ff=16,
     )
-    model = PatchForecaster(cfg, np.random.default_rng(24))
+    model = PatchForecaster(cfg, [np.random.default_rng(24)])
     t = np.arange(200)
     series = np.sin(2 * np.pi * 0.05 * t)
     windows = np.stack([series[i: i + 16] for i in range(180)])
@@ -311,20 +349,48 @@ def test_training_curve_decreases_on_sinusoid():
     opt = Adam(model.parameters(), lr=0.002)
     shuffle = np.random.default_rng(2)
     losses = [
-        train_epoch([model], windows[:, :, None], targets[:, :, None], opt, 32, shuffle)[0]
+        train_epoch(model, windows[:, :, None], targets[:, :, None], opt, 32, shuffle)[0]
         for _ in range(50)
     ]
     assert losses[-1] < losses[0]
 
 
 def test_train_epoch_aborts_on_nan():
-    model = PatchForecaster(TINY, np.random.default_rng(25))
+    model = PatchForecaster(TINY, [np.random.default_rng(25)])
     opt = Adam(model.parameters(), lr=0.001)
     inputs = np.random.default_rng(26).normal(size=(4, 8))
     targets = np.full((4, 1), np.nan)
     with pytest.raises(FloatingPointError, match="non-finite"):
-        train_epoch([model], inputs[:, :, None], targets[:, :, None], opt, 4,
+        train_epoch(model, inputs[:, :, None], targets[:, :, None], opt, 4,
                     np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("norm", ["batch", "layer"])
+def test_stacked_training_equals_separate_channel_models(norm):
+    # K=3 trained as one stacked model must equal three one-channel models
+    # trained alone on identically seeded shuffles, bit for bit
+    cfg = ForecasterConfig(**dict(TINY.to_dict(), norm=norm))
+    k = 3
+    rng = np.random.default_rng(30)
+    inputs = rng.normal(size=(20, 8, k))
+    targets = rng.normal(size=(20, 1, k))
+    stacked = PatchForecaster(cfg, [np.random.default_rng(31 + m) for m in range(k)])
+    opt = Adam(stacked.parameters(), lr=0.01)
+    shuffle = np.random.default_rng(5)
+    for _epoch in range(2):
+        train_epoch(stacked, inputs, targets, opt, 8, shuffle)
+    windows = rng.normal(size=(6, 8, k))
+    pred = stacked.predict(windows)
+    arrays = stacked.param_arrays()
+    for m in range(k):
+        alone = PatchForecaster(cfg, [np.random.default_rng(31 + m)])
+        opt = Adam(alone.parameters(), lr=0.01)
+        shuffle = np.random.default_rng(5)
+        for _epoch in range(2):
+            train_epoch(alone, inputs[:, :, m:m + 1], targets[:, :, m:m + 1], opt, 8, shuffle)
+        assert np.array_equal(alone.predict(windows[:, :, m:m + 1])[0], pred[m])
+        for name, value in alone.param_arrays().items():
+            assert np.array_equal(value[0], arrays[name][m]), (m, name)
 
 
 # -- persistence --------------------------------------------------------------------
@@ -335,26 +401,26 @@ def test_checkpoint_reload_reproduces_forecasts_bitwise(tmp_path):
         lookback=16, horizon=2, patch_len=4, stride=2, d_model=8, n_heads=2,
         n_layers=2, d_ff=16,
     )
-    model = PatchForecaster(cfg, np.random.default_rng(27))
+    model = PatchForecaster(cfg, [np.random.default_rng(27)])
     # train a little so running statistics are nontrivial
     rng = np.random.default_rng(28)
     opt = Adam(model.parameters(), lr=0.002)
-    train_epoch([model], rng.normal(size=(20, 16, 1)), rng.normal(size=(20, 2, 1)), opt, 8,
+    train_epoch(model, rng.normal(size=(20, 16, 1)), rng.normal(size=(20, 2, 1)), opt, 8,
                 np.random.default_rng(4))
-    windows = rng.normal(size=(5, 16))
+    windows = rng.normal(size=(5, 16, 1))
     want = model.predict(windows)
 
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, model.param_arrays(), meta={"model": cfg.to_dict()})
     arrays, meta = load_checkpoint(path)
     clone = PatchForecaster(ForecasterConfig.from_dict(meta["model"]),
-                            np.random.default_rng(999))
+                            [np.random.default_rng(999)])
     clone.load_param_arrays(arrays)
     assert np.array_equal(clone.predict(windows), want)
 
 
 def test_load_rejects_mismatched_keys(tmp_path):
-    model = PatchForecaster(TINY, np.random.default_rng(29))
+    model = PatchForecaster(TINY, [np.random.default_rng(29)])
     arrays = model.param_arrays()
     arrays.pop("w_head")
     with pytest.raises(ValueError, match="w_head"):

@@ -63,7 +63,7 @@ def test_large_theta_gap_saturates_but_stays_positive():
 
 def test_weighted_loss_uniform_equals_plain_sum():
     tape = Tape()
-    losses = [Tensor(np.asarray(v)) for v in (0.1, 0.3)]
+    losses = Tensor(np.array([0.1, 0.3]))
     total = sw.weighted_loss(tape, losses, sw.uniform(2))
     assert float(total.values) == pytest.approx(0.4, abs=1e-15)
 
@@ -71,14 +71,14 @@ def test_weighted_loss_uniform_equals_plain_sum():
 def test_weighted_loss_dot_product():
     s = sw.init_from_scales(np.array([9.0, 1.0]))
     tape = Tape()
-    losses = [Tensor(np.asarray(1.0)), Tensor(np.asarray(0.0))]
+    losses = Tensor(np.array([1.0, 0.0]))
     total = sw.weighted_loss(tape, losses, s)
     assert float(total.values) == pytest.approx(1.8, abs=1e-9)
 
 
 def test_weighted_loss_channel_count_mismatch():
     with pytest.raises(ValueError, match="channels"):
-        sw.weighted_loss(Tape(), [Tensor(np.asarray(1.0))], sw.uniform(2))
+        sw.weighted_loss(Tape(), Tensor(np.array([1.0])), sw.uniform(2))
 
 
 def test_weighted_loss_gradient_wrt_theta_finite_differences():
@@ -90,11 +90,10 @@ def test_weighted_loss_gradient_wrt_theta_finite_differences():
 
         def value():
             tape = Tape()
-            losses = [Tensor(np.asarray(v)) for v in loss_values]
-            return float(sw.weighted_loss(tape, losses, s).values)
+            return float(sw.weighted_loss(tape, Tensor(loss_values), s).values)
 
         tape = Tape()
-        losses = [Tensor(np.asarray(v)) for v in loss_values]
+        losses = Tensor(loss_values)
         total = sw.weighted_loss(tape, losses, s)
         s.theta.zero_grad()
         tape.backward(total)
@@ -109,7 +108,7 @@ def test_mass_stays_fixed_under_optimization():
     opt = Adam([s.theta], lr=0.05)
     for _ in range(300):
         tape = Tape()
-        losses = [Tensor(np.asarray(v)) for v in rng.uniform(0.0, 1.0, size=3)]
+        losses = Tensor(rng.uniform(0.0, 1.0, size=3))
         total = sw.weighted_loss(tape, losses, s)
         opt.zero_grad()
         tape.backward(total)
