@@ -83,6 +83,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _matmul_grad(left: np.ndarray, right: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``left @ right`` summed down to ``shape``, the operand whose gradient
+    it is.  The batch axes that operand was broadcast along are folded into
+    the contracted axis, so one product sums over them: a ``[K, 1, m, n]``
+    weight's gradient against ``[K, B, ...]`` activations is one ``[K, m, n]``
+    product over all B windows, with no ``[K, B, m, n]`` temporary."""
+    batch = np.broadcast_shapes(left.shape[:-2], right.shape[:-2])
+    nb = len(batch)
+    target = (1,) * (nb + 2 - len(shape)) + tuple(shape)
+    summed = tuple(i for i in range(nb) if batch[i] > 1 and target[i] == 1)
+    if not summed:
+        return np.matmul(left, right).reshape(shape)
+    kept = tuple(i for i in range(nb) if i not in summed)
+    kept_shape = tuple(batch[i] for i in kept)
+    rows, cols = left.shape[-2], right.shape[-1]
+    left = np.broadcast_to(left, batch + left.shape[-2:])
+    right = np.broadcast_to(right, batch + right.shape[-2:])
+    # [kept..., rows, summed... * inner] @ [kept..., summed... * inner, cols]
+    left = left.transpose(kept + (nb,) + summed + (nb + 1,)).reshape(kept_shape + (rows, -1))
+    right = right.transpose(kept + summed + (nb, nb + 1)).reshape(kept_shape + (-1, cols))
+    return np.matmul(left, right).reshape(shape)
+
+
 def _norm_shape(xv: np.ndarray, gamma: Tensor, beta: Tensor, name: str) -> tuple[int, ...]:
     """Check that ``x`` is ``[K, batch, features(, tokens)]`` and scale/shift
     ``[K, features]``; return the shape that broadcasts those against ``x``."""
@@ -216,14 +239,16 @@ class Tape:
     def gelu(self, a) -> Tensor:
         # tanh approximation; closed-form derivative keeps it gradient-checkable
         a = self._lift(a)
+        # x * x * x, not x**3: numpy's pow is over ten times slower here, and
+        # its SIMD path is not correctly rounded on every machine
         x = a.values
-        inner = _GELU_C * (x + 0.044715 * x**3)
+        inner = _GELU_C * (x + 0.044715 * (x * x * x))
         t = np.tanh(inner)
         out = 0.5 * x * (1.0 + t)
 
         def bwd(g):
             sech2 = 1.0 - t * t
-            d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+            d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
             return (g * d,)
 
         return self._record((a,), out, bwd)
@@ -244,8 +269,8 @@ class Tape:
 
         def bwd(g):
             return (
-                _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape),
-                _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape),
+                _matmul_grad(g, np.swapaxes(bv, -1, -2), av.shape),
+                _matmul_grad(np.swapaxes(av, -1, -2), g, bv.shape),
             )
 
         return self._record((a, b), out, bwd)

@@ -70,9 +70,9 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _outdir(args) -> Path:
-    out = Path(args.outdir or _default_outdir())
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory, not yet created: a command creates it once its
+    input has been checked, so a rejected run leaves nothing behind."""
+    return Path(args.outdir or _default_outdir())
 
 
 def cmd_decompose(args) -> int:
@@ -83,6 +83,7 @@ def cmd_decompose(args) -> int:
         values = values[split.start: split.stop]
     result = decompose(values, config.vmd)
     outdir = _outdir(args)
+    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "decomposition.csv"
     meta_path = outdir / "decomposition_meta.json"
     write_decomposition_csv(csv_path, result.modes)
@@ -184,6 +185,7 @@ def cmd_evaluate(args) -> int:
         )
     mp = metric_pair(actual, predicted)
     outdir = _outdir(args)
+    outdir.mkdir(parents=True, exist_ok=True)
     payload = {"mse": mp.mse, "smape": mp.smape, "n": int(actual.size)}
     metrics_path = outdir / "metrics.json"
     metrics_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -58,6 +59,8 @@ __all__ = [
     "read_forecast_csv",
 ]
 
+log = logging.getLogger(__name__)
+
 SMAPE_NOTE = (
     "smape uses the symmetric denominator (|actual| + |predicted|) with factor 2 "
     "and is bounded in [0, 2]; zero/zero points contribute 0."
@@ -82,7 +85,6 @@ class PeriodCell:
     train_size: int
     decomposition_label: str
     overall: MetricPair
-    per_channel: list[MetricPair] | None
     baselines: dict[str, MetricPair]
     aswl_weights_initial: list[float] | None
     aswl_weights_final: list[float] | None
@@ -95,13 +97,29 @@ class PeriodCell:
     test_index: np.ndarray = field(repr=False)
     actual: np.ndarray = field(repr=False)
     predicted: np.ndarray = field(repr=False)
-    channel_actual: np.ndarray | None = field(repr=False, default=None)
     channel_predicted: np.ndarray | None = field(repr=False, default=None)
     modes: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def ok(self) -> bool:
         return True
+
+    @property
+    def channel_actual(self) -> np.ndarray | None:
+        return _channel_actual(self.decomposition_label, self.modes, self.train_size)
+
+    @property
+    def per_channel(self) -> list[MetricPair] | None:
+        """Each mode's test metrics, when :attr:`channel_actual` exists."""
+        if self.channel_actual is None:
+            return None
+        return [metric_pair(a, p) for a, p in zip(self.channel_actual, self.channel_predicted)]
+
+
+def _channel_actual(label: str, modes: np.ndarray, train_size: int) -> np.ndarray | None:
+    """Each mode's test segment; None under ``strict_causal``, which has no
+    single set of test modes."""
+    return None if label == "strict_causal" else modes[:, train_size:]
 
 
 @dataclass
@@ -268,29 +286,31 @@ def _forecast_stage(
     config: ExperimentConfig,
 ):
     """Forecast the test segment in horizon-sized blocks under the protocol
-    named by ``label``; returns ``(channel_pred, channel_actual)``, both
-    ``[K, n_test]`` at the raw scale.
+    named by ``label``; returns ``(channel_pred, prefix_converged)``: the
+    ``[K, n_test]`` forecast at the raw scale, and whether each prefix
+    decomposition converged (empty under ``full_period``).
 
     ``full_period`` builds every lookback window from the period's own modes
     (true history).  ``strict_causal`` re-decomposes the observed prefix at
-    every block, so no test-range sample enters a decomposition; it has no
-    single set of test modes, so ``channel_actual`` is None.
+    every block, so no test-range sample enters a decomposition.
     """
     lookback = config.model.lookback
     starts = np.arange(train_size, values.shape[0], config.model.horizon)
+    prefix_converged: list[bool] = []
     if label != "strict_causal":
         windows = np.stack([modes_norm[:, s - lookback: s].T for s in starts])
-        preds, channel_actual = model.predict(windows), modes[:, train_size:]
+        preds = model.predict(windows)
     else:
         blocks = []
         for s in starts:
             prefix = decompose(values[:s], config.vmd)
+            prefix_converged.append(prefix.converged)
             window = _per_channel(minmax_apply, prefix.modes[:, s - lookback: s], params)
             blocks.append(model.predict(window.T[None]))
-        preds, channel_actual = np.concatenate(blocks, axis=1), None
+        preds = np.concatenate(blocks, axis=1)
     # [K, blocks, horizon] -> [K, n_test]: the last block may overrun the period
     preds = preds.reshape(modes.shape[0], -1)[:, : values.shape[0] - train_size]
-    return _per_channel(minmax_invert, preds, params), channel_actual
+    return _per_channel(minmax_invert, preds, params), prefix_converged
 
 
 def run_period(
@@ -337,12 +357,15 @@ def _run_period_full(
         epoch_losses,
     ) = _train_stage(modes_norm[:, :train_size], ranges, config, seed)
 
-    channel_pred, channel_actual = _forecast_stage(
+    channel_pred, prefix_converged = _forecast_stage(
         values, modes, modes_norm, params, model, train_size, label, config
     )
-    per_channel = None if channel_actual is None else [
-        metric_pair(actual_m, pred_m) for actual_m, pred_m in zip(channel_actual, channel_pred)
-    ]
+    if not all(prefix_converged):
+        log.warning(
+            "period %d seed %d: %d of %d strict-causal prefix decompositions stopped "
+            "unconverged at vmd.max_iter",
+            period_index, seed, prefix_converged.count(False), len(prefix_converged),
+        )
 
     predicted = channel_pred.sum(axis=0)
     actual = values[train_size:]
@@ -364,7 +387,6 @@ def _run_period_full(
         train_size=train_size,
         decomposition_label=label,
         overall=overall,
-        per_channel=per_channel,
         baselines=baseline_scores,
         aswl_weights_initial=weights_initial,
         aswl_weights_final=weights_final,
@@ -377,7 +399,6 @@ def _run_period_full(
         test_index=np.arange(global_start + train_size, global_start + n),
         actual=actual,
         predicted=predicted,
-        channel_actual=channel_actual,
         channel_predicted=channel_pred,
         modes=modes,
     )
@@ -738,7 +759,7 @@ def forecast_from_dir(run_dir) -> dict:
     model.load_param_arrays(load_checkpoint(run_dir / "model.npz")[0])
 
     modes_norm = _per_channel(minmax_apply, modes, params)
-    channel_pred, channel_actual = _forecast_stage(
+    channel_pred, _prefix_converged = _forecast_stage(
         values, modes, modes_norm, params, model, train_size, meta["decomposition"], config
     )
 
@@ -748,7 +769,7 @@ def forecast_from_dir(run_dir) -> dict:
         "test_index": np.arange(global_start + train_size, global_start + values.shape[0]),
         "actual": actual,
         "predicted": predicted,
-        "channel_actual": channel_actual,
+        "channel_actual": _channel_actual(meta["decomposition"], modes, train_size),
         "channel_predicted": channel_pred,
         "metrics": metric_pair(actual, predicted),
         "decomposition": meta["decomposition"],

@@ -1,5 +1,7 @@
 """Tensor/tape engine: forward semantics, gradient checks, Adam, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import numeric_gradient, rel_err
@@ -169,6 +171,9 @@ OP_CASES = {
     "matmul_2d_3d": (lambda tp, ts: tp.matmul(ts[0], ts[1]), [(3, 4), (2, 4, 5)], {}),
     "matmul_3d_2d": (lambda tp, ts: tp.matmul(ts[0], ts[1]), [(2, 3, 4), (4, 5)], {}),
     "matmul_broadcast": (lambda tp, ts: tp.matmul(ts[0], ts[1]), [(2, 1, 3, 4), (2, 5, 4, 2)], {}),
+    "matmul_broadcast_right": (
+        lambda tp, ts: tp.matmul(ts[0], ts[1]), [(2, 5, 3, 4), (2, 1, 4, 2)], {}
+    ),
     "transpose": (lambda tp, ts: tp.transpose(ts[0]), [(2, 3, 4)], {}),
     "reshape": (lambda tp, ts: tp.reshape(ts[0], (6, 2)), [(3, 4)], {}),
     "concat": (lambda tp, ts: tp.concat(ts, axis=1), [(2, 3), (2, 2)], {}),
@@ -211,6 +216,101 @@ def test_gradcheck_layer_norm(ndim):
         return tp.layer_norm(ts[0], ts[1], ts[2])
 
     _gradcheck(build, [shape, (2, 3), (2, 3)], seeds=range(5))
+
+
+# -- rewritten kernels against the code they replaced ---------------------------
+
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def _gelu_reference(x):
+    """gelu and its derivative with the cube taken by ``x**3`` (numpy's pow)."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+    d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    return 0.5 * x * (1.0 + t), d
+
+
+def test_gelu_within_4_ulp_of_pow_reference():
+    # ULPs are counted at the magnitude of the terms each result sums, not of
+    # the result: where 1 + tanh or the derivative cancels (x < -3, x near
+    # -0.75) a one-ulp change in tanh is thousands of ulps of the small result
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(size=20000), rng.uniform(-10.0, 10.0, size=20000)])
+    tape = Tape()
+    xt = Tensor(x, requires_grad=True)
+    out = tape.gelu(xt)
+    grads = tape.backward(tape.sum(out))
+    ref_out, ref_d = _gelu_reference(x)
+    t = np.abs(np.tanh(_GELU_C * (x + 0.044715 * x**3)))
+    out_scale = 0.5 * np.abs(x) * (1.0 + t)
+    d_scale = 0.5 * (1.0 + t) + 0.5 * np.abs(x) * (1.0 + t * t) * _GELU_C * (
+        1.0 + 3 * 0.044715 * x * x
+    )
+    assert np.all(np.abs(out.values - ref_out) <= 4 * np.spacing(out_scale))
+    assert np.all(np.abs(grads[xt] - ref_d) <= 4 * np.spacing(d_scale))
+
+
+def _unbroadcast_reference(grad, shape):
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
+
+
+def _matmul_grads_reference(av, bv, g, op=np.matmul):
+    """Per-window products summed afterwards, as the tape once computed them;
+    ``op`` on absolute values gives the summation bound's ``|a|^T |g|``."""
+    return (
+        _unbroadcast_reference(op(g, np.swapaxes(bv, -1, -2)), av.shape),
+        _unbroadcast_reference(op(np.swapaxes(av, -1, -2), g), bv.shape),
+    )
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((3, 1, 16, 8), (3, 6, 8, 5)),     # weight on the left: w_patch, w_ff1, w_ff2
+    ((3, 6, 5, 8), (3, 1, 8, 16)),     # weight on the right: q/k/v, w_attn_out
+    ((2, 1, 3, 4), (1, 5, 4, 2)),      # both broadcast
+    ((7, 4), (3, 4, 5)),               # missing leading axis
+    ((3, 7, 4), (4, 5)),
+    ((3, 6, 5, 8), (3, 6, 8, 4)),      # nothing broadcast
+])
+def test_matmul_gradients_within_summation_bound(a_shape, b_shape):
+    rng = np.random.default_rng(1)
+    a = Tensor(rng.normal(size=a_shape), requires_grad=True)
+    b = Tensor(rng.normal(size=b_shape), requires_grad=True)
+    tape = Tape()
+    out = tape.matmul(a, b)
+    g = rng.normal(size=out.shape)
+    grads = tape.backward(tape.sum(tape.mul(out, Tensor(g))))
+    refs = _matmul_grads_reference(a.values, b.values, g)
+    bounds = _matmul_grads_reference(
+        a.values, b.values, g, op=lambda x, y: np.matmul(np.abs(x), np.abs(y))
+    )
+    eps = np.finfo(np.float64).eps
+    for t, inner, ref, bound in zip((a, b), (a_shape[-1], b_shape[-2]), refs, bounds):
+        n = out.size * inner // t.size  # products summed into each gradient entry
+        assert grads[t].shape == t.shape
+        assert np.all(np.abs(grads[t] - ref) <= 2 * n * eps * bound)
+
+
+def test_broadcast_weight_gradient_allocates_no_per_window_block():
+    # w [K, 1, m, n] @ x [K, B, n, p] with p << m, n: per-window weight
+    # gradients would be one [K, B, m, n] block
+    k, b, m, n, p = 2, 16, 64, 48, 2
+    rng = np.random.default_rng(2)
+    w = Tensor(rng.normal(size=(k, 1, m, n)), requires_grad=True)
+    x = Tensor(rng.normal(size=(k, b, n, p)), requires_grad=True)
+    tape = Tape()
+    loss = tape.sum(tape.matmul(w, x))
+    tracemalloc.start()
+    try:
+        tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < k * b * m * n * 8
 
 
 def test_batch_norm_updates_running_stats_only_in_training():

@@ -195,18 +195,21 @@ def test_backtest_series_too_short_for_periods_exits_2(tmp_path, capsys):
     assert main(["backtest", "-c", SYNTHETIC, "-o", "split.n_periods=1000",
                  "--outdir", str(tmp_path / "o")]) == 2
     assert "series too short" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_backtest_empty_split_exits_2(tmp_path, capsys):
     assert main(["backtest", "-c", SYNTHETIC, "-o", "split.train_fraction=0.0001",
                  "--outdir", str(tmp_path / "o")]) == 2
     assert "empty split" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_period_out_of_range_exits_2(tmp_path, capsys):
     assert main(["train", "-c", SYNTHETIC, "--period", "7",
                  "--outdir", str(tmp_path / "o")]) == 2
     assert "period 7 out of range [0, 3)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_seed_flag_overrides_training_seed(tmp_path):

@@ -1,6 +1,7 @@
 """Composite pipeline: per-period flow, backtest aggregation, artifact oracles."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -114,6 +115,22 @@ def test_run_period_strict_causal_labels_and_omits_channel_metrics():
     assert cell.channel_actual is None
     assert cell.predicted.shape == (120,)
     assert np.isfinite(cell.overall.mse)
+
+
+def test_unconverged_strict_causal_prefixes_log_one_warning_per_cell(caplog):
+    cfg = small_config(backtest={"strict_causal": True},
+                       vmd={"n_modes": 2, "max_iter": 2},
+                       model={"lookback": 32, "patch_len": 8, "stride": 4,
+                              "d_model": 8, "n_heads": 2, "n_layers": 1,
+                              "d_ff": 16, "horizon": 8},
+                       training={"epochs": 1, "seeds": [3]})
+    values = trend_two_tone(n=600, seed=3, noise_std=0.2)
+    with caplog.at_level(logging.WARNING, logger="modecast"):
+        run_period(values, 480, cfg, seed=3, period_index=1)
+    assert [r.getMessage() for r in caplog.records] == [
+        "period 1 seed 3: 15 of 15 strict-causal prefix decompositions stopped "
+        "unconverged at vmd.max_iter"
+    ]
 
 
 def test_multi_step_horizon_blocks():
