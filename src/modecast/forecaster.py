@@ -14,6 +14,8 @@ back to the head output, so predictions return at the input's scale.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -244,6 +246,10 @@ class PatchForecaster:
     def _attention_layer(self, tape: Tape, x, index: int, training: bool, attn_sink=None):
         cfg = self.config
         xt = tape.transpose(x)  # [K, B, N, D]
+        # one contiguous copy serves all 3 * n_heads projections' weight
+        # gradients, which would each copy the strided view again; the other
+        # transposes stay views, since a contiguous k^T rounds scores differently
+        xt.values = np.ascontiguousarray(xt.values)
         heads = []
         scale = 1.0 / math.sqrt(cfg.head_dim)
         for h in range(cfg.n_heads):
@@ -324,6 +330,27 @@ class PatchForecaster:
         return self._head(Tape(), Tensor(flat), stats).values
 
 
+@functools.cache
+def _retain_freed_memory() -> None:
+    """Keep freed training memory in the heap, once per process.
+
+    Each minibatch's tape frees tens of MB at the top of the heap; by default
+    glibc returns that to the kernel and the next step page-faults it back
+    in.  A high trim threshold keeps it for reuse.  Setting any ``mallopt``
+    parameter also switches off glibc's dynamic mmap threshold, which would
+    put every array of 128 KiB or more back on fresh mmapped pages, so the
+    mmap threshold is raised too.  Without ``mallopt`` (musl, macOS, Windows)
+    this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD: heap below 32 MiB, glibc's 64-bit maximum
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: keep up to 256 MiB of free heap top
+
+
 def train_epoch(
     model: PatchForecaster,
     inputs: np.ndarray,
@@ -343,6 +370,7 @@ def train_epoch(
     mean minibatch loss and the total weight mass after every step (empty when
     ``sw`` is None).  Aborts on a non-finite loss.
     """
+    _retain_freed_memory()
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if inputs.shape[0] != targets.shape[0] or inputs.shape[0] == 0:

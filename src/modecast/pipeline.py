@@ -22,6 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import scale_weights as swmod
 from .autodiff import Adam, load_checkpoint, save_checkpoint
 from .baselines import baseline_linear_ar, baseline_naive
@@ -99,6 +104,7 @@ class PeriodCell:
     predicted: np.ndarray = field(repr=False)
     channel_predicted: np.ndarray | None = field(repr=False, default=None)
     modes: np.ndarray | None = field(repr=False, default=None)
+    stage_timing: dict = field(repr=False, default_factory=dict)  # see _stage
 
     @property
     def ok(self) -> bool:
@@ -194,17 +200,33 @@ def config_period(config: ExperimentConfig, n_samples: int, period_index: int) -
 # -- single-period pipeline ---------------------------------------------------
 
 
+def _minor_faults() -> int | None:
+    """Minor page faults of this process so far; None without ``resource``."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _stage(name: str):
-    """Decorator that tags any stage failure with the stage name."""
+    """Decorator that tags any stage failure with the stage name.  Given a
+    ``timing`` dict, the call also stores its seconds and minor page faults
+    there as ``<name>_s`` and ``<name>_minor_faults`` (None without
+    ``resource``)."""
 
     def wrap(fn):
-        def inner(*args, **kwargs):
+        def inner(*args, timing: dict | None = None, **kwargs):
+            t_begin, faults_begin = time.perf_counter(), _minor_faults()
             try:
                 return fn(*args, **kwargs)
             except PipelineStageError:
                 raise
             except Exception as exc:
                 raise PipelineStageError(name, str(exc)) from exc
+            finally:
+                if timing is not None:
+                    timing[f"{name}_s"] = time.perf_counter() - t_begin
+                    faults = _minor_faults()
+                    timing[f"{name}_minor_faults"] = (
+                        None if faults is None else faults - faults_begin
+                    )
 
         return inner
 
@@ -345,9 +367,10 @@ def _run_period_full(
             "window", f"train portion ({train_size}) shorter than lookback+horizon"
         )
 
-    vmd_result, label = _decompose_stage(values, train_size, config)
+    timing: dict = {}
+    vmd_result, label = _decompose_stage(values, train_size, config, timing=timing)
     modes = vmd_result.modes
-    params, ranges, modes_norm = _normalize_stage(modes, train_size)
+    params, ranges, modes_norm = _normalize_stage(modes, train_size, timing=timing)
     (
         model,
         sw,
@@ -355,10 +378,10 @@ def _run_period_full(
         weights_final,
         weight_sum_history,
         epoch_losses,
-    ) = _train_stage(modes_norm[:, :train_size], ranges, config, seed)
+    ) = _train_stage(modes_norm[:, :train_size], ranges, config, seed, timing=timing)
 
     channel_pred, prefix_converged = _forecast_stage(
-        values, modes, modes_norm, params, model, train_size, label, config
+        values, modes, modes_norm, params, model, train_size, label, config, timing=timing
     )
     if not all(prefix_converged):
         log.warning(
@@ -396,6 +419,7 @@ def _run_period_full(
         vmd_converged=vmd_result.converged,
         vmd_omegas=[float(w) for w in vmd_result.omegas],
         runtime_s=time.perf_counter() - t_begin,
+        stage_timing=timing,
         test_index=np.arange(global_start + train_size, global_start + n),
         actual=actual,
         predicted=predicted,
@@ -667,6 +691,9 @@ def write_backtest_artifacts(report: ExperimentReport, outdir) -> None:
         "total_s": report.total_runtime_s,
         "cells": {
             f"period{c.period_index}_seed{c.seed}": c.runtime_s for c in report.succeeded
+        },
+        "stages": {
+            f"period{c.period_index}_seed{c.seed}": c.stage_timing for c in report.succeeded
         },
     }
     (outdir / "timing.json").write_text(json.dumps(timing, indent=2, sort_keys=True) + "\n")

@@ -1,12 +1,15 @@
 """Patch forecaster: patching, instance scaling, attention, training, persistence."""
 
+import ctypes
 import itertools
 import math
+import platform
 
 import numpy as np
 import pytest
 from conftest import numeric_gradient, rel_err
 
+from modecast import forecaster
 from modecast.autodiff import Adam, Tape, Tensor, load_checkpoint, save_checkpoint
 from modecast.config import ConfigError, ExperimentConfig
 from modecast.forecaster import (
@@ -363,6 +366,56 @@ def test_train_epoch_aborts_on_nan():
     with pytest.raises(FloatingPointError, match="non-finite"):
         train_epoch(model, inputs[:, :, None], targets[:, :, None], opt, 4,
                     np.random.default_rng(3))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_training_steps_reuse_freed_memory_without_page_faults():
+    # the bundled model shape: each step's tape frees tens of MB, which the
+    # next step must find in the heap rather than fault back in
+    resource = pytest.importorskip("resource")
+    cfg = ForecasterConfig(lookback=96, horizon=1, patch_len=16, stride=8, d_model=64,
+                           n_heads=4, n_layers=2, d_ff=128)
+    k, n, batch = 3, 384, 32
+    rng = np.random.default_rng(27)
+    inputs = rng.normal(size=(n, cfg.lookback, k))
+    targets = rng.normal(size=(n, cfg.horizon, k))
+    model = PatchForecaster(cfg, [np.random.default_rng(28 + m) for m in range(k)])
+    opt = Adam(model.parameters(), lr=0.001)
+    shuffle = np.random.default_rng(4)
+    train_epoch(model, inputs, targets, opt, batch, shuffle)  # warm-up: the heap grows
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_epoch(model, inputs, targets, opt, batch, shuffle)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / (n // batch) < 64
+
+
+class _LibcWithoutMallopt:
+    """A C library that has no ``mallopt``, as on musl or macOS."""
+
+
+def _cdll_raising(exc):
+    def cdll(name):
+        raise exc
+    return cdll
+
+
+@pytest.mark.parametrize("cdll", [
+    lambda name: _LibcWithoutMallopt(),
+    _cdll_raising(TypeError("no default library")),   # CDLL(None) on Windows
+    _cdll_raising(OSError("cannot load the C library")),
+], ids=["no-mallopt", "no-default-library", "load-error"])
+def test_training_without_mallopt_still_trains(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert forecaster._retain_freed_memory.__wrapped__() is None
+    forecaster._retain_freed_memory.cache_clear()
+    try:
+        model = PatchForecaster(TINY, [np.random.default_rng(29)])
+        opt = Adam(model.parameters(), lr=0.001)
+        inputs = np.random.default_rng(30).normal(size=(6, 8, 1))
+        loss, _ = train_epoch(model, inputs, inputs[:, -1:], opt, 4, np.random.default_rng(5))
+        assert math.isfinite(loss)
+    finally:
+        forecaster._retain_freed_memory.cache_clear()
 
 
 @pytest.mark.parametrize("norm", ["batch", "layer"])

@@ -6,6 +6,7 @@ import logging
 import numpy as np
 import pytest
 
+from modecast import pipeline
 from modecast.config import ExperimentConfig
 from modecast.metrics import mse, smape
 from modecast.pipeline import (
@@ -241,6 +242,26 @@ def test_backtest_manifest_covers_artifacts(tmp_path):
     assert "period1/seed1/forecast.csv" in manifest["artifacts"]
     for digest in manifest["artifacts"].values():
         assert len(digest) == 64
+    # wall-clock times stay out of the manifest, in timing.json
+    assert "timing.json" not in manifest["artifacts"]
+    timing = json.loads((tmp_path / "timing.json").read_text())
+    cells = {f"period{p}_seed{s}" for p in (0, 1) for s in (0, 1)}
+    assert set(timing["cells"]) == set(timing["stages"]) == cells
+    names = ("decompose", "normalize", "train", "forecast")
+    for cell, stages in timing["stages"].items():
+        assert set(stages) == {f"{n}_s" for n in names} | {f"{n}_minor_faults" for n in names}
+        assert all(stages[f"{n}_s"] >= 0.0 for n in names)
+        assert sum(stages[f"{n}_s"] for n in names) <= timing["cells"][cell]
+        counted = int if pipeline.resource is not None else type(None)
+        assert all(isinstance(stages[f"{n}_minor_faults"], counted) for n in names)
+
+
+def test_stage_faults_are_null_without_resource(monkeypatch):
+    monkeypatch.setattr(pipeline, "resource", None)
+    values = trend_two_tone(n=600, seed=3, noise_std=0.2)
+    cell = run_period(values, 480, small_config(training={"epochs": 1}), seed=3)
+    assert cell.stage_timing["train_minor_faults"] is None
+    assert cell.stage_timing["train_s"] > 0.0
 
 
 def test_report_text_mentions_aswl_state(tmp_path):
