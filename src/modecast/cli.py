@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
+from .forecaster import CheckpointMismatchError
 from .metrics import metric_pair
 from .pipeline import (
     config_period,
@@ -116,7 +117,13 @@ def cmd_forecast(args) -> int:
     for name in ("state.npz", "model.npz"):
         if not (run_dir / name).exists():
             raise UserError(f"{run_dir} does not contain a trained run ({name} missing)")
-    result = forecast_from_dir(run_dir)
+    try:
+        result = forecast_from_dir(run_dir)
+    except CheckpointMismatchError as exc:
+        raise UserError(
+            f"{run_dir / 'model.npz'} does not fit the model its config describes "
+            f"(trained by an older modecast?): {exc}"
+        ) from exc
     outdir = Path(args.outdir) if args.outdir else run_dir
     outdir.mkdir(parents=True, exist_ok=True)
     forecast_path = outdir / "forecast.csv"

@@ -26,6 +26,7 @@ from .autodiff import Adam, BatchNormState, Tape, Tensor
 from .scale_weights import ScaleWeights, weighted_loss, weights
 
 __all__ = [
+    "CheckpointMismatchError",
     "ForecasterConfig",
     "InstanceStats",
     "PatchForecaster",
@@ -85,6 +86,10 @@ class ForecasterConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ForecasterConfig":
         return cls(**data)
+
+
+class CheckpointMismatchError(ValueError):
+    """A checkpoint's arrays do not fit the model its config describes."""
 
 
 @dataclass(frozen=True)
@@ -172,10 +177,12 @@ class PatchForecaster:
         self.bn_states: dict[str, BatchNormState] = {}
         d, p, n, t = config.d_model, config.patch_len, config.n_patches, config.horizon
 
-        def init(name: str, shape: tuple[int, ...], fan_in: int) -> None:
+        def draw(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
             bound = 1.0 / math.sqrt(fan_in)
-            values = np.stack([rng.uniform(-bound, bound, size=shape) for rng in rngs])
-            self.params[name] = Tensor(values, requires_grad=True)
+            return np.stack([rng.uniform(-bound, bound, size=shape) for rng in rngs])
+
+        def init(name: str, shape: tuple[int, ...], fan_in: int) -> None:
+            self.params[name] = Tensor(draw(shape, fan_in), requires_grad=True)
 
         def init_norm(name: str) -> None:
             self.params[f"{name}.gamma"] = Tensor(np.ones((k, d)), requires_grad=True)
@@ -185,13 +192,17 @@ class PatchForecaster:
 
         init("w_patch", (d, p), p)
         init("w_pos", (d, n), d)
-        dk, dv = config.head_dim, config.head_dim
+        dk = config.head_dim
         for i in range(config.n_layers):
-            for h in range(config.n_heads):
-                init(f"layer{i}.head{h}.w_q", (d, dk), d)
-                init(f"layer{i}.head{h}.w_k", (d, dk), d)
-                init(f"layer{i}.head{h}.w_v", (d, dv), d)
-            init(f"layer{i}.w_attn_out", (d, d), d)
+            # per head, q, k and v are drawn as (d, d_k) blocks; each projection
+            # is applied as W @ x, so head h's block is stored transposed as
+            # rows h*d_k:(h+1)*d_k, and w_attn_out transposed too
+            qkv = [[draw((d, dk), d) for _ in range(3)] for _ in range(config.n_heads)]
+            drawn = [np.concatenate([head[j] for head in qkv], axis=-1) for j in range(3)]
+            drawn.append(draw((d, d), d))
+            for name, w in zip(("w_q", "w_k", "w_v", "w_attn_out"), drawn):
+                w = np.ascontiguousarray(np.swapaxes(w, -1, -2))
+                self.params[f"layer{i}.{name}"] = Tensor(w, requires_grad=True)
             init_norm(f"layer{i}.norm1")
             init(f"layer{i}.w_ff1", (config.d_ff, d), d)
             init(f"layer{i}.b_ff1", (config.d_ff, 1), d)
@@ -219,11 +230,15 @@ class PatchForecaster:
         got = set(arrays)
         if expected != got:
             missing, extra = expected - got, got - expected
-            raise ValueError(f"checkpoint key mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+            raise CheckpointMismatchError(
+                f"checkpoint key mismatch: missing={sorted(missing)} extra={sorted(extra)}"
+            )
         for name, p in self.params.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != p.values.shape:
-                raise ValueError(f"{name}: shape {arr.shape} != expected {p.values.shape}")
+                raise CheckpointMismatchError(
+                    f"{name}: shape {arr.shape} != expected {p.values.shape}"
+                )
             p.values = arr.copy()
         for name, state in self.bn_states.items():
             state.running_mean = np.asarray(arrays[f"{name}.running_mean"], dtype=np.float64).copy()
@@ -245,25 +260,20 @@ class PatchForecaster:
 
     def _attention_layer(self, tape: Tape, x, index: int, training: bool, attn_sink=None):
         cfg = self.config
-        xt = tape.transpose(x)  # [K, B, N, D]
-        # one contiguous copy serves all 3 * n_heads projections' weight
-        # gradients, which would each copy the strided view again; the other
-        # transposes stay views, since a contiguous k^T rounds scores differently
-        xt.values = np.ascontiguousarray(xt.values)
-        heads = []
-        scale = 1.0 / math.sqrt(cfg.head_dim)
-        for h in range(cfg.n_heads):
-            q = tape.matmul(xt, self._weight(tape, f"layer{index}.head{h}.w_q"))
-            k = tape.matmul(xt, self._weight(tape, f"layer{index}.head{h}.w_k"))
-            v = tape.matmul(xt, self._weight(tape, f"layer{index}.head{h}.w_v"))
-            scores = tape.mul_scalar(tape.matmul(q, tape.transpose(k)), scale)
-            attn = tape.softmax(scores, axis=-1)
-            if attn_sink is not None:
-                attn_sink.append(attn.values)
-            heads.append(tape.matmul(attn, v))
-        merged = tape.concat(heads, axis=-1)                       # [K, B, N, D]
-        projected = tape.matmul(merged, self._weight(tape, f"layer{index}.w_attn_out"))
-        z = tape.add(x, tape.transpose(projected))                 # residual, [K, B, D, N]
+        heads = x.shape[:2] + (cfg.n_heads, cfg.head_dim, x.shape[-1])
+
+        def project(name: str) -> Tensor:
+            """``W @ x`` split into heads: ``[K, B, H, d_k, N]``."""
+            return tape.reshape(tape.matmul(self._weight(tape, f"layer{index}.{name}"), x), heads)
+
+        q, k, v = project("w_q"), project("w_k"), project("w_v")
+        scores = tape.mul_scalar(tape.matmul(tape.transpose(q), k), 1.0 / math.sqrt(cfg.head_dim))
+        attn = tape.softmax(scores, axis=-1)                       # [K, B, H, N, N]
+        if attn_sink is not None:
+            attn_sink.append(attn.values)
+        merged = tape.reshape(tape.matmul(v, tape.transpose(attn)), x.shape)  # [K, B, D, N]
+        projected = tape.matmul(self._weight(tape, f"layer{index}.w_attn_out"), merged)
+        z = tape.add(x, projected)                                 # residual
         z = self._norm(tape, z, f"layer{index}.norm1", training)
         hidden = tape.add(
             tape.matmul(self._weight(tape, f"layer{index}.w_ff1"), z),

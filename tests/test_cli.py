@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from modecast.autodiff import load_checkpoint, save_checkpoint
 from modecast.cli import main
 from modecast.synthetic import two_tone, write_series_csv
 
@@ -189,6 +190,25 @@ def test_forecast_from_per_channel_run_dir_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["forecast", "--run-dir", str(run_dir)]) == 2
     assert "model.npz" in capsys.readouterr().err
+
+
+def test_forecast_from_per_head_model_npz_exits_2(tmp_path, capsys):
+    # a model.npz in the older layout: one (d, d_k) q/k/v block per head
+    cfg = write_config(tmp_path, backtest_raw())
+    run_dir = tmp_path / "run"
+    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+    arrays, meta = load_checkpoint(run_dir / "model.npz")
+    dk = 8 // 2
+    for name in ("w_q", "w_k", "w_v"):
+        rows = arrays.pop(f"layer0.{name}")
+        for h in range(2):
+            arrays[f"layer0.head{h}.{name}"] = np.swapaxes(rows[:, h * dk:(h + 1) * dk], -1, -2)
+    save_checkpoint(run_dir / "model.npz", arrays, meta=meta)
+    capsys.readouterr()
+    assert main(["forecast", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "layer0.w_q" in err
 
 
 def test_backtest_series_too_short_for_periods_exits_2(tmp_path, capsys):

@@ -154,8 +154,9 @@ def test_attention_softmax_rows_sum_to_one_everywhere():
     sink = []
     model.forward_on_tape(Tape(), np.random.default_rng(6).normal(size=(3, 16, 1)),
                           training=True, attn_sink=sink)
-    assert len(sink) == cfg.n_layers * cfg.n_heads
+    assert len(sink) == cfg.n_layers
     for attn in sink:
+        assert attn.shape == (1, 3, cfg.n_heads, cfg.n_patches, cfg.n_patches)
         assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-9
 
 
@@ -181,9 +182,10 @@ def test_attention_hand_computed_single_head():
     wq = np.array([[0.3, -0.1], [0.2, 0.4]])
     wk = np.array([[-0.5, 0.2], [0.1, 0.3]])
     wv = np.array([[0.7, 0.0], [-0.2, 0.5]])
-    model.params["layer0.head0.w_q"].values = wq[None].copy()
-    model.params["layer0.head0.w_k"].values = wk[None].copy()
-    model.params["layer0.head0.w_v"].values = wv[None].copy()
+    # the model applies each projection as W @ x, so it holds the transposes
+    model.params["layer0.w_q"].values = wq.T[None].copy()
+    model.params["layer0.w_k"].values = wk.T[None].copy()
+    model.params["layer0.w_v"].values = wv.T[None].copy()
 
     x_d = np.array([[0.5, -1.0], [1.5, 0.25]])  # [D, N]
     sink = []
@@ -196,6 +198,71 @@ def test_attention_hand_computed_single_head():
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
     assert np.max(np.abs(sink[0][0, 0] - attn)) < 1e-10
+
+
+def _per_head_attention_layer(model, x, index):
+    """Numpy reference of one encoder layer with the attention computed one
+    head at a time on ``[N, D]`` tokens, heads concatenated along features.
+    Head ``h`` projects with the transposes of rows ``h*d_k:(h+1)*d_k`` of the
+    model's ``w_q``/``w_k``/``w_v``.  Returns the layer output and each head's
+    ``[K, B, N, N]`` attention matrix."""
+    cfg = model.config
+    dk = cfg.head_dim
+
+    def param(name):
+        return model.params[f"layer{index}.{name}"].values[:, None]   # [K, 1, ...]
+
+    def norm(z, name):
+        gamma, beta = (param(f"{name}.{s}")[..., None] for s in ("gamma", "beta"))
+        axes = (1, 3) if cfg.norm == "batch" else (2,)
+        mu, var = z.mean(axis=axes, keepdims=True), z.var(axis=axes, keepdims=True)
+        return gamma * (z - mu) / np.sqrt(var + 1e-5) + beta
+
+    tokens = np.swapaxes(x, -1, -2)                                    # [K, B, N, D]
+    heads, attns = [], []
+    for h in range(cfg.n_heads):
+        q, k, v = (tokens @ np.swapaxes(param(name)[..., h * dk:(h + 1) * dk, :], -1, -2)
+                   for name in ("w_q", "w_k", "w_v"))
+        scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(dk)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attns.append(e / e.sum(axis=-1, keepdims=True))
+        heads.append(attns[-1] @ v)
+    merged = np.concatenate(heads, axis=-1)                            # [K, B, N, D]
+    z = norm(x + param("w_attn_out") @ np.swapaxes(merged, -1, -2), "norm1")
+    hidden = param("w_ff1") @ z + param("b_ff1")
+    hidden = 0.5 * hidden * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
+                                           * (hidden + 0.044715 * hidden ** 3)))
+    return norm(z + param("w_ff2") @ hidden + param("b_ff2"), "norm2"), attns
+
+
+@pytest.mark.parametrize("norm", ["batch", "layer"])
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_attention_layer_matches_per_head_reference(n_heads, norm):
+    cfg = ForecasterConfig(
+        lookback=16, horizon=1, patch_len=4, stride=2, d_model=8, n_heads=n_heads,
+        n_layers=1, d_ff=16, norm=norm,
+    )
+    model = PatchForecaster(cfg, [np.random.default_rng(50), np.random.default_rng(51)])
+    rng = np.random.default_rng(52)
+    for name, p in model.params.items():
+        if ".norm" in name:
+            p.values = p.values + rng.normal(scale=0.3, size=p.shape)
+    x = rng.normal(size=(2, 3, cfg.d_model, cfg.n_patches))
+    sink = []
+    out = model._attention_layer(Tape(), Tensor(x), 0, training=True, attn_sink=sink)
+    want, want_attns = _per_head_attention_layer(model, x, 0)
+    assert np.max(np.abs(out.values - want)) <= 1e-12 * np.max(np.abs(want))
+    assert len(sink) == 1
+    for h, want_attn in enumerate(want_attns):
+        assert np.max(np.abs(sink[0][:, :, h] - want_attn)) <= 1e-12 * np.max(np.abs(want_attn))
+
+    def forward_ops(config):
+        tape = Tape()
+        PatchForecaster(config, [np.random.default_rng(53)]).forward_on_tape(
+            tape, rng.normal(size=(3, 16, 1)), training=True)
+        return tape.n_ops
+
+    assert forward_ops(cfg) == forward_ops(ForecasterConfig(**dict(cfg.to_dict(), n_heads=1)))
 
 
 # -- forward -------------------------------------------------------------------
