@@ -1,12 +1,12 @@
 """Dense float64 tensors with a recorded-operation tape for reverse-mode gradients.
 
 The engine is deliberately small: a ``Tensor`` wraps a numpy array, a ``Tape``
-records every operation applied through it (inputs, output, backward rule),
-and ``Tape.backward`` replays the records in exact reverse order, accumulating
-gradients additively wherever a tensor fans out to several consumers.  One
-tape serves one forward/backward cycle; parameters are plain ``Tensor``
-objects that outlive tapes and carry their accumulated ``grad`` between
-optimizer steps.
+records every operation applied through it (input and output node ids,
+backward rule), and ``Tape.backward`` replays the records in exact reverse
+order, accumulating gradients additively wherever a tensor fans out to
+several consumers.  One tape serves one forward/backward cycle; parameters
+are plain ``Tensor`` objects that outlive tapes and carry their accumulated
+``grad`` between optimizer steps.
 
 Everything is double precision.  Shapes are validated when an operation is
 recorded, never during backward.
@@ -38,17 +38,18 @@ class Tensor:
 
     ``grad`` is allocated (zeros) for ``requires_grad`` tensors and accumulates
     across ``Tape.backward`` calls until ``zero_grad`` resets it.  ``node_id``
-    is assigned by whichever tape last recorded this tensor; tensors may be
-    reused across consecutive tapes.
+    is assigned by whichever tape last recorded this tensor, and ``owner``
+    names that tape; tensors may be reused across consecutive tapes.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "node_id")
+    __slots__ = ("values", "requires_grad", "grad", "node_id", "owner")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.values) if requires_grad else None
         self.node_id: int | None = None
+        self.owner: object | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -107,19 +108,17 @@ def _matmul_grad(left: np.ndarray, right: np.ndarray, shape: tuple[int, ...]) ->
 
 
 def _norm_shape(xv: np.ndarray, gamma: Tensor, beta: Tensor, name: str) -> tuple[int, ...]:
-    """Check that ``x`` is ``[K, batch, features(, tokens)]`` and scale/shift
+    """Check that ``x`` is ``[K, features, tokens...]`` and scale/shift
     ``[K, features]``; return the shape that broadcasts those against ``x``."""
-    if xv.ndim not in (3, 4):
-        raise ValueError(
-            f"{name} expects [K, batch, features(, tokens)] input, got shape {xv.shape}"
-        )
-    k, n_features = xv.shape[0], xv.shape[2]
+    if xv.ndim < 3:
+        raise ValueError(f"{name} expects [K, features, tokens...] input, got shape {xv.shape}")
+    k, n_features = xv.shape[:2]
     if gamma.shape != (k, n_features) or beta.shape != (k, n_features):
         raise ValueError(
             f"{name} scale/shift must have shape ({k}, {n_features}), "
             f"got {gamma.shape} and {beta.shape}"
         )
-    return (k, 1, n_features) + (1,) * (xv.ndim - 3)
+    return (k, n_features) + (1,) * (xv.ndim - 2)
 
 
 @dataclass
@@ -151,21 +150,29 @@ class BatchNormState:
 
 class Tape:
     """Operation recorder.  Recording order is topological order; backward
-    walks it in exact reverse.  Single-threaded by contract."""
+    walks it in exact reverse.  Single-threaded by contract.
+
+    The tape holds only the ``requires_grad`` tensors and the arrays its
+    backward rules need; an intermediate result is freed as soon as the caller
+    drops it, unless a backward rule keeps its values.
+    """
 
     def __init__(self) -> None:
-        self._tensors: list[Tensor] = []
+        self._token = object()  # a tensor's ``owner`` when this tape numbered it
+        self._n_nodes = 0
+        self._leaves: list[tuple[int, Tensor]] = []  # requires_grad tensors by node id
         self._entries: list[_TapeEntry] = []
 
     # -- bookkeeping ---------------------------------------------------
 
     def _register(self, t: Tensor) -> int:
-        nid = t.node_id
-        if nid is not None and nid < len(self._tensors) and self._tensors[nid] is t:
-            return nid
-        nid = len(self._tensors)
-        self._tensors.append(t)
-        t.node_id = nid
+        if t.owner is self._token:
+            return t.node_id
+        nid = self._n_nodes
+        self._n_nodes += 1
+        t.node_id, t.owner = nid, self._token
+        if t.requires_grad:
+            self._leaves.append((nid, t))
         return nid
 
     def _lift(self, x) -> Tensor:
@@ -189,9 +196,10 @@ class Tape:
     def add(self, a, b) -> Tensor:
         a, b = self._lift(a), self._lift(b)
         out = a.values + b.values
+        a_shape, b_shape = a.shape, b.shape
 
         def bwd(g):
-            return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
+            return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
         return self._record((a, b), out, bwd)
 
@@ -207,12 +215,13 @@ class Tape:
 
     def div(self, a, b) -> Tensor:
         a, b = self._lift(a), self._lift(b)
-        av, bv = a.values, b.values
-        out = av / bv
+        bv = b.values
+        out = a.values / bv
+        a_shape = a.shape
 
         def bwd(g):
             return (
-                _unbroadcast(g / bv, av.shape),
+                _unbroadcast(g / bv, a_shape),
                 _unbroadcast(-g * out / bv, bv.shape),
             )
 
@@ -275,15 +284,21 @@ class Tape:
 
         return self._record((a, b), out, bwd)
 
-    def transpose(self, a) -> Tensor:
-        """Swap the last two axes."""
+    def transpose(self, a, axes: tuple[int, ...] | None = None) -> Tensor:
+        """Permute the axes as ``np.transpose(a, axes)`` does; by default swap
+        the last two.  The output is a view."""
         a = self._lift(a)
-        if a.ndim < 2:
-            raise ValueError(f"transpose needs ndim >= 2, got shape {a.shape}")
-        out = np.swapaxes(a.values, -1, -2)
+        if axes is None:
+            if a.ndim < 2:
+                raise ValueError(f"transpose needs ndim >= 2, got shape {a.shape}")
+            axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
+        out = np.transpose(a.values, axes)  # raises ValueError if axes is no permutation
+        inverse = [0] * a.ndim
+        for position, axis in enumerate(axes):
+            inverse[axis] = position
 
         def bwd(g):
-            return (np.swapaxes(g, -1, -2),)
+            return (np.transpose(g, inverse),)
 
         return self._record((a,), out, bwd)
 
@@ -362,9 +377,10 @@ class Tape:
         training: bool = True,
         eps: float = 1e-5,
     ) -> Tensor:
-        """Per-(channel, feature) normalization over the batch axis (and token
-        axis for ``[K, batch, features, tokens]`` input), with trainable
-        scale/shift.
+        """Per-(channel, feature) normalization of ``[K, features, tokens...]``
+        input over its token axes, with trainable scale/shift.  Feature-major
+        ``[K, features, batch*tokens]`` input takes its statistics over the
+        contiguous last axis.
 
         Training mode normalizes by batch statistics and folds them into
         ``state`` with its momentum; eval mode normalizes by the running
@@ -373,12 +389,14 @@ class Tape:
         x = self._lift(x)
         xv = x.values
         pshape = _norm_shape(xv, gamma, beta, "batch_norm")
-        axes = (1,) if xv.ndim == 3 else (1, 3)
+        axes = tuple(range(2, xv.ndim))
         gv = gamma.values.reshape(pshape)
 
         if training:
             mu = xv.mean(axis=axes, keepdims=True)
-            var = xv.var(axis=axes, keepdims=True)
+            centred = xv - mu
+            # the sum of squares np.var takes, without centring a second time
+            var = (centred * centred).mean(axis=axes, keepdims=True)
             if state is not None:
                 m = state.momentum
                 state.running_mean += m * (mu.reshape(gamma.shape) - state.running_mean)
@@ -386,19 +404,20 @@ class Tape:
         else:
             if state is None:
                 raise ValueError("batch_norm eval mode needs running statistics")
-            mu = state.running_mean.reshape(pshape)
+            centred = xv - state.running_mean.reshape(pshape)
             var = state.running_var.reshape(pshape)
 
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (xv - mu) * inv
+        xhat = centred * inv
         out = gv * xhat + beta.values.reshape(pshape)
 
         def bwd(g):
-            dgamma = (g * xhat).sum(axis=axes)
+            gx = g * xhat
+            dgamma = gx.sum(axis=axes)
             dbeta = g.sum(axis=axes)
             if training:
                 gm = g.mean(axis=axes, keepdims=True)
-                gxm = (g * xhat).mean(axis=axes, keepdims=True)
+                gxm = gx.mean(axis=axes, keepdims=True)
                 dx = gv * inv * (g - gm - xhat * gxm)
             else:
                 dx = g * gv * inv
@@ -407,16 +426,15 @@ class Tape:
         return self._record((x, gamma, beta), out, bwd)
 
     def layer_norm(self, x, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-        """Per-position normalization over the feature axis (axis 2 of
-        ``[K, batch, features(, tokens)]``)."""
+        """Per-position normalization over the feature axis (axis 1 of
+        ``[K, features, tokens...]``)."""
         x = self._lift(x)
         xv = x.values
         pshape = _norm_shape(xv, gamma, beta, "layer_norm")
-        axis = 2
-        others = (1,) if xv.ndim == 3 else (1, 3)
+        others = tuple(range(2, xv.ndim))
         gv = gamma.values.reshape(pshape)
-        mu = xv.mean(axis=axis, keepdims=True)
-        var = xv.var(axis=axis, keepdims=True)
+        mu = xv.mean(axis=1, keepdims=True)
+        var = xv.var(axis=1, keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
         xhat = (xv - mu) * inv
         out = gv * xhat + beta.values.reshape(pshape)
@@ -424,9 +442,10 @@ class Tape:
         def bwd(g):
             dgamma = (g * xhat).sum(axis=others)
             dbeta = g.sum(axis=others)
-            gm = (g * gv).mean(axis=axis, keepdims=True)
-            gxm = (g * gv * xhat).mean(axis=axis, keepdims=True)
-            dx = inv * (g * gv - gm - xhat * gxm)
+            ggv = g * gv
+            gm = ggv.mean(axis=1, keepdims=True)
+            gxm = (ggv * xhat).mean(axis=1, keepdims=True)
+            dx = inv * (ggv - gm - xhat * gxm)
             return dx, dgamma, dbeta
 
         return self._record((x, gamma, beta), out, bwd)
@@ -442,9 +461,7 @@ class Tape:
         """
         if loss.values.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if loss.node_id is None or (
-            loss.node_id >= len(self._tensors) or self._tensors[loss.node_id] is not loss
-        ):
+        if loss.owner is not self._token:
             raise ValueError("loss tensor was not produced on this tape")
 
         grads: dict[int, np.ndarray] = {
@@ -464,9 +481,7 @@ class Tape:
                 grads[nid] = ig if acc is None else acc + ig
 
         result: dict[Tensor, np.ndarray] = {}
-        for nid, t in enumerate(self._tensors):
-            if not t.requires_grad:
-                continue
+        for nid, t in self._leaves:
             g = grads.get(nid)
             if g is None:
                 g = np.zeros_like(t.values)

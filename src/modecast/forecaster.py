@@ -152,11 +152,17 @@ def patchify(window: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
 
 def embed(tape: Tape, patches, w_patch: Tensor, w_pos: Tensor) -> Tensor:
     """Project patches into the latent space and add the positional encoding:
-    ``w_patch @ patches + w_pos``, broadcasting leading axes (``[K, 1, D, P]``
-    weights against ``[K, B, P, N]`` patches, say)."""
+    ``w_patch @ patches + w_pos``.  The last axis of ``patches`` may hold the
+    N tokens of several windows, window after window (``[K, D, P]`` weights
+    against ``[K, P, B*N]`` patches, say); ``w_pos`` (``[..., D, N]``) is
+    added to each window's tokens."""
     if not isinstance(patches, Tensor):
         patches = Tensor(patches)
-    return tape.add(tape.matmul(w_patch, patches), w_pos)
+    tokens = tape.matmul(w_patch, patches)                          # [..., D, B*N]
+    n = w_pos.shape[-1]
+    by_window = tape.reshape(tokens, tokens.shape[:-1] + (-1, n))  # [..., D, B, N]
+    z = tape.add(by_window, tape.reshape(w_pos, w_pos.shape[:-1] + (1, n)))
+    return tape.reshape(z, tokens.shape)
 
 
 class PatchForecaster:
@@ -246,11 +252,6 @@ class PatchForecaster:
 
     # -- forward ----------------------------------------------------------
 
-    def _weight(self, tape: Tape, name: str) -> Tensor:
-        """Parameter ``name`` with a batch axis to broadcast: ``[K, 1, ...]``."""
-        p = self.params[name]
-        return tape.reshape(p, (p.shape[0], 1) + p.shape[1:])
-
     def _norm(self, tape: Tape, x, name: str, training: bool):
         gamma = self.params[f"{name}.gamma"]
         beta = self.params[f"{name}.beta"]
@@ -259,31 +260,34 @@ class PatchForecaster:
         return tape.layer_norm(x, gamma, beta)
 
     def _attention_layer(self, tape: Tape, x, index: int, training: bool, attn_sink=None):
+        """One encoder layer on feature-major ``[K, D, B*N]`` tokens: every
+        weight is one ``[K, D_out, D_in] @ [K, D_in, B*N]`` product."""
         cfg = self.config
-        heads = x.shape[:2] + (cfg.n_heads, cfg.head_dim, x.shape[-1])
+        batch = x.shape[-1] // cfg.n_patches
+        heads = (x.shape[0], cfg.n_heads, cfg.head_dim, batch, cfg.n_patches)
 
-        def project(name: str) -> Tensor:
-            """``W @ x`` split into heads: ``[K, B, H, d_k, N]``."""
-            return tape.reshape(tape.matmul(self._weight(tape, f"layer{index}.{name}"), x), heads)
+        def linear(name: str, z) -> Tensor:
+            return tape.matmul(self.params[f"layer{index}.{name}"], z)
 
-        q, k, v = project("w_q"), project("w_k"), project("w_v")
-        scores = tape.mul_scalar(tape.matmul(tape.transpose(q), k), 1.0 / math.sqrt(cfg.head_dim))
+        def project(name: str, axes: tuple[int, ...]) -> Tensor:
+            """``W @ x`` split into ``[K, H, d_k, B, N]`` heads, viewed through
+            ``axes``."""
+            return tape.transpose(tape.reshape(linear(name, x), heads), axes)
+
+        q = project("w_q", (0, 3, 1, 4, 2))                        # [K, B, H, N, d_k]
+        k = project("w_k", (0, 3, 1, 2, 4))                        # [K, B, H, d_k, N]
+        v = project("w_v", (0, 3, 1, 2, 4))                        # [K, B, H, d_k, N]
+        scores = tape.mul_scalar(tape.matmul(q, k), 1.0 / math.sqrt(cfg.head_dim))
         attn = tape.softmax(scores, axis=-1)                       # [K, B, H, N, N]
         if attn_sink is not None:
             attn_sink.append(attn.values)
-        merged = tape.reshape(tape.matmul(v, tape.transpose(attn)), x.shape)  # [K, B, D, N]
-        projected = tape.matmul(self._weight(tape, f"layer{index}.w_attn_out"), merged)
-        z = tape.add(x, projected)                                 # residual
+        out = tape.matmul(v, tape.transpose(attn))                 # [K, B, H, d_k, N]
+        # the one copy of the layer: heads back into [K, D, B*N]
+        merged = tape.reshape(tape.transpose(out, (0, 2, 3, 1, 4)), x.shape)
+        z = tape.add(x, linear("w_attn_out", merged))              # residual
         z = self._norm(tape, z, f"layer{index}.norm1", training)
-        hidden = tape.add(
-            tape.matmul(self._weight(tape, f"layer{index}.w_ff1"), z),
-            self._weight(tape, f"layer{index}.b_ff1"),
-        )
-        hidden = tape.gelu(hidden)
-        ff = tape.add(
-            tape.matmul(self._weight(tape, f"layer{index}.w_ff2"), hidden),
-            self._weight(tape, f"layer{index}.b_ff2"),
-        )
+        hidden = tape.gelu(tape.add(linear("w_ff1", z), self.params[f"layer{index}.b_ff1"]))
+        ff = tape.add(linear("w_ff2", hidden), self.params[f"layer{index}.b_ff2"])
         z = tape.add(z, ff)                                        # residual
         return self._norm(tape, z, f"layer{index}.norm2", training)
 
@@ -301,19 +305,25 @@ class PatchForecaster:
         return np.ascontiguousarray(np.moveaxis(x, -1, 0))
 
     def _encode(self, tape: Tape, normed: np.ndarray, training: bool, attn_sink=None) -> Tensor:
-        """``[K, batch, lookback]`` normalized windows -> ``[K, batch, D*N]``."""
+        """``[K, batch, lookback]`` normalized windows -> ``[K, batch, D*N]``.
+        The encoder runs feature-major, on ``[K, D, batch*N]`` tokens."""
         cfg = self.config
+        k, b = normed.shape[:2]
+        d, n = cfg.d_model, cfg.n_patches
         patches = patchify(normed, cfg.patch_len, cfg.stride)      # [K, B, P, N]
-        z = embed(tape, patches, self._weight(tape, "w_patch"), self._weight(tape, "w_pos"))
+        patches = np.moveaxis(patches, 1, 2).reshape(k, cfg.patch_len, b * n)
+        z = embed(tape, patches, self.params["w_patch"], self.params["w_pos"])
         for i in range(cfg.n_layers):
             z = self._attention_layer(tape, z, i, training, attn_sink)
-        return tape.reshape(z, normed.shape[:2] + (cfg.d_model * cfg.n_patches,))
+        by_window = tape.transpose(tape.reshape(z, (k, d, b, n)), (0, 2, 1, 3))  # [K, B, D, N]
+        return tape.reshape(by_window, (k, b, d * n))
 
     def _head(self, tape: Tape, flat: Tensor, stats: InstanceStats) -> Tensor:
         """Linear head, back at the windows' scale: ``[K, batch, horizon]``."""
+        b_head = self.params["b_head"]
         pred = tape.add(
             tape.matmul(flat, tape.transpose(self.params["w_head"])),
-            self._weight(tape, "b_head"),
+            tape.reshape(b_head, (b_head.shape[0], 1, b_head.shape[1])),
         )
         return tape.add(tape.mul(pred, Tensor(stats.std)), Tensor(stats.mean))
 

@@ -44,7 +44,7 @@ from .series_io import (
     split_periods,
 )
 from .synthetic import generate
-from .vmd import decompose, write_decomposition_csv, write_decomposition_metadata
+from .vmd import VmdResult, decompose, write_decomposition_csv, write_decomposition_metadata
 
 __all__ = [
     "PeriodCell",
@@ -296,6 +296,44 @@ def _train_stage(
     return model, sw, weights_initial, weights_final, weight_sum_history, epoch_losses
 
 
+@_stage("baselines")
+def _baselines_stage(
+    train_values: np.ndarray, actual: np.ndarray, config: ExperimentConfig
+) -> dict[str, MetricPair]:
+    """Score the configured plumbing baselines on the test segment."""
+    scores: dict[str, MetricPair] = {}
+    if "naive" in config.baselines.names:
+        scores["naive"] = metric_pair(actual, baseline_naive(train_values, actual))
+    if "linear_ar" in config.baselines.names:
+        scores["linear_ar"] = metric_pair(
+            actual, baseline_linear_ar(train_values, config.baselines.ar_order, actual)
+        )
+    return scores
+
+
+def _warn_decomposition(result: VmdResult, period_index: int, seed: int) -> None:
+    """Log a cell's own decomposition stopping unconverged, or ending with two
+    centres closer than one step of its ``1/(2n)`` frequency grid (a sign that
+    ``vmd.n_modes`` is too large)."""
+    if not result.converged:
+        log.warning(
+            "period %d seed %d: decomposition stopped unconverged at vmd.max_iter "
+            "(%d iterations)",
+            period_index, seed, result.iterations,
+        )
+    centres = np.sort(result.omegas)
+    if centres.size < 2:
+        return
+    closest = int(np.argmin(np.diff(centres)))
+    grid_step = 1.0 / (2 * result.modes.shape[1])
+    if centres[closest + 1] - centres[closest] < grid_step:
+        log.warning(
+            "period %d seed %d: decomposition centres %.6g and %.6g are closer than "
+            "one grid step (%.3g); vmd.n_modes may be too large",
+            period_index, seed, centres[closest], centres[closest + 1], grid_step,
+        )
+
+
 @_stage("forecast")
 def _forecast_stage(
     values: np.ndarray,
@@ -369,6 +407,7 @@ def _run_period_full(
 
     timing: dict = {}
     vmd_result, label = _decompose_stage(values, train_size, config, timing=timing)
+    _warn_decomposition(vmd_result, period_index, seed)
     modes = vmd_result.modes
     params, ranges, modes_norm = _normalize_stage(modes, train_size, timing=timing)
     (
@@ -394,14 +433,7 @@ def _run_period_full(
     actual = values[train_size:]
     overall = metric_pair(actual, predicted)
 
-    baseline_scores: dict[str, MetricPair] = {}
-    train_values = values[:train_size]
-    if "naive" in config.baselines.names:
-        baseline_scores["naive"] = metric_pair(actual, baseline_naive(train_values, actual))
-    if "linear_ar" in config.baselines.names:
-        baseline_scores["linear_ar"] = metric_pair(
-            actual, baseline_linear_ar(train_values, config.baselines.ar_order, actual)
-        )
+    baseline_scores = _baselines_stage(values[:train_size], actual, config, timing=timing)
 
     cell = PeriodCell(
         period_index=period_index,

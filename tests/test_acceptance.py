@@ -128,12 +128,12 @@ def test_criterion_3_gradient_integrity():
                 lambda tp, ts, tr=training: tp.batch_norm(
                     ts[0], ts[1], ts[2], state=None if tr else state, training=tr
                 ),
-                [(2, 4, 3, 5), (2, 3), (2, 3)],
+                [(2, 3, 4, 5), (2, 3), (2, 3)],
                 seeds=range(10),
             )
         _gradcheck(
             lambda tp, ts: tp.layer_norm(ts[0], ts[1], ts[2]),
-            [(2, 4, 3, 5), (2, 3), (2, 3)],
+            [(2, 3, 4, 5), (2, 3), (2, 3)],
             seeds=range(10),
         )
 

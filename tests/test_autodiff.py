@@ -1,6 +1,7 @@
 """Tensor/tape engine: forward semantics, gradient checks, Adam, checkpoints."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ def test_parameter_off_the_loss_path_gets_zero_gradient():
     assert np.array_equal(grads[x], np.ones(2))
 
 
+def test_tape_keeps_only_values_a_backward_rule_needs():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    tape = Tape()
+    doubled = tape.add(x, x)               # add's rule needs no values
+    squared = tape.mul(doubled, doubled)   # mul's rule needs both operands
+    loss = tape.sum(tape.mul_scalar(squared, 0.5))
+    freed, kept = weakref.ref(squared.values), weakref.ref(doubled.values)
+    del doubled, squared
+    assert freed() is None and kept() is not None
+    grads = tape.backward(loss)
+    assert np.array_equal(grads[x], 4.0 * x.values)  # d/dx of (2x)^2 / 2
+
+
 def test_fanout_accumulation_matches_scaling():
     x1 = Tensor(np.array([1.5, -2.0]), requires_grad=True)
     tape1 = Tape()
@@ -175,6 +189,7 @@ OP_CASES = {
         lambda tp, ts: tp.matmul(ts[0], ts[1]), [(2, 5, 3, 4), (2, 1, 4, 2)], {}
     ),
     "transpose": (lambda tp, ts: tp.transpose(ts[0]), [(2, 3, 4)], {}),
+    "transpose_axes": (lambda tp, ts: tp.transpose(ts[0], (2, 0, 3, 1)), [(2, 3, 4, 5)], {}),
     "reshape": (lambda tp, ts: tp.reshape(ts[0], (6, 2)), [(3, 4)], {}),
     "concat": (lambda tp, ts: tp.concat(ts, axis=1), [(2, 3), (2, 2)], {}),
     "sum_all": (lambda tp, ts: tp.sum(ts[0]), [(3, 4)], {}),
@@ -195,8 +210,9 @@ def test_gradcheck_op(name):
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("ndim", [2, 3])
 def test_gradcheck_batch_norm(training, ndim):
-    # ndim counts the axes after the leading channel axis (2 channels here)
-    shape = (2, 4, 3) if ndim == 2 else (2, 4, 3, 5)
+    # ndim counts the axes after the leading channel axis (2 channels here):
+    # [K, features, tokens] or [K, features, batch, tokens]
+    shape = (2, 3, 4) if ndim == 2 else (2, 3, 4, 5)
     state = BatchNormState.for_features(2, 3)
     state.running_mean = np.array([[0.1, -0.2, 0.3], [0.2, 0.0, -0.1]])
     state.running_var = np.array([[1.1, 0.7, 1.4], [0.9, 1.3, 0.6]])
@@ -210,7 +226,7 @@ def test_gradcheck_batch_norm(training, ndim):
 
 @pytest.mark.parametrize("ndim", [2, 3])
 def test_gradcheck_layer_norm(ndim):
-    shape = (2, 4, 3) if ndim == 2 else (2, 4, 3, 5)
+    shape = (2, 3, 4) if ndim == 2 else (2, 3, 4, 5)
 
     def build(tp, ts):
         return tp.layer_norm(ts[0], ts[1], ts[2])
@@ -315,7 +331,7 @@ def test_broadcast_weight_gradient_allocates_no_per_window_block():
 
 def test_batch_norm_updates_running_stats_only_in_training():
     state = BatchNormState.for_features(1, 2)
-    x = Tensor(np.random.default_rng(0).normal(size=(1, 8, 2)))
+    x = Tensor(np.random.default_rng(0).normal(size=(1, 2, 8)))
     gamma, beta = Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2)))
     before = state.running_mean.copy()
     Tape().batch_norm(x, gamma, beta, state=state, training=True)

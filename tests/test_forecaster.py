@@ -190,7 +190,8 @@ def test_attention_hand_computed_single_head():
     x_d = np.array([[0.5, -1.0], [1.5, 0.25]])  # [D, N]
     sink = []
     tape = Tape()
-    model._attention_layer(tape, Tensor(x_d[None, None]), 0, training=True, attn_sink=sink)
+    # feature-major [K, D, B*N] tokens of one window
+    model._attention_layer(tape, Tensor(x_d[None]), 0, training=True, attn_sink=sink)
 
     q = x_d.T @ wq
     k = x_d.T @ wk
@@ -249,9 +250,13 @@ def test_attention_layer_matches_per_head_reference(n_heads, norm):
             p.values = p.values + rng.normal(scale=0.3, size=p.shape)
     x = rng.normal(size=(2, 3, cfg.d_model, cfg.n_patches))
     sink = []
-    out = model._attention_layer(Tape(), Tensor(x), 0, training=True, attn_sink=sink)
+    # the layer runs on feature-major [K, D, B*N] tokens
+    shape = (2, cfg.d_model, 3, cfg.n_patches)
+    tokens = np.moveaxis(x, 1, 2).reshape(2, cfg.d_model, -1)
+    out = model._attention_layer(Tape(), Tensor(tokens), 0, training=True, attn_sink=sink)
+    got = np.moveaxis(out.values.reshape(shape), 2, 1)
     want, want_attns = _per_head_attention_layer(model, x, 0)
-    assert np.max(np.abs(out.values - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert len(sink) == 1
     for h, want_attn in enumerate(want_attns):
         assert np.max(np.abs(sink[0][:, :, h] - want_attn)) <= 1e-12 * np.max(np.abs(want_attn))
@@ -511,6 +516,40 @@ def test_stacked_training_equals_separate_channel_models(norm):
         assert np.array_equal(alone.predict(windows[:, :, m:m + 1])[0], pred[m])
         for name, value in alone.param_arrays().items():
             assert np.array_equal(value[0], arrays[name][m]), (m, name)
+
+
+def test_training_step_broadcasts_no_matmul_batch_axis(monkeypatch):
+    # activations are feature-major [K, D, B*N], so every weight is one
+    # [K, D_out, D_in] @ [K, D_in, B*N] product: no matmul broadcasts a batch
+    # axis, and no weight gradient takes the operand-copying fold in
+    # autodiff._matmul_grad
+    from modecast import autodiff
+
+    products, gradients = [], []
+    matmul, matmul_grad = Tape.matmul, autodiff._matmul_grad
+
+    def recording_matmul(self, a, b):
+        products.append((a.shape, b.shape))
+        return matmul(self, a, b)
+
+    def recording_grad(left, right, shape):
+        gradients.append((left.shape, right.shape, shape))
+        return matmul_grad(left, right, shape)
+
+    monkeypatch.setattr(Tape, "matmul", recording_matmul)
+    monkeypatch.setattr(autodiff, "_matmul_grad", recording_grad)
+    model = PatchForecaster(TINY, [np.random.default_rng(60), np.random.default_rng(61)])
+    rng = np.random.default_rng(62)
+    train_epoch(model, rng.normal(size=(4, 8, 2)), rng.normal(size=(4, 1, 2)),
+                Adam(model.parameters()), 4, np.random.default_rng(6))
+    # patch embedding, q/k/v, scores, attention-weighted values, w_attn_out,
+    # w_ff1, w_ff2 per layer, and the head
+    assert len(products) == 2 + 8 * TINY.n_layers
+    assert len(gradients) == 2 * len(products)
+    for a, b in products:
+        assert a[:-2] == b[:-2], (a, b)
+    for left, right, shape in gradients:
+        assert left[:-2] == right[:-2] == shape[:-2], (left, right, shape)
 
 
 # -- persistence --------------------------------------------------------------------

@@ -129,9 +129,35 @@ def test_unconverged_strict_causal_prefixes_log_one_warning_per_cell(caplog):
     with caplog.at_level(logging.WARNING, logger="modecast"):
         run_period(values, 480, cfg, seed=3, period_index=1)
     assert [r.getMessage() for r in caplog.records] == [
+        "period 1 seed 3: decomposition stopped unconverged at vmd.max_iter (2 iterations)",
         "period 1 seed 3: 15 of 15 strict-causal prefix decompositions stopped "
-        "unconverged at vmd.max_iter"
+        "unconverged at vmd.max_iter",
     ]
+
+
+def test_unconverged_or_duplicate_centre_decomposition_logs_once_per_cell(caplog, tmp_path):
+    # K=10 from zero-initialised centres on two tones: after two iterations the
+    # decomposition has not converged and two centres sit within 1/(2*600)
+    values = trend_two_tone(n=600, seed=3, noise_std=0.2)
+    cfg = small_config(vmd={"n_modes": 10, "omega_init": "zero", "max_iter": 2},
+                       training={"epochs": 1, "seeds": [3]})
+    with caplog.at_level(logging.WARNING, logger="modecast"):
+        run_period(values, 480, cfg, seed=3, period_index=2)
+    assert [r.getMessage() for r in caplog.records] == [
+        "period 2 seed 3: decomposition stopped unconverged at vmd.max_iter (2 iterations)",
+        "period 2 seed 3: decomposition centres 0.049889 and 0.0498939 are closer than "
+        "one grid step (0.000833); vmd.n_modes may be too large",
+    ]
+    caplog.clear()
+    # a converged decomposition with well-separated centres logs nothing, and
+    # the warnings stay out of the deterministic artifacts
+    with caplog.at_level(logging.WARNING, logger="modecast"):
+        run_period(values, 480, small_config(training={"epochs": 1, "seeds": [3]}), seed=3)
+    assert caplog.records == []
+    run_backtest(cfg, tmp_path)
+    for name in ("report.json", "report.txt", "manifest.json"):
+        text = (tmp_path / name).read_text()
+        assert "grid step" not in text and "unconverged" not in text
 
 
 def test_multi_step_horizon_blocks():
@@ -247,7 +273,7 @@ def test_backtest_manifest_covers_artifacts(tmp_path):
     timing = json.loads((tmp_path / "timing.json").read_text())
     cells = {f"period{p}_seed{s}" for p in (0, 1) for s in (0, 1)}
     assert set(timing["cells"]) == set(timing["stages"]) == cells
-    names = ("decompose", "normalize", "train", "forecast")
+    names = ("decompose", "normalize", "train", "forecast", "baselines")
     for cell, stages in timing["stages"].items():
         assert set(stages) == {f"{n}_s" for n in names} | {f"{n}_minor_faults" for n in names}
         assert all(stages[f"{n}_s"] >= 0.0 for n in names)
