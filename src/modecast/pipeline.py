@@ -346,9 +346,11 @@ def _forecast_stage(
     config: ExperimentConfig,
 ):
     """Forecast the test segment in horizon-sized blocks under the protocol
-    named by ``label``; returns ``(channel_pred, prefix_converged)``: the
-    ``[K, n_test]`` forecast at the raw scale, and whether each prefix
-    decomposition converged (empty under ``full_period``).
+    named by ``label``; returns ``(channel_pred, prefix_converged,
+    prefix_timing)``: the ``[K, n_test]`` forecast at the raw scale, whether
+    each prefix decomposition converged, and the prefix decompositions'
+    summed seconds and VMD iterations as ``prefix_decompose_s`` and
+    ``prefix_vmd_iterations`` (both empty under ``full_period``).
 
     ``full_period`` builds every lookback window from the period's own modes
     (true history).  ``strict_causal`` re-decomposes the observed prefix at
@@ -357,20 +359,25 @@ def _forecast_stage(
     lookback = config.model.lookback
     starts = np.arange(train_size, values.shape[0], config.model.horizon)
     prefix_converged: list[bool] = []
+    prefix_timing: dict = {}
     if label != "strict_causal":
         windows = np.stack([modes_norm[:, s - lookback: s].T for s in starts])
         preds = model.predict(windows)
     else:
+        prefix_timing = {"prefix_decompose_s": 0.0, "prefix_vmd_iterations": 0}
         blocks = []
         for s in starts:
+            t_begin = time.perf_counter()
             prefix = decompose(values[:s], config.vmd)
+            prefix_timing["prefix_decompose_s"] += time.perf_counter() - t_begin
+            prefix_timing["prefix_vmd_iterations"] += prefix.iterations
             prefix_converged.append(prefix.converged)
             window = _per_channel(minmax_apply, prefix.modes[:, s - lookback: s], params)
             blocks.append(model.predict(window.T[None]))
         preds = np.concatenate(blocks, axis=1)
     # [K, blocks, horizon] -> [K, n_test]: the last block may overrun the period
     preds = preds.reshape(modes.shape[0], -1)[:, : values.shape[0] - train_size]
-    return _per_channel(minmax_invert, preds, params), prefix_converged
+    return _per_channel(minmax_invert, preds, params), prefix_converged, prefix_timing
 
 
 def run_period(
@@ -419,9 +426,10 @@ def _run_period_full(
         epoch_losses,
     ) = _train_stage(modes_norm[:, :train_size], ranges, config, seed, timing=timing)
 
-    channel_pred, prefix_converged = _forecast_stage(
+    channel_pred, prefix_converged, prefix_timing = _forecast_stage(
         values, modes, modes_norm, params, model, train_size, label, config, timing=timing
     )
+    timing.update(prefix_timing)
     if not all(prefix_converged):
         log.warning(
             "period %d seed %d: %d of %d strict-causal prefix decompositions stopped "
@@ -818,7 +826,7 @@ def forecast_from_dir(run_dir) -> dict:
     model.load_param_arrays(load_checkpoint(run_dir / "model.npz")[0])
 
     modes_norm = _per_channel(minmax_apply, modes, params)
-    channel_pred, _prefix_converged = _forecast_stage(
+    channel_pred, _prefix_converged, _prefix_timing = _forecast_stage(
         values, modes, modes_norm, params, model, train_size, meta["decomposition"], config
     )
 

@@ -31,7 +31,6 @@ __all__ = [
     "VmdConfig",
     "VmdResult",
     "mirror_extend",
-    "update_mode_spectrum",
     "update_omega",
     "update_lambda",
     "converged",
@@ -105,29 +104,21 @@ def mirror_extend(signal: np.ndarray) -> np.ndarray:
     return np.concatenate([x[:half][::-1], x, x[half:][::-1]])
 
 
-def update_mode_spectrum(
-    f_hat: np.ndarray,
-    lambda_hat: np.ndarray,
-    other_modes_sum_hat: np.ndarray,
-    omega: float,
-    alpha: float,
-    freqs: np.ndarray,
-) -> np.ndarray:
-    """Wiener-filter update of one mode's spectrum around its center frequency:
-    (residual + dual/2) / (1 + 2*alpha*(v - omega)^2)."""
-    numerator = f_hat - other_modes_sum_hat + lambda_hat / 2.0
-    return numerator / (1.0 + 2.0 * alpha * (freqs - omega) ** 2)
-
-
-def update_omega(mode_spectrum: np.ndarray, freqs: np.ndarray, fallback: float = 0.0) -> float:
-    """Power-weighted mean frequency of a one-sided spectrum: ``mode_spectrum``
-    and ``freqs`` hold the bins with freq < 0.5 only, so every bin counts.  A
-    zero-power spectrum keeps ``fallback``."""
-    power = np.abs(mode_spectrum) ** 2
-    total = power.sum()
-    if total == 0.0:
-        return float(fallback)
-    return float(np.dot(freqs, power) / total)
+def update_omega(
+    power: np.ndarray, freqs: np.ndarray, fallback: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power-weighted mean frequency of each row of ``power`` [K, n], the
+    squared magnitudes of K one-sided spectra: they hold the bins with
+    freq < 0.5 only, so every bin counts.  Returns ``(centres, totals)``, each
+    [K]: a zero-power row keeps its ``fallback`` centre, and ``totals`` are
+    the rows' power sums (the spectra's squared norms)."""
+    totals = power.sum(axis=-1)
+    centres = np.array(fallback, dtype=np.float64)
+    for m, total in enumerate(totals.tolist()):
+        if total != 0.0:
+            # one dot per row: a single ``power @ freqs`` rounds differently
+            centres[m] = np.dot(freqs, power[m]) / total
+    return centres, totals
 
 
 def update_lambda(
@@ -141,19 +132,19 @@ def update_lambda(
 
 
 def converged(
-    modes_prev: np.ndarray, modes_next: np.ndarray, tol: float
+    change_norms: np.ndarray, prev_norms: np.ndarray, tol: float
 ) -> tuple[bool, float]:
-    """Stopping rule: sum over modes of ||next - prev||^2 / ||prev||^2 < tol.
+    """Stopping rule: sum over modes of ||next - prev||^2 / ||prev||^2 < tol,
+    given each mode's squared norms of ``next - prev`` (``change_norms``) and
+    of ``prev`` (``prev_norms``).
 
     Modes with zero previous norm are excluded from the sum (dead modes must
     not divide by zero).  Returns (converged, residual).
     """
-    if modes_prev.shape != modes_next.shape:
-        raise ValueError("iterate shapes disagree")
-    denoms = np.sum(np.abs(modes_prev) ** 2, axis=-1)
-    nums = np.sum(np.abs(modes_next - modes_prev) ** 2, axis=-1)
+    if change_norms.shape != prev_norms.shape:
+        raise ValueError("norm shapes disagree")
     residual = 0.0
-    for num, denom in zip(nums.tolist(), denoms.tolist()):
+    for num, denom in zip(change_norms.tolist(), prev_norms.tolist()):
         if denom == 0.0:
             continue
         residual += num / denom
@@ -193,6 +184,12 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
     omegas = _initial_omegas(config, n)
     lambda_hat = np.zeros(half, dtype=np.complex128)
     modes_hat = np.zeros((k, half), dtype=np.complex128)
+    next_hat = np.empty((k, half), dtype=np.complex128)
+    modes_sum = np.empty(half, dtype=np.complex128)
+    residual_hat = np.empty(half, dtype=np.complex128)
+    change = np.empty((k, half), dtype=np.complex128)  # each mode's step this sweep
+    filters = np.empty((k, half))                      # Wiener denominators
+    norms = np.zeros(k)                                # squared norms of modes_hat
 
     omega_history = np.zeros((config.max_iter, k))
     iterations = 0
@@ -200,16 +197,26 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
     residual = math.inf
 
     while iterations < config.max_iter and not done:
-        prev_modes_hat = modes_hat.copy()
-        modes_sum = modes_hat.sum(axis=0)
+        # mode m's filter, 1 + 2*alpha*(v - omega_m)^2, is centred on its
+        # omega from the previous sweep, so all K are built at once
+        np.subtract(freqs, omegas[:, None], out=filters)
+        np.square(filters, out=filters)
+        filters *= 2.0 * config.alpha
+        filters += 1.0
+        half_dual = lambda_hat / 2.0
+        modes_hat.sum(axis=0, out=modes_sum)
         for m in range(k):
-            others = modes_sum - modes_hat[m]
-            updated = update_mode_spectrum(
-                f_hat_plus, lambda_hat, others, omegas[m], config.alpha, freqs
-            )
-            modes_sum += updated - modes_hat[m]   # Gauss-Seidel: next mode sees this one
-            modes_hat[m] = updated
-            omegas[m] = update_omega(modes_hat[m], freqs, fallback=omegas[m])
+            # Wiener update: (residual + dual/2) / filter, where the residual
+            # subtracts every other mode, those before m already updated
+            np.subtract(modes_sum, modes_hat[m], out=residual_hat)
+            np.subtract(f_hat_plus, residual_hat, out=residual_hat)
+            residual_hat += half_dual
+            np.divide(residual_hat, filters[m], out=next_hat[m])
+            np.subtract(next_hat[m], modes_hat[m], out=change[m])
+            modes_sum += change[m]   # Gauss-Seidel: next mode sees this one
+        modes_hat, next_hat = next_hat, modes_hat
+        prev_norms = norms
+        omegas, norms = update_omega(np.abs(modes_hat) ** 2, freqs, omegas)
         if config.tau != 0.0:
             lambda_hat = update_lambda(lambda_hat, f_hat_plus, modes_sum, config.tau)
         omega_history[iterations] = omegas
@@ -217,7 +224,8 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
         if iterations >= 2:
             # the first sweep leaves all previous iterates at zero norm, which
             # the stopping rule excludes; comparing from the second sweep on
-            done, residual = converged(prev_modes_hat, modes_hat, config.tol)
+            change_norms = (np.abs(change) ** 2).sum(axis=-1)
+            done, residual = converged(change_norms, prev_norms, config.tol)
             if not math.isfinite(residual):
                 raise FloatingPointError(
                     f"non-finite convergence residual at iteration {iterations}"
@@ -226,13 +234,10 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
     omega_history = omega_history[:iterations]
 
     # conjugate-symmetric completion, inverse transform, un-mirror
-    modes = np.empty((k, n))
-    for m in range(k):
-        full = np.zeros(m_len, dtype=np.complex128)
-        full[:half] = modes_hat[m]
-        full[half + 1:] = np.conj(modes_hat[m, 1:][::-1])
-        time_mode = np.real(np.fft.ifft(full))
-        modes[m] = time_mode[n // 2: n // 2 + n]
+    full = np.zeros((k, m_len), dtype=np.complex128)
+    full[:, :half] = modes_hat
+    full[:, half + 1:] = np.conj(modes_hat[:, :0:-1])
+    modes = np.fft.ifft(full).real[:, n // 2: n // 2 + n].copy()
 
     if config.sort_modes:
         order = np.argsort(omegas, kind="stable")

@@ -16,8 +16,10 @@ from modecast.pipeline import (
     run_backtest,
     run_period,
     train_period_to_dir,
+    write_backtest_artifacts,
 )
 from modecast.synthetic import trend_two_tone
+from modecast.vmd import decompose
 
 
 def small_config(**extra) -> ExperimentConfig:
@@ -280,6 +282,34 @@ def test_backtest_manifest_covers_artifacts(tmp_path):
         assert sum(stages[f"{n}_s"] for n in names) <= timing["cells"][cell]
         counted = int if pipeline.resource is not None else type(None)
         assert all(isinstance(stages[f"{n}_minor_faults"], counted) for n in names)
+
+
+def test_strict_causal_timing_records_prefix_decompositions_only_there(tmp_path):
+    cfg = backtest_config(
+        backtest={"strict_causal": True},
+        model={"lookback": 24, "patch_len": 6, "stride": 3, "d_model": 8,
+               "n_heads": 2, "n_layers": 1, "d_ff": 16, "horizon": 8},
+        split={"n_periods": 1, "train_fraction": 0.8},
+        training={"epochs": 1, "seeds": [0]},
+    )
+    report = run_backtest(cfg, tmp_path / "a")
+    values = pipeline.load_series(cfg)
+    (split,) = pipeline.config_splits(cfg, len(values))
+    period = values[split.start: split.stop]
+    starts = range(split.train_size, len(period), cfg.model.horizon)
+    iterations = sum(decompose(period[:s], cfg.vmd).iterations for s in starts)
+
+    stages = json.loads((tmp_path / "a" / "timing.json").read_text())["stages"]["period0_seed0"]
+    assert stages["prefix_vmd_iterations"] == iterations
+    assert 0.0 < stages["prefix_decompose_s"] <= stages["forecast_s"]
+
+    # without the two keys the same report writes the same deterministic files
+    for cell in report.succeeded:
+        del cell.stage_timing["prefix_decompose_s"], cell.stage_timing["prefix_vmd_iterations"]
+    write_backtest_artifacts(report, tmp_path / "b")
+    for name in ("report.txt", "report.json", "manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert "prefix_decompose_s" not in (tmp_path / "b" / "timing.json").read_text()
 
 
 def test_stage_faults_are_null_without_resource(monkeypatch):
