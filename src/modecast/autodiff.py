@@ -1,4 +1,4 @@
-"""Dense float64 tensors with a recorded-operation tape for reverse-mode gradients.
+"""Dense float tensors with a recorded-operation tape for reverse-mode gradients.
 
 The engine is deliberately small: a ``Tensor`` wraps a numpy array, a ``Tape``
 records every operation applied through it (input and output node ids,
@@ -8,13 +8,18 @@ several consumers.  One tape serves one forward/backward cycle; parameters
 are plain ``Tensor`` objects that outlive tapes and carry their accumulated
 ``grad`` between optimizer steps.
 
-Everything is double precision.  Shapes are validated when an operation is
-recorded, never during backward.
+A tensor holds float32 or float64 values; an op's output takes numpy's
+promotion of its inputs, and ``Tape.astype`` casts explicitly.  Python floats
+stay weak under numpy's promotion rules (NEP 50), so every scalar constant
+here is one: a numpy float64 scalar would turn a float32 op's output into
+float64.  Shapes are validated when an operation is recorded, never during
+backward.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,11 +35,12 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
 ]
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)  # a Python float: see the module docstring
 
 
 class Tensor:
-    """A dense float64 array plus gradient bookkeeping.
+    """A dense float32 or float64 array plus gradient bookkeeping.  Values of
+    any other dtype are stored as float64.
 
     ``grad`` is allocated (zeros) for ``requires_grad`` tensors and accumulates
     across ``Tape.backward`` calls until ``zero_grad`` resets it.  ``node_id``
@@ -45,7 +51,10 @@ class Tensor:
     __slots__ = ("values", "requires_grad", "grad", "node_id", "owner")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        if values.dtype != np.float32:
+            values = values.astype(np.float64, copy=False)
+        self.values = values
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.values) if requires_grad else None
         self.node_id: int | None = None
@@ -139,11 +148,11 @@ class BatchNormState:
 
     @classmethod
     def for_features(
-        cls, n_channels: int, n_features: int, momentum: float = 0.1
+        cls, n_channels: int, n_features: int, dtype=np.float64, momentum: float = 0.1
     ) -> "BatchNormState":
         return cls(
-            running_mean=np.zeros((n_channels, n_features), dtype=np.float64),
-            running_var=np.ones((n_channels, n_features), dtype=np.float64),
+            running_mean=np.zeros((n_channels, n_features), dtype=dtype),
+            running_var=np.ones((n_channels, n_features), dtype=dtype),
             momentum=momentum,
         )
 
@@ -261,6 +270,12 @@ class Tape:
             return (g * d,)
 
         return self._record((a,), out, bwd)
+
+    def astype(self, a, dtype) -> Tensor:
+        """Cast to ``dtype``; backward casts the gradient back to ``a``'s."""
+        a = self._lift(a)
+        source = a.values.dtype
+        return self._record((a,), a.values.astype(dtype), lambda g: (g.astype(source),))
 
     # -- linear algebra and shape ----------------------------------------
 
@@ -456,8 +471,8 @@ class Tape:
         """Reverse sweep from a scalar loss.
 
         Returns the gradient for every ``requires_grad`` tensor registered on
-        this tape (zeros for tensors with no path to the loss) and accumulates
-        the same values into each tensor's ``grad``.
+        this tape (zeros for tensors with no path to the loss), in that
+        tensor's dtype, and accumulates the same values into its ``grad``.
         """
         if loss.values.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -486,7 +501,7 @@ class Tape:
             if g is None:
                 g = np.zeros_like(t.values)
             else:
-                g = np.asarray(g, dtype=np.float64).reshape(t.values.shape)
+                g = np.asarray(g, dtype=t.values.dtype).reshape(t.values.shape)
             t.grad += g
             result[t] = g
         return result
@@ -552,7 +567,8 @@ _META_KEY = "__checkpoint_meta__"
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write a versioned key->array map.  Reload is bit-exact (float64 kept)."""
+    """Write a versioned key->array map.  Reload is bit-exact: each array
+    keeps its dtype (a model's float32 parameters stay float32)."""
     payload = dict(meta or {})
     payload["format_version"] = CHECKPOINT_FORMAT_VERSION
     blobs = {k: np.ascontiguousarray(v) for k, v in arrays.items()}

@@ -10,6 +10,12 @@ learned positional encoding, runs them through a stack of multi-head
 self-attention encoder layers, and maps the flattened token matrix to the
 forecast horizon through a linear head.  The per-window statistics are applied
 back to the head output, so predictions return at the input's scale.
+
+The encoder runs in float32: parameters, activations, gradients, optimizer
+moments and batch-norm statistics.  Its interface stays float64: windows are
+normalized in float64 and cast only for patching, and the linear head's output
+is cast back before it is de-normalized, so the loss and the forecasts are
+float64.
 """
 
 from __future__ import annotations
@@ -139,8 +145,8 @@ def instance_denormalize(pred: np.ndarray, stats: InstanceStats) -> np.ndarray:
 def patchify(window: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
     """Slice a window into overlapping patches after repeating the final value
     ``stride`` times.  ``[..., L] -> [..., P, N]``; patch ``j`` covers padded
-    indices ``[j*stride, j*stride + patch_len)``."""
-    x = np.asarray(window, dtype=np.float64)
+    indices ``[j*stride, j*stride + patch_len)``.  The dtype is kept."""
+    x = np.asarray(window)
     count = n_patches(x.shape[-1], patch_len, stride)
     pad = np.repeat(x[..., -1:], stride, axis=-1)
     padded = np.concatenate([x, pad], axis=-1)
@@ -173,11 +179,19 @@ class PatchForecaster:
     axis.  Channel ``m``'s slice is drawn from ``rngs[m]``, uniform(-1/sqrt(
     fan_in), +1/sqrt(fan_in)) in a fixed draw order, so the generators fully
     determine the model and each slice equals a one-channel model drawn from
-    the same generator.
+    the same generator.  Draws are float64 whatever ``dtype`` is, and are
+    stored rounded to it.
     """
 
-    def __init__(self, config: ForecasterConfig, rngs: Sequence[np.random.Generator]):
+    def __init__(
+        self,
+        config: ForecasterConfig,
+        rngs: Sequence[np.random.Generator],
+        *,
+        dtype=np.float32,
+    ):
         self.config = config
+        self.dtype = np.dtype(dtype)
         self.n_channels = k = len(rngs)
         self.params: dict[str, Tensor] = {}
         self.bn_states: dict[str, BatchNormState] = {}
@@ -187,14 +201,17 @@ class PatchForecaster:
             bound = 1.0 / math.sqrt(fan_in)
             return np.stack([rng.uniform(-bound, bound, size=shape) for rng in rngs])
 
+        def store(name: str, values: np.ndarray) -> None:
+            self.params[name] = Tensor(values.astype(self.dtype), requires_grad=True)
+
         def init(name: str, shape: tuple[int, ...], fan_in: int) -> None:
-            self.params[name] = Tensor(draw(shape, fan_in), requires_grad=True)
+            store(name, draw(shape, fan_in))
 
         def init_norm(name: str) -> None:
-            self.params[f"{name}.gamma"] = Tensor(np.ones((k, d)), requires_grad=True)
-            self.params[f"{name}.beta"] = Tensor(np.zeros((k, d)), requires_grad=True)
+            store(f"{name}.gamma", np.ones((k, d)))
+            store(f"{name}.beta", np.zeros((k, d)))
             if config.norm == "batch":
-                self.bn_states[name] = BatchNormState.for_features(k, d)
+                self.bn_states[name] = BatchNormState.for_features(k, d, self.dtype)
 
         init("w_patch", (d, p), p)
         init("w_pos", (d, n), d)
@@ -207,8 +224,7 @@ class PatchForecaster:
             drawn = [np.concatenate([head[j] for head in qkv], axis=-1) for j in range(3)]
             drawn.append(draw((d, d), d))
             for name, w in zip(("w_q", "w_k", "w_v", "w_attn_out"), drawn):
-                w = np.ascontiguousarray(np.swapaxes(w, -1, -2))
-                self.params[f"layer{i}.{name}"] = Tensor(w, requires_grad=True)
+                store(f"layer{i}.{name}", np.ascontiguousarray(np.swapaxes(w, -1, -2)))
             init_norm(f"layer{i}.norm1")
             init(f"layer{i}.w_ff1", (config.d_ff, d), d)
             init(f"layer{i}.b_ff1", (config.d_ff, 1), d)
@@ -232,6 +248,8 @@ class PatchForecaster:
         return out
 
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Load a :meth:`param_arrays` map, each array cast to the model's
+        dtype (a float64 checkpoint loads rounded into a float32 model)."""
         expected = set(self.param_arrays())
         got = set(arrays)
         if expected != got:
@@ -240,15 +258,15 @@ class PatchForecaster:
                 f"checkpoint key mismatch: missing={sorted(missing)} extra={sorted(extra)}"
             )
         for name, p in self.params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
+            arr = np.asarray(arrays[name], dtype=self.dtype)
             if arr.shape != p.values.shape:
                 raise CheckpointMismatchError(
                     f"{name}: shape {arr.shape} != expected {p.values.shape}"
                 )
             p.values = arr.copy()
         for name, state in self.bn_states.items():
-            state.running_mean = np.asarray(arrays[f"{name}.running_mean"], dtype=np.float64).copy()
-            state.running_var = np.asarray(arrays[f"{name}.running_var"], dtype=np.float64).copy()
+            state.running_mean = np.array(arrays[f"{name}.running_mean"], dtype=self.dtype)
+            state.running_var = np.array(arrays[f"{name}.running_var"], dtype=self.dtype)
 
     # -- forward ----------------------------------------------------------
 
@@ -305,11 +323,13 @@ class PatchForecaster:
         return np.ascontiguousarray(np.moveaxis(x, -1, 0))
 
     def _encode(self, tape: Tape, normed: np.ndarray, training: bool, attn_sink=None) -> Tensor:
-        """``[K, batch, lookback]`` normalized windows -> ``[K, batch, D*N]``.
-        The encoder runs feature-major, on ``[K, D, batch*N]`` tokens."""
+        """``[K, batch, lookback]`` normalized windows -> ``[K, batch, D*N]``
+        in the model's dtype.  The encoder runs feature-major, on
+        ``[K, D, batch*N]`` tokens."""
         cfg = self.config
         k, b = normed.shape[:2]
         d, n = cfg.d_model, cfg.n_patches
+        normed = normed.astype(self.dtype)
         patches = patchify(normed, cfg.patch_len, cfg.stride)      # [K, B, P, N]
         patches = np.moveaxis(patches, 1, 2).reshape(k, cfg.patch_len, b * n)
         z = embed(tape, patches, self.params["w_patch"], self.params["w_pos"])
@@ -319,12 +339,14 @@ class PatchForecaster:
         return tape.reshape(by_window, (k, b, d * n))
 
     def _head(self, tape: Tape, flat: Tensor, stats: InstanceStats) -> Tensor:
-        """Linear head, back at the windows' scale: ``[K, batch, horizon]``."""
+        """Linear head, cast to float64 and back at the windows' scale:
+        ``[K, batch, horizon]``."""
         b_head = self.params["b_head"]
         pred = tape.add(
             tape.matmul(flat, tape.transpose(self.params["w_head"])),
             tape.reshape(b_head, (b_head.shape[0], 1, b_head.shape[1])),
         )
+        pred = tape.astype(pred, np.float64)
         return tape.add(tape.mul(pred, Tensor(stats.std)), Tensor(stats.mean))
 
     def forward_on_tape(

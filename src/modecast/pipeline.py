@@ -337,7 +337,7 @@ def _warn_decomposition(result: VmdResult, period_index: int, seed: int) -> None
 @_stage("forecast")
 def _forecast_stage(
     values: np.ndarray,
-    modes: np.ndarray,        # [K, n]
+    decomposition: VmdResult,
     modes_norm: np.ndarray,   # [K, n]
     params: list[NormalizationParams],
     model: PatchForecaster,
@@ -348,13 +348,16 @@ def _forecast_stage(
     """Forecast the test segment in horizon-sized blocks under the protocol
     named by ``label``; returns ``(channel_pred, prefix_converged,
     prefix_timing)``: the ``[K, n_test]`` forecast at the raw scale, whether
-    each prefix decomposition converged, and the prefix decompositions'
-    summed seconds and VMD iterations as ``prefix_decompose_s`` and
-    ``prefix_vmd_iterations`` (both empty under ``full_period``).
+    each block's prefix decomposition converged, and the summed seconds and
+    VMD iterations of the prefix decompositions this call ran as
+    ``prefix_decompose_s`` and ``prefix_vmd_iterations`` (both empty under
+    ``full_period``).
 
-    ``full_period`` builds every lookback window from the period's own modes
-    (true history).  ``strict_causal`` re-decomposes the observed prefix at
-    every block, so no test-range sample enters a decomposition.
+    ``decomposition`` is the cell's own, whose modes ``modes_norm`` scales.
+    ``full_period`` builds every lookback window from those modes (true
+    history).  ``strict_causal`` decomposes the observed prefix at every
+    block, so no test-range sample enters a decomposition; the first block's
+    prefix is the train segment, which ``decomposition`` already is.
     """
     lookback = config.model.lookback
     starts = np.arange(train_size, values.shape[0], config.model.horizon)
@@ -367,16 +370,19 @@ def _forecast_stage(
         prefix_timing = {"prefix_decompose_s": 0.0, "prefix_vmd_iterations": 0}
         blocks = []
         for s in starts:
-            t_begin = time.perf_counter()
-            prefix = decompose(values[:s], config.vmd)
-            prefix_timing["prefix_decompose_s"] += time.perf_counter() - t_begin
-            prefix_timing["prefix_vmd_iterations"] += prefix.iterations
+            if s == train_size:
+                prefix = decomposition
+            else:
+                t_begin = time.perf_counter()
+                prefix = decompose(values[:s], config.vmd)
+                prefix_timing["prefix_decompose_s"] += time.perf_counter() - t_begin
+                prefix_timing["prefix_vmd_iterations"] += prefix.iterations
             prefix_converged.append(prefix.converged)
             window = _per_channel(minmax_apply, prefix.modes[:, s - lookback: s], params)
             blocks.append(model.predict(window.T[None]))
         preds = np.concatenate(blocks, axis=1)
     # [K, blocks, horizon] -> [K, n_test]: the last block may overrun the period
-    preds = preds.reshape(modes.shape[0], -1)[:, : values.shape[0] - train_size]
+    preds = preds.reshape(modes_norm.shape[0], -1)[:, : values.shape[0] - train_size]
     return _per_channel(minmax_invert, preds, params), prefix_converged, prefix_timing
 
 
@@ -427,7 +433,8 @@ def _run_period_full(
     ) = _train_stage(modes_norm[:, :train_size], ranges, config, seed, timing=timing)
 
     channel_pred, prefix_converged, prefix_timing = _forecast_stage(
-        values, modes, modes_norm, params, model, train_size, label, config, timing=timing
+        values, vmd_result, modes_norm, params, model, train_size, label, config,
+        timing=timing,
     )
     timing.update(prefix_timing)
     if not all(prefix_converged):
@@ -825,9 +832,17 @@ def forecast_from_dir(run_dir) -> dict:
     model = PatchForecaster(config.model, [np.random.default_rng(0)] * len(params))
     model.load_param_arrays(load_checkpoint(run_dir / "model.npz")[0])
 
+    # the cell's own decomposition: state.npz modes, decomposition_meta.json telemetry
+    telemetry = json.loads((run_dir / "decomposition_meta.json").read_text())
+    residual = telemetry["final_residual"]  # null when fewer than two sweeps ran
+    decomposition = VmdResult(
+        modes, np.array(telemetry["omegas"]), telemetry["iterations"],
+        telemetry["converged"], float("inf") if residual is None else residual,
+    )
     modes_norm = _per_channel(minmax_apply, modes, params)
     channel_pred, _prefix_converged, _prefix_timing = _forecast_stage(
-        values, modes, modes_norm, params, model, train_size, meta["decomposition"], config
+        values, decomposition, modes_norm, params, model, train_size,
+        meta["decomposition"], config,
     )
 
     predicted = channel_pred.sum(axis=0)

@@ -142,8 +142,11 @@ def test_criterion_3_gradient_integrity():
             n_layers=1, d_ff=8,
         )
         for seed in range(10):
+            # central differences need float64: float32 rounding alone
+            # would swamp a 1e-3 relative error at the test's step size
             model = PatchForecaster(
-                tiny, [np.random.default_rng(seed), np.random.default_rng(100 + seed)]
+                tiny, [np.random.default_rng(seed), np.random.default_rng(100 + seed)],
+                dtype=np.float64,
             )
             rng = np.random.default_rng(1000 + seed)
             windows = rng.normal(size=(3, 8, 2))

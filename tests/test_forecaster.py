@@ -4,12 +4,14 @@ import ctypes
 import itertools
 import math
 import platform
+import sys
 
 import numpy as np
 import pytest
 from conftest import numeric_gradient, rel_err
 
 from modecast import forecaster
+from modecast import scale_weights as swmod
 from modecast.autodiff import Adam, Tape, Tensor, load_checkpoint, save_checkpoint
 from modecast.config import ConfigError, ExperimentConfig
 from modecast.forecaster import (
@@ -145,19 +147,35 @@ def test_embed_matches_dense_multiply_oracle():
 # -- attention layer ---------------------------------------------------------------
 
 
-def test_attention_softmax_rows_sum_to_one_everywhere():
-    cfg = ForecasterConfig(
-        lookback=16, horizon=2, patch_len=4, stride=2, d_model=8, n_heads=2,
-        n_layers=2, d_ff=16,
-    )
-    model = PatchForecaster(cfg, [np.random.default_rng(5)])
+ATTN_CFG = ForecasterConfig(
+    lookback=16, horizon=2, patch_len=4, stride=2, d_model=8, n_heads=2,
+    n_layers=2, d_ff=16,
+)
+
+
+def _attention_maps(dtype) -> list[np.ndarray]:
+    model = PatchForecaster(ATTN_CFG, [np.random.default_rng(5)], dtype=dtype)
     sink = []
     model.forward_on_tape(Tape(), np.random.default_rng(6).normal(size=(3, 16, 1)),
                           training=True, attn_sink=sink)
-    assert len(sink) == cfg.n_layers
+    assert len(sink) == ATTN_CFG.n_layers
     for attn in sink:
-        assert attn.shape == (1, 3, cfg.n_heads, cfg.n_patches, cfg.n_patches)
+        assert attn.dtype == dtype
+        assert attn.shape == (1, 3, ATTN_CFG.n_heads, ATTN_CFG.n_patches, ATTN_CFG.n_patches)
+    return sink
+
+
+def test_attention_softmax_rows_sum_to_one_everywhere():
+    for attn in _attention_maps(np.float64):
         assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-9
+
+
+def test_attention_softmax_rows_sum_to_one_everywhere_in_float32():
+    # a row of N probabilities: the normalizing sum, each division and the
+    # check's own sum round once per term, about 2N half-ulps in all
+    ulp = np.finfo(np.float32).eps
+    for attn in _attention_maps(np.float32):
+        assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) <= ATTN_CFG.n_patches * ulp
 
 
 def test_attention_zero_values_keep_layer_finite():
@@ -359,7 +377,9 @@ def test_channel_independence():
 
 
 def test_full_model_gradient_against_finite_differences():
-    model = PatchForecaster(TINY, [np.random.default_rng(19), np.random.default_rng(119)])
+    # float64: finite differences cannot resolve float32 rounding
+    model = PatchForecaster(TINY, [np.random.default_rng(19), np.random.default_rng(119)],
+                            dtype=np.float64)
     rng = np.random.default_rng(20)
     windows = rng.normal(size=(3, 8, 2))
     targets = rng.normal(size=(2, 3, 1))
@@ -552,6 +572,51 @@ def test_training_step_broadcasts_no_matmul_batch_axis(monkeypatch):
         assert left[:-2] == right[:-2] == shape[:-2], (left, right, shape)
 
 
+def test_training_step_runs_the_encoder_in_float32_behind_float64(monkeypatch):
+    # one ASWL training step at the bundled shape (K=3, d_model 64, 2 layers):
+    # a float64 operand anywhere in the encoder, a numpy float64 scalar
+    # constant included, would promote every op after it to float64
+    cfg = ForecasterConfig(lookback=96, horizon=1, patch_len=16, stride=8, d_model=64,
+                           n_heads=4, n_layers=2, d_ff=128)
+    model = PatchForecaster(cfg, [np.random.default_rng(70 + m) for m in range(3)])
+    sw = swmod.init_from_scales(np.array([40.0, 3.0, 0.5]))
+    optimizer = Adam(model.parameters() + [sw.theta])
+    recorded, losses = [], []
+    record, backward = Tape._record, Tape.backward
+
+    def recording(self, inputs, out_values, backward):
+        recorded.append((sys._getframe(1).f_code.co_name, out_values.dtype))
+        return record(self, inputs, out_values, backward)
+
+    def recording_backward(self, loss):
+        losses.append(loss.values.dtype)
+        return backward(self, loss)
+
+    monkeypatch.setattr(Tape, "_record", recording)
+    monkeypatch.setattr(Tape, "backward", recording_backward)
+    rng = np.random.default_rng(71)
+    train_epoch(model, rng.normal(size=(32, 96, 3)), rng.normal(size=(32, 1, 3)),
+                optimizer, 32, np.random.default_rng(72), sw)
+    monkeypatch.undo()
+
+    ops = [name for name, _ in recorded]
+    cast = ops.index("astype")
+    assert ops.count("astype") == 1 and {"gelu", "softmax", "batch_norm"} <= set(ops[:cast])
+    assert all(dtype == np.float32 for _, dtype in recorded[:cast]), recorded[:cast]
+    # de-normalization, mse, the ASWL weights and the loss
+    assert all(dtype == np.float64 for _, dtype in recorded[cast:]), recorded[cast:]
+    assert losses == [np.float64]
+    assert swmod.weights(sw).dtype == np.float64
+    for name, p in model.params.items():
+        assert p.values.dtype == p.grad.dtype == np.float32, name
+    assert sw.theta.values.dtype == sw.theta.grad.dtype == np.float64
+    for p, state in zip(optimizer.params, optimizer.states):
+        assert state.m.dtype == state.v.dtype == p.values.dtype
+    for state in model.bn_states.values():
+        assert state.running_mean.dtype == state.running_var.dtype == np.float32
+    assert model.predict(rng.normal(size=(5, 96, 3))).dtype == np.float64
+
+
 # -- persistence --------------------------------------------------------------------
 
 
@@ -576,6 +641,32 @@ def test_checkpoint_reload_reproduces_forecasts_bitwise(tmp_path):
                             [np.random.default_rng(999)])
     clone.load_param_arrays(arrays)
     assert np.array_equal(clone.predict(windows), want)
+
+
+def test_float64_checkpoint_loads_rounded_to_float32(tmp_path):
+    # a model.npz written by a float64 model: its arrays load rounded, so an
+    # untrained float64 model's checkpoint gives the float32 model drawn from
+    # the same generators
+    old = PatchForecaster(TINY, [np.random.default_rng(31)], dtype=np.float64)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, old.param_arrays())
+    arrays, _meta = load_checkpoint(path)
+    assert all(a.dtype == np.float64 for a in arrays.values())
+
+    model = PatchForecaster(TINY, [np.random.default_rng(999)])
+    model.load_param_arrays(arrays)
+    fresh = PatchForecaster(TINY, [np.random.default_rng(31)])
+    loaded, want = model.param_arrays(), fresh.param_arrays()
+    for name, array in loaded.items():
+        assert array.dtype == np.float32, name
+        assert np.array_equal(array, arrays[name].astype(np.float32)), name
+        assert np.array_equal(array, want[name]), name
+    windows = np.random.default_rng(32).normal(size=(4, 8, 1))
+    assert np.array_equal(model.predict(windows), fresh.predict(windows))
+
+    # and the float32 model's own checkpoint stays float32
+    save_checkpoint(tmp_path / "again.npz", model.param_arrays())
+    assert all(a.dtype == np.float32 for a in load_checkpoint(tmp_path / "again.npz")[0].values())
 
 
 def test_load_rejects_mismatched_keys(tmp_path):

@@ -296,7 +296,9 @@ def test_strict_causal_timing_records_prefix_decompositions_only_there(tmp_path)
     values = pipeline.load_series(cfg)
     (split,) = pipeline.config_splits(cfg, len(values))
     period = values[split.start: split.stop]
-    starts = range(split.train_size, len(period), cfg.model.horizon)
+    # the first block's prefix is the train segment: its decomposition is the
+    # cell's own and is not run again
+    starts = range(split.train_size + cfg.model.horizon, len(period), cfg.model.horizon)
     iterations = sum(decompose(period[:s], cfg.vmd).iterations for s in starts)
 
     stages = json.loads((tmp_path / "a" / "timing.json").read_text())["stages"]["period0_seed0"]
@@ -310,6 +312,40 @@ def test_strict_causal_timing_records_prefix_decompositions_only_there(tmp_path)
     for name in ("report.txt", "report.json", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     assert "prefix_decompose_s" not in (tmp_path / "b" / "timing.json").read_text()
+
+
+def test_strict_causal_first_block_reuses_the_training_decomposition(tmp_path, monkeypatch):
+    cfg = backtest_config(
+        backtest={"strict_causal": True},
+        model={"lookback": 24, "patch_len": 6, "stride": 3, "d_model": 8,
+               "n_heads": 2, "n_layers": 1, "d_ff": 16, "horizon": 8},
+        split={"n_periods": 1, "train_fraction": 0.8},
+        training={"epochs": 1, "seeds": [0]},
+    )
+    calls = []
+    counted = pipeline.decompose
+    monkeypatch.setattr(pipeline, "decompose", lambda x, c: calls.append(len(x)) or counted(x, c))
+    report = run_backtest(cfg, tmp_path / "reused")
+    (cell,) = report.succeeded
+    n_blocks = len(range(0, len(cell.actual), cfg.model.horizon))
+    assert calls.count(cell.train_size) == 1 and len(calls) == n_blocks > 1
+    # a saved run reuses its state.npz modes the same way
+    train_period_to_dir(cfg, 0, 0, tmp_path / "run")
+    assert np.array_equal(forecast_from_dir(tmp_path / "run")["predicted"], cell.predicted)
+
+    # reference: the first block decomposes its prefix afresh
+    forecast = pipeline._forecast_stage
+
+    def fresh_first_block(values, decomposition, *args, **kwargs):
+        train_size, config = args[3], args[5]
+        return forecast(values, counted(values[:train_size], config.vmd), *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_forecast_stage", fresh_first_block)
+    run_backtest(cfg, tmp_path / "fresh")
+    for name in ("report.json", "report.txt", "period0/decomposition.csv",
+                 "period0/seed0/forecast.csv"):
+        reused, fresh = tmp_path / "reused" / name, tmp_path / "fresh" / name
+        assert reused.read_bytes() == fresh.read_bytes(), name
 
 
 def test_stage_faults_are_null_without_resource(monkeypatch):
