@@ -93,29 +93,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _matmul_grad(left: np.ndarray, right: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """``left @ right`` summed down to ``shape``, the operand whose gradient
-    it is.  The batch axes that operand was broadcast along are folded into
-    the contracted axis, so one product sums over them: a ``[K, 1, m, n]``
-    weight's gradient against ``[K, B, ...]`` activations is one ``[K, m, n]``
-    product over all B windows, with no ``[K, B, m, n]`` temporary."""
-    batch = np.broadcast_shapes(left.shape[:-2], right.shape[:-2])
-    nb = len(batch)
-    target = (1,) * (nb + 2 - len(shape)) + tuple(shape)
-    summed = tuple(i for i in range(nb) if batch[i] > 1 and target[i] == 1)
-    if not summed:
-        return np.matmul(left, right).reshape(shape)
-    kept = tuple(i for i in range(nb) if i not in summed)
-    kept_shape = tuple(batch[i] for i in kept)
-    rows, cols = left.shape[-2], right.shape[-1]
-    left = np.broadcast_to(left, batch + left.shape[-2:])
-    right = np.broadcast_to(right, batch + right.shape[-2:])
-    # [kept..., rows, summed... * inner] @ [kept..., summed... * inner, cols]
-    left = left.transpose(kept + (nb,) + summed + (nb + 1,)).reshape(kept_shape + (rows, -1))
-    right = right.transpose(kept + summed + (nb, nb + 1)).reshape(kept_shape + (-1, cols))
-    return np.matmul(left, right).reshape(shape)
-
-
 def _norm_shape(xv: np.ndarray, gamma: Tensor, beta: Tensor, name: str) -> tuple[int, ...]:
     """Check that ``x`` is ``[K, features, tokens...]`` and scale/shift
     ``[K, features]``; return the shape that broadcasts those against ``x``."""
@@ -280,22 +257,20 @@ class Tape:
     # -- linear algebra and shape ----------------------------------------
 
     def matmul(self, a, b) -> Tensor:
-        """Matrix product over the last two axes; leading axes broadcast as in
-        ``np.matmul`` (a ``[K, 1, m, n]`` weight stack against ``[K, B, n, p]``
-        activations, say)."""
+        """Matrix product over the last two axes of operands with equal leading
+        axes (``[K, m, n] @ [K, n, p]``, say); nothing broadcasts."""
         a, b = self._lift(a), self._lift(b)
         av, bv = a.values, b.values
-        if av.ndim < 2 or bv.ndim < 2:
-            raise ValueError(f"matmul expects operands of ndim >= 2, got {av.shape} @ {bv.shape}")
+        if min(av.ndim, bv.ndim) < 2 or av.shape[:-2] != bv.shape[:-2]:
+            raise ValueError(
+                f"matmul needs ndim >= 2 and equal leading axes, got {av.shape} @ {bv.shape}"
+            )
         if av.shape[-1] != bv.shape[-2]:
             raise ValueError(f"matmul inner dims disagree: {av.shape} @ {bv.shape}")
-        out = np.matmul(av, bv)  # raises ValueError if the leading dims do not broadcast
+        out = np.matmul(av, bv)
 
         def bwd(g):
-            return (
-                _matmul_grad(g, np.swapaxes(bv, -1, -2), av.shape),
-                _matmul_grad(np.swapaxes(av, -1, -2), g, bv.shape),
-            )
+            return np.matmul(g, np.swapaxes(bv, -1, -2)), np.matmul(np.swapaxes(av, -1, -2), g)
 
         return self._record((a, b), out, bwd)
 
@@ -340,18 +315,11 @@ class Tape:
 
     # -- reductions ------------------------------------------------------
 
-    def sum(self, a, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
+    def sum(self, a) -> Tensor:
+        """Sum of every entry: a scalar."""
         a = self._lift(a)
-        out = a.values.sum(axis=axis, keepdims=keepdims)
         shape = a.values.shape
-
-        def bwd(g):
-            if axis is None:
-                return (np.broadcast_to(g, shape).copy(),)
-            gx = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(gx, shape).copy(),)
-
-        return self._record((a,), out, bwd)
+        return self._record((a,), a.values.sum(), lambda g: (np.broadcast_to(g, shape).copy(),))
 
     # -- nonlinear blocks --------------------------------------------------
 

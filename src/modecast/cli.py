@@ -102,8 +102,6 @@ def cmd_train(args) -> int:
     seed = args.seed if args.seed is not None else config.training.seeds[0]
     outdir = _outdir(args)
     cell = train_period_to_dir(config, args.period, seed, outdir)
-    emitted = sorted(p for p in outdir.glob("*") if p.is_file() and p.name != "manifest.json")
-    write_manifest(outdir, config.to_dict(), [seed], emitted)
     print(
         f"trained period {args.period} seed {seed}: "
         f"test mse={cell.overall.mse:.6g} smape={cell.overall.smape:.6g}"

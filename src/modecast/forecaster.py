@@ -37,7 +37,6 @@ __all__ = [
     "InstanceStats",
     "PatchForecaster",
     "instance_normalize",
-    "instance_denormalize",
     "patchify",
     "n_patches",
     "embed",
@@ -132,16 +131,6 @@ def instance_normalize(window: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
     return normed, InstanceStats(mean=mean, std=std)
 
 
-def instance_denormalize(pred: np.ndarray, stats: InstanceStats) -> np.ndarray:
-    """Undo :func:`instance_normalize` on model output."""
-    p = np.asarray(pred, dtype=np.float64)
-    squeeze = p.ndim == 1
-    if squeeze:
-        p = p[None, :]
-    out = p * stats.std + stats.mean
-    return out[0] if squeeze else out
-
-
 def patchify(window: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
     """Slice a window into overlapping patches after repeating the final value
     ``stride`` times.  ``[..., L] -> [..., P, N]``; patch ``j`` covers padded
@@ -160,8 +149,8 @@ def embed(tape: Tape, patches, w_patch: Tensor, w_pos: Tensor) -> Tensor:
     """Project patches into the latent space and add the positional encoding:
     ``w_patch @ patches + w_pos``.  The last axis of ``patches`` may hold the
     N tokens of several windows, window after window (``[K, D, P]`` weights
-    against ``[K, P, B*N]`` patches, say); ``w_pos`` (``[..., D, N]``) is
-    added to each window's tokens."""
+    against ``[K, P, B*N]`` patches, say: the leading axes must be equal);
+    ``w_pos`` (``[..., D, N]``) is added to each window's tokens."""
     if not isinstance(patches, Tensor):
         patches = Tensor(patches)
     tokens = tape.matmul(w_patch, patches)                          # [..., D, B*N]
@@ -249,24 +238,25 @@ class PatchForecaster:
 
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Load a :meth:`param_arrays` map, each array cast to the model's
-        dtype (a float64 checkpoint loads rounded into a float32 model)."""
-        expected = set(self.param_arrays())
-        got = set(arrays)
-        if expected != got:
-            missing, extra = expected - got, got - expected
+        dtype (a float64 checkpoint loads rounded into a float32 model).  Every
+        key and shape is checked before anything is loaded."""
+        expected = self.param_arrays()
+        if set(expected) != set(arrays):
+            missing, extra = set(expected) - set(arrays), set(arrays) - set(expected)
             raise CheckpointMismatchError(
                 f"checkpoint key mismatch: missing={sorted(missing)} extra={sorted(extra)}"
             )
-        for name, p in self.params.items():
-            arr = np.asarray(arrays[name], dtype=self.dtype)
-            if arr.shape != p.values.shape:
+        loaded = {name: np.array(arrays[name], dtype=self.dtype) for name in expected}
+        for name, arr in loaded.items():
+            if arr.shape != expected[name].shape:
                 raise CheckpointMismatchError(
-                    f"{name}: shape {arr.shape} != expected {p.values.shape}"
+                    f"{name}: shape {arr.shape} != expected {expected[name].shape}"
                 )
-            p.values = arr.copy()
+        for name, p in self.params.items():
+            p.values = loaded[name]
         for name, state in self.bn_states.items():
-            state.running_mean = np.array(arrays[f"{name}.running_mean"], dtype=self.dtype)
-            state.running_var = np.array(arrays[f"{name}.running_var"], dtype=self.dtype)
+            state.running_mean = loaded[f"{name}.running_mean"]
+            state.running_var = loaded[f"{name}.running_var"]
 
     # -- forward ----------------------------------------------------------
 
@@ -277,7 +267,7 @@ class PatchForecaster:
             return tape.batch_norm(x, gamma, beta, state=self.bn_states[name], training=training)
         return tape.layer_norm(x, gamma, beta)
 
-    def _attention_layer(self, tape: Tape, x, index: int, training: bool, attn_sink=None):
+    def _attention_layer(self, tape: Tape, x, index: int, training: bool):
         """One encoder layer on feature-major ``[K, D, B*N]`` tokens: every
         weight is one ``[K, D_out, D_in] @ [K, D_in, B*N]`` product."""
         cfg = self.config
@@ -297,8 +287,6 @@ class PatchForecaster:
         v = project("w_v", (0, 3, 1, 2, 4))                        # [K, B, H, d_k, N]
         scores = tape.mul_scalar(tape.matmul(q, k), 1.0 / math.sqrt(cfg.head_dim))
         attn = tape.softmax(scores, axis=-1)                       # [K, B, H, N, N]
-        if attn_sink is not None:
-            attn_sink.append(attn.values)
         out = tape.matmul(v, tape.transpose(attn))                 # [K, B, H, d_k, N]
         # the one copy of the layer: heads back into [K, D, B*N]
         merged = tape.reshape(tape.transpose(out, (0, 2, 3, 1, 4)), x.shape)
@@ -322,7 +310,7 @@ class PatchForecaster:
         # contiguous: window statistics then sum as in a one-channel model
         return np.ascontiguousarray(np.moveaxis(x, -1, 0))
 
-    def _encode(self, tape: Tape, normed: np.ndarray, training: bool, attn_sink=None) -> Tensor:
+    def _encode(self, tape: Tape, normed: np.ndarray, training: bool) -> Tensor:
         """``[K, batch, lookback]`` normalized windows -> ``[K, batch, D*N]``
         in the model's dtype.  The encoder runs feature-major, on
         ``[K, D, batch*N]`` tokens."""
@@ -334,7 +322,7 @@ class PatchForecaster:
         patches = np.moveaxis(patches, 1, 2).reshape(k, cfg.patch_len, b * n)
         z = embed(tape, patches, self.params["w_patch"], self.params["w_pos"])
         for i in range(cfg.n_layers):
-            z = self._attention_layer(tape, z, i, training, attn_sink)
+            z = self._attention_layer(tape, z, i, training)
         by_window = tape.transpose(tape.reshape(z, (k, d, b, n)), (0, 2, 1, 3))  # [K, B, D, N]
         return tape.reshape(by_window, (k, b, d * n))
 
@@ -349,14 +337,12 @@ class PatchForecaster:
         pred = tape.astype(pred, np.float64)
         return tape.add(tape.mul(pred, Tensor(stats.std)), Tensor(stats.mean))
 
-    def forward_on_tape(
-        self, tape: Tape, windows: np.ndarray, training: bool = False, attn_sink=None
-    ) -> Tensor:
+    def forward_on_tape(self, tape: Tape, windows: np.ndarray, training: bool = False) -> Tensor:
         """Record one forward pass for all K channels on ``tape``.  ``windows``
         is ``[batch, lookback, K]``; returns the ``[K, batch, horizon]``
         prediction at the input's original scale."""
         normed, stats = instance_normalize(self._channel_major(windows))
-        return self._head(tape, self._encode(tape, normed, training, attn_sink), stats)
+        return self._head(tape, self._encode(tape, normed, training), stats)
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Inference forward pass (running statistics, no state mutation):

@@ -61,7 +61,6 @@ __all__ = [
     "render_report_text",
     "report_to_dict",
     "write_forecast_csv",
-    "read_forecast_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -172,11 +171,17 @@ def _mean_metrics(cells: list[PeriodCell]) -> MetricPair | None:
 
 
 def load_series(config: ExperimentConfig) -> np.ndarray:
-    """Materialize the configured input series (CSV file or generator)."""
+    """Materialize the configured input series (CSV file or generator).  A CSV
+    it cannot read, or a generator it cannot call, is a :class:`ConfigError`."""
     if config.data.path is not None:
-        series = load_csv(config.data.path, config.data.column, config.data.date_column)
-        return series.values
-    return np.asarray(generate(config.data.generator), dtype=np.float64)
+        try:
+            return load_csv(config.data.path, config.data.column, config.data.date_column).values
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    try:
+        return np.asarray(generate(config.data.generator), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"data.generator: {exc}") from exc
 
 
 def config_splits(config: ExperimentConfig, n_samples: int) -> list[PeriodSplit]:
@@ -337,7 +342,6 @@ def _warn_decomposition(result: VmdResult, period_index: int, seed: int) -> None
 @_stage("forecast")
 def _forecast_stage(
     values: np.ndarray,
-    decomposition: VmdResult,
     modes_norm: np.ndarray,   # [K, n]
     params: list[NormalizationParams],
     model: PatchForecaster,
@@ -348,16 +352,16 @@ def _forecast_stage(
     """Forecast the test segment in horizon-sized blocks under the protocol
     named by ``label``; returns ``(channel_pred, prefix_converged,
     prefix_timing)``: the ``[K, n_test]`` forecast at the raw scale, whether
-    each block's prefix decomposition converged, and the summed seconds and
-    VMD iterations of the prefix decompositions this call ran as
-    ``prefix_decompose_s`` and ``prefix_vmd_iterations`` (both empty under
-    ``full_period``).
+    each prefix decomposition this call ran converged, and their summed
+    seconds and VMD iterations as ``prefix_decompose_s`` and
+    ``prefix_vmd_iterations`` (all empty under ``full_period``).
 
-    ``decomposition`` is the cell's own, whose modes ``modes_norm`` scales.
-    ``full_period`` builds every lookback window from those modes (true
-    history).  ``strict_causal`` decomposes the observed prefix at every
-    block, so no test-range sample enters a decomposition; the first block's
-    prefix is the train segment, which ``decomposition`` already is.
+    ``modes_norm`` is the cell's own decomposition, scaled.  ``full_period``
+    builds every lookback window from those modes (true history).
+    ``strict_causal`` decomposes the observed prefix at every block, so no
+    test-range sample enters a decomposition; the first block's prefix is the
+    train segment, whose decomposition ``modes_norm`` already is (min-max
+    scaling is elementwise, so its slice is the scaled slice).
     """
     lookback = config.model.lookback
     starts = np.arange(train_size, values.shape[0], config.model.horizon)
@@ -371,14 +375,14 @@ def _forecast_stage(
         blocks = []
         for s in starts:
             if s == train_size:
-                prefix = decomposition
+                window = modes_norm[:, s - lookback: s]
             else:
                 t_begin = time.perf_counter()
                 prefix = decompose(values[:s], config.vmd)
                 prefix_timing["prefix_decompose_s"] += time.perf_counter() - t_begin
                 prefix_timing["prefix_vmd_iterations"] += prefix.iterations
-            prefix_converged.append(prefix.converged)
-            window = _per_channel(minmax_apply, prefix.modes[:, s - lookback: s], params)
+                prefix_converged.append(prefix.converged)
+                window = _per_channel(minmax_apply, prefix.modes[:, s - lookback: s], params)
             blocks.append(model.predict(window.T[None]))
         preds = np.concatenate(blocks, axis=1)
     # [K, blocks, horizon] -> [K, n_test]: the last block may overrun the period
@@ -433,8 +437,7 @@ def _run_period_full(
     ) = _train_stage(modes_norm[:, :train_size], ranges, config, seed, timing=timing)
 
     channel_pred, prefix_converged, prefix_timing = _forecast_stage(
-        values, vmd_result, modes_norm, params, model, train_size, label, config,
-        timing=timing,
+        values, modes_norm, params, model, train_size, label, config, timing=timing,
     )
     timing.update(prefix_timing)
     if not all(prefix_converged):
@@ -539,18 +542,6 @@ def write_forecast_csv(path, t: np.ndarray, actual: np.ndarray, predicted: np.nd
         writer.writerow(["t", "actual", "predicted"])
         for ti, a, p in zip(t, actual, predicted):
             writer.writerow([int(ti), repr(float(a)), repr(float(p))])
-
-
-def read_forecast_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    path = Path(path)
-    t, actual, predicted = [], [], []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            t.append(int(row["t"]))
-            actual.append(float(row["actual"]))
-            predicted.append(float(row["predicted"]))
-    return np.asarray(t), np.asarray(actual), np.asarray(predicted)
 
 
 def _cell_dict(cell: PeriodCell | FailedCell) -> dict:
@@ -760,7 +751,8 @@ def train_period_to_dir(
     config: ExperimentConfig, period_index: int, seed: int, outdir
 ) -> PeriodCell:
     """Train one (period, seed) cell and persist the model plus the state
-    needed to forecast later: decomposition, normalization, weights, config."""
+    needed to forecast later: decomposition, normalization, weights, config.
+    The manifest lists those four files, whatever else ``outdir`` holds."""
     values = load_series(config)
     split = config_period(config, len(values), period_index)
     slice_values = values[split.start: split.stop]
@@ -809,6 +801,8 @@ def train_period_to_dir(
     )
     write_decomposition_csv(outdir / "decomposition.csv", vmd_result.modes)
     write_decomposition_metadata(outdir / "decomposition_meta.json", config.vmd, vmd_result)
+    written = ("model.npz", "state.npz", "decomposition.csv", "decomposition_meta.json")
+    write_manifest(outdir, config.to_dict(), [seed], [outdir / name for name in written])
     return cell
 
 
@@ -831,18 +825,9 @@ def forecast_from_dir(run_dir) -> dict:
     ]
     model = PatchForecaster(config.model, [np.random.default_rng(0)] * len(params))
     model.load_param_arrays(load_checkpoint(run_dir / "model.npz")[0])
-
-    # the cell's own decomposition: state.npz modes, decomposition_meta.json telemetry
-    telemetry = json.loads((run_dir / "decomposition_meta.json").read_text())
-    residual = telemetry["final_residual"]  # null when fewer than two sweeps ran
-    decomposition = VmdResult(
-        modes, np.array(telemetry["omegas"]), telemetry["iterations"],
-        telemetry["converged"], float("inf") if residual is None else residual,
-    )
     modes_norm = _per_channel(minmax_apply, modes, params)
     channel_pred, _prefix_converged, _prefix_timing = _forecast_stage(
-        values, decomposition, modes_norm, params, model, train_size,
-        meta["decomposition"], config,
+        values, modes_norm, params, model, train_size, meta["decomposition"], config,
     )
 
     predicted = channel_pred.sum(axis=0)

@@ -1,7 +1,10 @@
-"""Shared test helpers: finite-difference gradients and error measures, and
-the hypothesis profile every property test runs under."""
+"""Shared test helpers: finite-difference gradients and error measures, a
+forecast CSV reader, and the hypothesis profile every property test runs
+under."""
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 from hypothesis import settings
@@ -43,3 +46,12 @@ def numeric_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         flat[i] = old
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def forecast_csv_columns(path) -> tuple[np.ndarray, np.ndarray]:
+    """The ``actual`` and ``predicted`` columns of a ``t,actual,predicted``
+    forecast CSV, each value parsed by ``float``."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return (np.array([float(r["actual"]) for r in rows]),
+            np.array([float(r["predicted"]) for r in rows]))

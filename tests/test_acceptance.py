@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from conftest import numeric_gradient, rel_err
+from conftest import forecast_csv_columns, numeric_gradient, rel_err
 from test_autodiff import OP_CASES, _gradcheck
 
 from modecast.autodiff import Adam, BatchNormState, Tape, Tensor
@@ -24,7 +24,6 @@ from modecast.forecaster import ForecasterConfig, PatchForecaster, n_patches, pa
 from modecast.metrics import mse, smape
 from modecast.pipeline import (
     forecast_from_dir,
-    read_forecast_csv,
     run_backtest,
     run_period,
     train_period_to_dir,
@@ -302,7 +301,7 @@ def test_criterion_7_metric_oracle(tmp_path):
             if i == 0:
                 path = tmp_path / "pair.csv"
                 write_forecast_csv(path, np.arange(n), actual, predicted)
-                _, a_back, p_back = read_forecast_csv(path)
+                a_back, p_back = forecast_csv_columns(path)
                 assert mse(a_back, p_back) == got_mse
                 assert smape(a_back, p_back) == got_smape
 

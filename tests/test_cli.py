@@ -77,6 +77,20 @@ def test_decompose_missing_input_exits_2(tmp_path, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
+def test_unreadable_csv_or_generator_exits_2(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text("date,price\n2000-01-03,1.5\n2000-01-04,1.6\n")
+    cfg = write_config(tmp_path, {"data": {"path": str(data)}, "vmd": {"n_modes": 2}})
+    out = tmp_path / "o"
+    assert main(["decompose", "-c", str(cfg), "--outdir", str(out)]) == 2
+    assert "missing value column 'close'" in capsys.readouterr().err
+    for generator in ("{name: trend_two_tone, m: 5}", "{name: no_such_generator}"):
+        assert main(["decompose", "-c", SYNTHETIC, "-o", f"data.generator={generator}",
+                     "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: data.generator: ")
+    assert not out.exists()
+
+
 # -- evaluate --------------------------------------------------------------------
 
 
@@ -174,6 +188,31 @@ def test_train_forecast_report_round_trip(tmp_path, capsys):
     assert main(["report", "--run-dir", str(backtest_out)]) == 0
     out = capsys.readouterr().out
     assert "modecast backtest report" in out
+
+
+def test_train_manifest_lists_only_what_train_wrote(tmp_path):
+    cfg = write_config(tmp_path, backtest_raw())
+    run_dir = tmp_path / "run"
+    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+    assert main(["forecast", "--run-dir", str(run_dir)]) == 0
+    (run_dir / "notes.txt").write_text("kept by hand\n")
+    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert sorted(manifest["artifacts"]) == [
+        "decomposition.csv", "decomposition_meta.json", "model.npz", "state.npz",
+    ]
+
+
+def test_forecast_with_misshapen_running_statistics_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, backtest_raw())
+    run_dir = tmp_path / "run"
+    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+    arrays, meta = load_checkpoint(run_dir / "model.npz")
+    arrays["layer0.norm1.running_mean"] = arrays["layer0.norm1.running_mean"][:, :-1]
+    save_checkpoint(run_dir / "model.npz", arrays, meta=meta)
+    capsys.readouterr()
+    assert main(["forecast", "--run-dir", str(run_dir)]) == 2
+    assert "layer0.norm1.running_mean" in capsys.readouterr().err
 
 
 def test_forecast_without_state_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import logging
 
 import numpy as np
 import pytest
+from conftest import forecast_csv_columns
 
 from modecast import pipeline
 from modecast.config import ExperimentConfig
@@ -12,7 +13,6 @@ from modecast.metrics import mse, smape
 from modecast.pipeline import (
     FailedCell,
     forecast_from_dir,
-    read_forecast_csv,
     run_backtest,
     run_period,
     train_period_to_dir,
@@ -132,7 +132,7 @@ def test_unconverged_strict_causal_prefixes_log_one_warning_per_cell(caplog):
         run_period(values, 480, cfg, seed=3, period_index=1)
     assert [r.getMessage() for r in caplog.records] == [
         "period 1 seed 3: decomposition stopped unconverged at vmd.max_iter (2 iterations)",
-        "period 1 seed 3: 15 of 15 strict-causal prefix decompositions stopped "
+        "period 1 seed 3: 14 of 14 strict-causal prefix decompositions stopped "
         "unconverged at vmd.max_iter",
     ]
 
@@ -216,7 +216,7 @@ def test_backtest_emitted_csv_metric_oracle(tmp_path):
     payload = json.loads((tmp_path / "report.json").read_text())
     for cell_info in payload["cells"]:
         period, seed = cell_info["period"], cell_info["seed"]
-        _, actual, predicted = read_forecast_csv(
+        actual, predicted = forecast_csv_columns(
             tmp_path / f"period{period}" / f"seed{seed}" / "forecast.csv"
         )
         # brute-force recomputation from the emitted artifact
@@ -333,12 +333,15 @@ def test_strict_causal_first_block_reuses_the_training_decomposition(tmp_path, m
     train_period_to_dir(cfg, 0, 0, tmp_path / "run")
     assert np.array_equal(forecast_from_dir(tmp_path / "run")["predicted"], cell.predicted)
 
-    # reference: the first block decomposes its prefix afresh
+    # reference: the first block decomposes its prefix afresh, and its window
+    # comes from that decomposition's scaled modes
     forecast = pipeline._forecast_stage
 
-    def fresh_first_block(values, decomposition, *args, **kwargs):
-        train_size, config = args[3], args[5]
-        return forecast(values, counted(values[:train_size], config.vmd), *args, **kwargs)
+    def fresh_first_block(values, modes_norm, params, *args, **kwargs):
+        train_size, config = args[1], args[3]
+        fresh = counted(values[:train_size], config.vmd).modes
+        modes_norm = pipeline._per_channel(pipeline.minmax_apply, fresh, params)
+        return forecast(values, modes_norm, params, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "_forecast_stage", fresh_first_block)
     run_backtest(cfg, tmp_path / "fresh")
@@ -381,3 +384,20 @@ def test_train_then_forecast_reproduces_backtest_cell(tmp_path):
     # reload again: bit-identical
     again = forecast_from_dir(run_dir)
     assert np.array_equal(result["predicted"], again["predicted"])
+
+
+@pytest.mark.parametrize("strict_causal", [False, True])
+def test_forecast_reads_only_state_and_model(tmp_path, strict_causal):
+    cfg = backtest_config(
+        backtest={"strict_causal": strict_causal},
+        model={"lookback": 24, "patch_len": 6, "stride": 3, "d_model": 8,
+               "n_heads": 2, "n_layers": 1, "d_ff": 16, "horizon": 8},
+        split={"n_periods": 1, "train_fraction": 0.8},
+        training={"epochs": 1, "seeds": [0]},
+    )
+    run_dir = tmp_path / "run"
+    cell = train_period_to_dir(cfg, 0, 0, run_dir)
+    for name in ("decomposition.csv", "decomposition_meta.json", "manifest.json"):
+        (run_dir / name).unlink()
+    assert sorted(p.name for p in run_dir.iterdir()) == ["model.npz", "state.npz"]
+    assert np.array_equal(forecast_from_dir(run_dir)["predicted"], cell.predicted)
