@@ -107,6 +107,38 @@ def _norm_shape(xv: np.ndarray, gamma: Tensor, beta: Tensor, name: str) -> tuple
     return (k, n_features) + (1,) * (xv.ndim - 2)
 
 
+def _sum_over_keys(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-2, keepdims=True)`` as one BLAS product with a row of
+    ones: on ``[..., 13, 13]`` attention maps numpy's reduction along axis
+    -2 is several times slower than the product."""
+    return np.matmul(np.ones((1, a.shape[-2]), a.dtype), a)
+
+
+def _transposed_copy(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last two axes swapped, contiguous: at the attention
+    maps' sizes a BLAS product whose right operand is a transposed view runs
+    about three times slower than this copy and a plain product."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+
+def _attention_probabilities(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """Key-major attention maps ``softmax(scale * kᵀ q)`` over the key axis:
+    ``[..., d_k, N]`` query and key heads give ``[..., N_keys, N_queries]``
+    maps whose every column sums to one.  The softmax runs in place on the
+    score product, and every pass runs across the contiguous query axis."""
+    p = np.matmul(np.swapaxes(k, -1, -2), q)
+    p *= scale
+    # the maximum over keys row by row: numpy's max along axis -2 of small
+    # maps is about four times slower
+    top = p[..., 0, :].copy()
+    for key in range(1, p.shape[-2]):
+        np.maximum(top, p[..., key, :], out=top)
+    p -= top[..., None, :]
+    np.exp(p, out=p)
+    p /= _sum_over_keys(p)
+    return p
+
+
 @dataclass
 class _TapeEntry:
     input_ids: tuple[int, ...]
@@ -334,6 +366,64 @@ class Tape:
             return (out * (g - dot),)
 
         return self._record((a,), out, bwd)
+
+    def attention(self, q, k, v, n_heads: int, n_tokens: int) -> Tensor:
+        """Multi-head scaled dot-product attention on feature-major
+        ``[K, D, B*N]`` query, key and value projections, whose last axis
+        holds the N tokens of each of B windows, window after window.  Rows
+        ``h*d_k:(h+1)*d_k`` (``d_k = D / n_heads``) form head ``h``, and the
+        same rows of the ``[K, D, B*N]`` output hold its result ``v_h P_h``,
+        where ``P_h = softmax(k_hᵀ q_h / sqrt(d_k))`` over the keys.
+
+        One tape entry with a closed-form backward.  Heads are views of the
+        inputs, the key-major ``[K, B, H, N_keys, N_queries]`` maps ``P`` are
+        all the entry keeps besides q, k and v, and the output and each
+        gradient are written into ``[K, H, d_k, B, N]`` buffers, which are
+        ``[K, D, B*N]`` already.
+        """
+        q, k, v = self._lift(q), self._lift(k), self._lift(v)
+        if q.ndim != 3 or not q.shape == k.shape == v.shape:
+            raise ValueError(
+                f"attention needs equal [K, D, B*N] shapes, got {q.shape}, {k.shape}, {v.shape}"
+            )
+        n_channels, d_model, width = q.shape
+        if d_model % n_heads or width % n_tokens:
+            raise ValueError(
+                f"attention: {d_model} features do not split into {n_heads} heads, "
+                f"or {width} tokens into windows of {n_tokens}"
+            )
+        layout = (n_channels, n_heads, d_model // n_heads, width // n_tokens, n_tokens)
+        by_head = (0, 3, 1, 2, 4)  # [K, H, d_k, B, N] -> [K, B, H, d_k, N]
+
+        def heads(a: np.ndarray) -> np.ndarray:
+            return a.reshape(layout).transpose(by_head)
+
+        def new_heads(dtype) -> tuple[np.ndarray, np.ndarray]:
+            """A new array as its ``[K, D, B*N]`` and heads views."""
+            buffer = np.empty(layout, dtype)
+            return buffer.reshape(q.shape), buffer.transpose(by_head)
+
+        qh, kh, vh = heads(q.values), heads(k.values), heads(v.values)
+        scale = 1.0 / math.sqrt(layout[2])
+        p = _attention_probabilities(qh, kh, scale)
+        out, out_heads = new_heads(np.result_type(vh, p))
+        np.matmul(vh, p, out=out_heads)
+
+        def bwd(g):
+            gh = heads(g)
+            dq, dq_heads = new_heads(qh.dtype)
+            dk, dk_heads = new_heads(kh.dtype)
+            dv, dv_heads = new_heads(vh.dtype)
+            np.matmul(gh, _transposed_copy(p), out=dv_heads)
+            ds = np.matmul(np.swapaxes(vh, -1, -2), gh)  # dP, then dS in place
+            ds -= _sum_over_keys(ds * p)
+            ds *= p
+            ds *= scale
+            np.matmul(kh, ds, out=dq_heads)
+            np.matmul(qh, _transposed_copy(ds), out=dk_heads)
+            return dq, dk, dv
+
+        return self._record((q, k, v), out, bwd)
 
     def mse(self, pred, target) -> Tensor:
         """Mean squared difference per channel: a ``[K]`` vector holding the

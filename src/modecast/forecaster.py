@@ -269,27 +269,15 @@ class PatchForecaster:
 
     def _attention_layer(self, tape: Tape, x, index: int, training: bool):
         """One encoder layer on feature-major ``[K, D, B*N]`` tokens: every
-        weight is one ``[K, D_out, D_in] @ [K, D_in, B*N]`` product."""
+        weight is one ``[K, D_out, D_in] @ [K, D_in, B*N]`` product, and the
+        heads' attention is one op."""
         cfg = self.config
-        batch = x.shape[-1] // cfg.n_patches
-        heads = (x.shape[0], cfg.n_heads, cfg.head_dim, batch, cfg.n_patches)
 
         def linear(name: str, z) -> Tensor:
             return tape.matmul(self.params[f"layer{index}.{name}"], z)
 
-        def project(name: str, axes: tuple[int, ...]) -> Tensor:
-            """``W @ x`` split into ``[K, H, d_k, B, N]`` heads, viewed through
-            ``axes``."""
-            return tape.transpose(tape.reshape(linear(name, x), heads), axes)
-
-        q = project("w_q", (0, 3, 1, 4, 2))                        # [K, B, H, N, d_k]
-        k = project("w_k", (0, 3, 1, 2, 4))                        # [K, B, H, d_k, N]
-        v = project("w_v", (0, 3, 1, 2, 4))                        # [K, B, H, d_k, N]
-        scores = tape.mul_scalar(tape.matmul(q, k), 1.0 / math.sqrt(cfg.head_dim))
-        attn = tape.softmax(scores, axis=-1)                       # [K, B, H, N, N]
-        out = tape.matmul(v, tape.transpose(attn))                 # [K, B, H, d_k, N]
-        # the one copy of the layer: heads back into [K, D, B*N]
-        merged = tape.reshape(tape.transpose(out, (0, 2, 3, 1, 4)), x.shape)
+        merged = tape.attention(linear("w_q", x), linear("w_k", x), linear("w_v", x),
+                                cfg.n_heads, cfg.n_patches)
         z = tape.add(x, linear("w_attn_out", merged))              # residual
         z = self._norm(tape, z, f"layer{index}.norm1", training)
         hidden = tape.gelu(tape.add(linear("w_ff1", z), self.params[f"layer{index}.b_ff1"]))

@@ -339,6 +339,16 @@ def _warn_decomposition(result: VmdResult, period_index: int, seed: int) -> None
         )
 
 
+def _warn_prefixes(prefix_converged: list[bool], period_index: int, seed: int) -> None:
+    """Log a cell's strict-causal prefix decompositions stopping unconverged."""
+    if not all(prefix_converged):
+        log.warning(
+            "period %d seed %d: %d of %d strict-causal prefix decompositions stopped "
+            "unconverged at vmd.max_iter",
+            period_index, seed, prefix_converged.count(False), len(prefix_converged),
+        )
+
+
 @_stage("forecast")
 def _forecast_stage(
     values: np.ndarray,
@@ -440,12 +450,7 @@ def _run_period_full(
         values, modes_norm, params, model, train_size, label, config, timing=timing,
     )
     timing.update(prefix_timing)
-    if not all(prefix_converged):
-        log.warning(
-            "period %d seed %d: %d of %d strict-causal prefix decompositions stopped "
-            "unconverged at vmd.max_iter",
-            period_index, seed, prefix_converged.count(False), len(prefix_converged),
-        )
+    _warn_prefixes(prefix_converged, period_index, seed)
 
     predicted = channel_pred.sum(axis=0)
     actual = values[train_size:]
@@ -818,6 +823,7 @@ def forecast_from_dir(run_dir) -> dict:
     values = state["values"]
     modes = state["modes"]
     train_size = int(np.asarray(state["train_size"]).reshape(-1)[0])
+    period_index = int(np.asarray(state["period_index"]).reshape(-1)[0])
     global_start = int(np.asarray(state["global_start"]).reshape(-1)[0])
     params = [
         NormalizationParams(min=float(lo), max=float(hi))
@@ -826,9 +832,10 @@ def forecast_from_dir(run_dir) -> dict:
     model = PatchForecaster(config.model, [np.random.default_rng(0)] * len(params))
     model.load_param_arrays(load_checkpoint(run_dir / "model.npz")[0])
     modes_norm = _per_channel(minmax_apply, modes, params)
-    channel_pred, _prefix_converged, _prefix_timing = _forecast_stage(
+    channel_pred, prefix_converged, _prefix_timing = _forecast_stage(
         values, modes_norm, params, model, train_size, meta["decomposition"], config,
     )
+    _warn_prefixes(prefix_converged, period_index, meta["seed"])
 
     predicted = channel_pred.sum(axis=0)
     actual = values[train_size:]

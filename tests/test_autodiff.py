@@ -1,5 +1,6 @@
 """Tensor/tape engine: forward semantics, gradient checks, Adam, checkpoints."""
 
+import math
 import weakref
 
 import numpy as np
@@ -194,6 +195,8 @@ OP_CASES = {
     "softmax": (lambda tp, ts: tp.softmax(ts[0], axis=-1), [(3, 5)], {}),
     "softmax_3d": (lambda tp, ts: tp.softmax(ts[0], axis=-1), [(2, 3, 4)], {}),
     "mse": (lambda tp, ts: tp.mse(ts[0], ts[1]), [(3, 4), (3, 4)], {}),
+    # K=2, two heads of d_k=2, two windows of three tokens
+    "attention": (lambda tp, ts: tp.attention(*ts, 2, 3), [(2, 4, 6)] * 3, {}),
 }
 
 
@@ -305,6 +308,93 @@ def test_matmul_gradients_within_summation_bound(a_shape, b_shape):
         n = out.size * inner // t.size  # products summed into each gradient entry
         assert grads[t].shape == t.shape
         assert np.all(np.abs(grads[t] - ref) <= 2 * n * eps * bound)
+
+
+def _attention_chain(tp, q, k, v, n_heads, n_tokens):
+    """The five-op chain ``Tape.attention`` replaced: query-major scores
+    ``q_hᵀ k_h``, scaled, a softmax over keys and values weighted by the
+    transposed maps, with heads split and merged by reshapes and transposes."""
+    n_channels, d_model, width = q.shape
+    heads = (n_channels, n_heads, d_model // n_heads, width // n_tokens, n_tokens)
+
+    def split(t, axes):
+        return tp.transpose(tp.reshape(t, heads), axes)
+
+    scores = tp.matmul(split(q, (0, 3, 1, 4, 2)), split(k, (0, 3, 1, 2, 4)))
+    attn = tp.softmax(tp.mul_scalar(scores, 1.0 / math.sqrt(heads[2])), axis=-1)
+    out = tp.matmul(split(v, (0, 3, 1, 2, 4)), tp.transpose(attn))
+    return tp.reshape(tp.transpose(out, (0, 2, 3, 1, 4)), q.shape)
+
+
+def _attention_run(build, arrays, weight, n_heads, n_tokens):
+    """Output and q/k/v gradients of ``sum(build(q, k, v) * weight)``."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    tape = Tape()
+    out = build(tape, *tensors, n_heads, n_tokens)
+    grads = tape.backward(_loss_through(tape, out, weight))
+    return [out.values] + [grads[t] for t in tensors]
+
+
+# K channels, H heads of d_k features, B windows of N tokens
+attention_shapes = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 8),
+                             st.integers(1, 4), st.integers(1, 16))
+
+
+def _attention_inputs(shape, seed, dtype):
+    n_channels, n_heads, d_k, batch, n_tokens = shape
+    rng = np.random.default_rng(seed)
+    size = (n_channels, n_heads * d_k, batch * n_tokens)
+    return [rng.normal(size=size).astype(dtype) for _ in range(4)]  # q, k, v, weight
+
+
+@given(shape=attention_shapes, seed=st.integers(0, 2**16))
+def test_attention_matches_the_five_op_chain(shape, seed):
+    # float64; relative to the chain's largest |value| of each output: the
+    # two differ only in the order sums are added in
+    *arrays, weight = _attention_inputs(shape, seed, np.float64)
+    got = _attention_run(Tape.attention, arrays, weight, shape[1], shape[4])
+    want = _attention_run(_attention_chain, arrays, weight, shape[1], shape[4])
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@given(shape=attention_shapes, seed=st.integers(0, 2**16))
+def test_attention_in_float32_within_1e_6_of_float64(shape, seed):
+    # the same float32-representable inputs in both dtypes; 1e-6 is about 8.4
+    # float32 eps of the float64 op's largest |value| of each output
+    inputs = _attention_inputs(shape, seed, np.float32)
+    *arrays, weight = [a.astype(np.float64) for a in inputs]
+    want = _attention_run(Tape.attention, arrays, weight, shape[1], shape[4])
+    *arrays, weight = inputs
+    got = _attention_run(Tape.attention, arrays, weight, shape[1], shape[4])
+    for g, w in zip(got, want):
+        assert g.dtype == np.float32
+        assert np.max(np.abs(g - w)) <= 1e-6 * np.max(np.abs(w))
+
+
+@given(dtypes=st.tuples(*[st.sampled_from([np.float32, np.float64])] * 3))
+def test_attention_gradients_take_each_inputs_dtype(dtypes):
+    *arrays, weight = _attention_inputs((2, 2, 3, 2, 4), 0, np.float64)
+    tensors = [Tensor(a.astype(dtype)) for a, dtype in zip(arrays, dtypes)]
+    tape = Tape()
+    out = tape.attention(*tensors, 2, 4)
+    assert out.values.dtype == np.result_type(*dtypes)
+    (entry,) = tape._entries
+    grads = entry.backward(weight.astype(out.values.dtype))
+    assert [g.dtype for g in grads] == [np.dtype(dtype) for dtype in dtypes]
+    assert all(g.shape == t.shape for g, t in zip(grads, tensors))
+
+
+def test_attention_rejects_mismatched_or_unsplittable_inputs():
+    tape = Tape()
+    x = Tensor(np.zeros((2, 4, 6)))
+    with pytest.raises(ValueError, match="equal"):
+        tape.attention(x, x, Tensor(np.zeros((2, 4, 3))), 2, 3)
+    with pytest.raises(ValueError, match="heads"):
+        tape.attention(x, x, x, 3, 3)
+    with pytest.raises(ValueError, match="windows of 4"):
+        tape.attention(x, x, x, 2, 4)
 
 
 def test_batch_norm_updates_running_stats_only_in_training():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import numeric_gradient, rel_err
 
-from modecast import forecaster
+from modecast import autodiff, forecaster
 from modecast import scale_weights as swmod
 from modecast.autodiff import Adam, Tape, Tensor, load_checkpoint, save_checkpoint
 from modecast.config import ConfigError, ExperimentConfig
@@ -154,43 +154,44 @@ ATTN_CFG = ForecasterConfig(
 )
 
 
-class SoftmaxRecordingTape(Tape):
-    """A tape that keeps every softmax output: the encoder's only softmax is
-    each layer's ``[K, B, H, N, N]`` attention map."""
+@pytest.fixture
+def attention_maps(monkeypatch) -> list[np.ndarray]:
+    """Every attention map ``Tape.attention`` computes during the test, each
+    key-major ``[K, B, H, N_keys, N_queries]``: a query's probabilities run
+    down axis -2."""
+    maps: list[np.ndarray] = []
+    probabilities = autodiff._attention_probabilities
 
-    def __init__(self):
-        super().__init__()
-        self.maps: list[np.ndarray] = []
+    def recording(q, k, scale):
+        maps.append(probabilities(q, k, scale))
+        return maps[-1]
 
-    def softmax(self, a, axis: int = -1) -> Tensor:
-        out = super().softmax(a, axis)
-        self.maps.append(out.values)
-        return out
+    monkeypatch.setattr(autodiff, "_attention_probabilities", recording)
+    return maps
 
 
-def _attention_maps(dtype) -> list[np.ndarray]:
+def _forward_attention_maps(maps: list[np.ndarray], dtype) -> list[np.ndarray]:
     model = PatchForecaster(ATTN_CFG, [np.random.default_rng(5)], dtype=dtype)
-    tape = SoftmaxRecordingTape()
-    model.forward_on_tape(tape, np.random.default_rng(6).normal(size=(3, 16, 1)),
+    model.forward_on_tape(Tape(), np.random.default_rng(6).normal(size=(3, 16, 1)),
                           training=True)
-    assert len(tape.maps) == ATTN_CFG.n_layers
-    for attn in tape.maps:
+    assert len(maps) == ATTN_CFG.n_layers
+    for attn in maps:
         assert attn.dtype == dtype
         assert attn.shape == (1, 3, ATTN_CFG.n_heads, ATTN_CFG.n_patches, ATTN_CFG.n_patches)
-    return tape.maps
+    return maps
 
 
-def test_attention_softmax_rows_sum_to_one_everywhere():
-    for attn in _attention_maps(np.float64):
-        assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-9
+def test_attention_softmax_rows_sum_to_one_everywhere(attention_maps):
+    for attn in _forward_attention_maps(attention_maps, np.float64):
+        assert np.max(np.abs(attn.sum(axis=-2) - 1.0)) < 1e-9
 
 
-def test_attention_softmax_rows_sum_to_one_everywhere_in_float32():
-    # a row of N probabilities: the normalizing sum, each division and the
+def test_attention_softmax_rows_sum_to_one_everywhere_in_float32(attention_maps):
+    # one query's N probabilities: the normalizing sum, each division and the
     # check's own sum round once per term, about 2N half-ulps in all
     ulp = np.finfo(np.float32).eps
-    for attn in _attention_maps(np.float32):
-        assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) <= ATTN_CFG.n_patches * ulp
+    for attn in _forward_attention_maps(attention_maps, np.float32):
+        assert np.max(np.abs(attn.sum(axis=-2) - 1.0)) <= ATTN_CFG.n_patches * ulp
 
 
 def test_attention_zero_values_keep_layer_finite():
@@ -203,7 +204,7 @@ def test_attention_zero_values_keep_layer_finite():
     assert np.all(np.isfinite(out.values))
 
 
-def test_attention_hand_computed_single_head():
+def test_attention_hand_computed_single_head(attention_maps):
     # single head, 2 tokens, d_model 2: compare the attention product against
     # a direct numpy evaluation at fixed small weights
     cfg = ForecasterConfig(
@@ -221,16 +222,16 @@ def test_attention_hand_computed_single_head():
     model.params["layer0.w_v"].values = wv.T[None].copy()
 
     x_d = np.array([[0.5, -1.0], [1.5, 0.25]])  # [D, N]
-    tape = SoftmaxRecordingTape()
     # feature-major [K, D, B*N] tokens of one window
-    model._attention_layer(tape, Tensor(x_d[None]), 0, training=True)
+    model._attention_layer(Tape(), Tensor(x_d[None]), 0, training=True)
 
     q = x_d.T @ wq
     k = x_d.T @ wk
     scores = q @ k.T / math.sqrt(2.0)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
-    assert np.max(np.abs(tape.maps[0][0, 0] - attn)) < 1e-10
+    (key_major,) = attention_maps
+    assert np.max(np.abs(np.swapaxes(key_major[0, 0], -1, -2) - attn)) < 1e-10
 
 
 def _per_head_attention_layer(model, x, index):
@@ -270,7 +271,7 @@ def _per_head_attention_layer(model, x, index):
 
 @pytest.mark.parametrize("norm", ["batch", "layer"])
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
-def test_attention_layer_matches_per_head_reference(n_heads, norm):
+def test_attention_layer_matches_per_head_reference(n_heads, norm, attention_maps):
     cfg = ForecasterConfig(
         lookback=16, horizon=1, patch_len=4, stride=2, d_model=8, n_heads=n_heads,
         n_layers=1, d_ff=16, norm=norm,
@@ -281,15 +282,15 @@ def test_attention_layer_matches_per_head_reference(n_heads, norm):
         if ".norm" in name:
             p.values = p.values + rng.normal(scale=0.3, size=p.shape)
     x = rng.normal(size=(2, 3, cfg.d_model, cfg.n_patches))
-    tape = SoftmaxRecordingTape()
     # the layer runs on feature-major [K, D, B*N] tokens
     shape = (2, cfg.d_model, 3, cfg.n_patches)
     tokens = np.moveaxis(x, 1, 2).reshape(2, cfg.d_model, -1)
-    out = model._attention_layer(tape, Tensor(tokens), 0, training=True)
+    out = model._attention_layer(Tape(), Tensor(tokens), 0, training=True)
     got = np.moveaxis(out.values.reshape(shape), 2, 1)
     want, want_attns = _per_head_attention_layer(model, x, 0)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    (attn,) = tape.maps
+    (key_major,) = attention_maps
+    attn = np.swapaxes(key_major, -1, -2)                              # [K, B, H, N, N]
     for h, want_attn in enumerate(want_attns):
         assert np.max(np.abs(attn[:, :, h] - want_attn)) <= 1e-12 * np.max(np.abs(want_attn))
 
@@ -556,21 +557,27 @@ def test_training_step_broadcasts_no_matmul_batch_axis(monkeypatch):
     # activations are feature-major [K, D, B*N], so every weight is one
     # [K, D_out, D_in] @ [K, D_in, B*N] product: no matmul broadcasts a batch
     # axis (Tape.matmul rejects one), and each gradient is one plain product
-    products = []
-    matmul = Tape.matmul
+    products, attentions = [], []
+    matmul, attention = Tape.matmul, Tape.attention
 
     def recording_matmul(self, a, b):
         products.append((a.shape, b.shape))
         return matmul(self, a, b)
 
+    def recording_attention(self, q, k, v, n_heads, n_tokens):
+        attentions.append(q.shape)
+        return attention(self, q, k, v, n_heads, n_tokens)
+
     monkeypatch.setattr(Tape, "matmul", recording_matmul)
+    monkeypatch.setattr(Tape, "attention", recording_attention)
     model = PatchForecaster(TINY, [np.random.default_rng(60), np.random.default_rng(61)])
     rng = np.random.default_rng(62)
     train_epoch(model, rng.normal(size=(4, 8, 2)), rng.normal(size=(4, 1, 2)),
                 Adam(model.parameters()), 4, np.random.default_rng(6))
-    # patch embedding, q/k/v, scores, attention-weighted values, w_attn_out,
-    # w_ff1, w_ff2 per layer, and the head
-    assert len(products) == 2 + 8 * TINY.n_layers
+    # patch embedding, q/k/v, w_attn_out, w_ff1, w_ff2 per layer, and the
+    # head; the score and value products are inside each layer's attention op
+    assert len(products) == 2 + 6 * TINY.n_layers
+    assert len(attentions) == TINY.n_layers
     for a, b in products:
         assert a[:-2] == b[:-2], (a, b)
 
@@ -604,7 +611,7 @@ def test_training_step_runs_the_encoder_in_float32_behind_float64(monkeypatch):
 
     ops = [name for name, _ in recorded]
     cast = ops.index("astype")
-    assert ops.count("astype") == 1 and {"gelu", "softmax", "batch_norm"} <= set(ops[:cast])
+    assert ops.count("astype") == 1 and {"gelu", "attention", "batch_norm"} <= set(ops[:cast])
     assert all(dtype == np.float32 for _, dtype in recorded[:cast]), recorded[:cast]
     # de-normalization, mse, the ASWL weights and the loss
     assert all(dtype == np.float64 for _, dtype in recorded[cast:]), recorded[cast:]

@@ -137,6 +137,23 @@ def test_unconverged_strict_causal_prefixes_log_one_warning_per_cell(caplog):
     ]
 
 
+def test_forecast_from_dir_warns_of_unconverged_strict_causal_prefixes(caplog, tmp_path):
+    cfg = small_config(backtest={"strict_causal": True},
+                       vmd={"n_modes": 2, "max_iter": 2},
+                       model={"lookback": 32, "patch_len": 8, "stride": 4,
+                              "d_model": 8, "n_heads": 2, "n_layers": 1,
+                              "d_ff": 16, "horizon": 8},
+                       training={"epochs": 1, "seeds": [3]})
+    train_period_to_dir(cfg, 0, 3, tmp_path)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="modecast"):
+        forecast_from_dir(tmp_path)
+    assert [r.getMessage() for r in caplog.records] == [
+        "period 0 seed 3: 14 of 14 strict-causal prefix decompositions stopped "
+        "unconverged at vmd.max_iter",
+    ]
+
+
 def test_unconverged_or_duplicate_centre_decomposition_logs_once_per_cell(caplog, tmp_path):
     # K=10 from zero-initialised centres on two tones: after two iterations the
     # decomposition has not converged and two centres sit within 1/(2*600)

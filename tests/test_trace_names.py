@@ -4,9 +4,12 @@ name it lists must still resolve, with the call shape it reads arguments by."""
 import ast
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
-from modecast.autodiff import Tape
+import numpy as np
+
+from modecast.autodiff import Adam, Tape
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -53,3 +56,30 @@ def test_traced_call_shapes():
     assert params(PatchForecaster.predict)[:2] == ["self", "windows"]
     assert params(Tape.backward)[:1] == ["self"]
     assert params(weights_on_tape)[:2] == ["tape", "sw"]
+
+
+def test_traced_tape_ops_against_one_aswl_training_step(monkeypatch):
+    # the tracer times only the ops TAPE_OPS names; pin what a training step
+    # records beyond them and what they name that no step records, so that an
+    # op added to or dropped from the model shows here
+    from modecast import scale_weights
+    from modecast.forecaster import ForecasterConfig, PatchForecaster, train_epoch
+
+    recorded = set()
+    record = Tape._record
+
+    def recording(self, inputs, out_values, backward):
+        recorded.add(sys._getframe(1).f_code.co_name)
+        return record(self, inputs, out_values, backward)
+
+    monkeypatch.setattr(Tape, "_record", recording)
+    cfg = ForecasterConfig(lookback=16, horizon=2, patch_len=4, stride=2, d_model=8,
+                           n_heads=2, n_layers=1, d_ff=16)
+    model = PatchForecaster(cfg, [np.random.default_rng(m) for m in range(2)])
+    sw = scale_weights.init_from_scales(np.array([5.0, 0.5]))
+    rng = np.random.default_rng(2)
+    train_epoch(model, rng.normal(size=(4, 16, 2)), rng.normal(size=(4, 2, 2)),
+                Adam(model.parameters() + [sw.theta]), 4, np.random.default_rng(3), sw)
+    traced = set(_tracing_constants()["TAPE_OPS"])
+    assert recorded - traced == {"astype", "attention"}
+    assert traced - recorded == {"concat", "softmax"}
