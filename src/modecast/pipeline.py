@@ -693,6 +693,7 @@ def write_manifest(outdir, config: dict, seeds, paths: list[Path]) -> None:
 
 
 def write_backtest_artifacts(report: ExperimentReport, outdir) -> None:
+    t_begin = time.perf_counter()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     emitted: list[Path] = []
@@ -732,6 +733,8 @@ def write_backtest_artifacts(report: ExperimentReport, outdir) -> None:
 
     timing = {
         "total_s": report.total_runtime_s,
+        # the CSVs and reports above; timing.json and the manifest come after
+        "artifacts_s": time.perf_counter() - t_begin,
         "cells": {
             f"period{c.period_index}_seed{c.seed}": c.runtime_s for c in report.succeeded
         },

@@ -62,12 +62,13 @@ class VmdConfig:
     def __post_init__(self) -> None:
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        # the chained comparisons also reject NaN
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError("tau must be >= 0 and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.omega_init not in ("uniform", "zero", "random"):
@@ -187,9 +188,16 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
     next_hat = np.empty((k, half), dtype=np.complex128)
     modes_sum = np.empty(half, dtype=np.complex128)
     residual_hat = np.empty(half, dtype=np.complex128)
+    half_dual = np.empty(half, dtype=np.complex128)
     change = np.empty((k, half), dtype=np.complex128)  # each mode's step this sweep
     filters = np.empty((k, half))                      # Wiener denominators
+    # their reciprocals, held as complex so the multiply below casts nothing
+    gains = np.empty((k, half), dtype=np.complex128)
     norms = np.zeros(k)                                # squared norms of modes_hat
+    # row views, bound once; the two spectrum buffers swap roles every sweep
+    rows, next_rows = list(modes_hat), list(next_hat)
+    change_rows, gain_rows = list(change), list(gains)
+    tau = config.tau
 
     omega_history = np.zeros((config.max_iter, k))
     iterations = 0
@@ -203,22 +211,30 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
         np.square(filters, out=filters)
         filters *= 2.0 * config.alpha
         filters += 1.0
-        half_dual = lambda_hat / 2.0
+        np.reciprocal(filters, out=gains)
+        if tau != 0.0:   # tau = 0 keeps the dual variable at exactly zero
+            np.divide(lambda_hat, 2.0, out=half_dual)
         modes_hat.sum(axis=0, out=modes_sum)
-        for m in range(k):
+        for mode, updated, step, gain in zip(rows, next_rows, change_rows, gain_rows):
             # Wiener update: (residual + dual/2) / filter, where the residual
-            # subtracts every other mode, those before m already updated
-            np.subtract(modes_sum, modes_hat[m], out=residual_hat)
+            # subtracts every other mode, those before this one already updated
+            np.subtract(modes_sum, mode, out=residual_hat)
             np.subtract(f_hat_plus, residual_hat, out=residual_hat)
-            residual_hat += half_dual
-            np.divide(residual_hat, filters[m], out=next_hat[m])
-            np.subtract(next_hat[m], modes_hat[m], out=change[m])
-            modes_sum += change[m]   # Gauss-Seidel: next mode sees this one
+            if tau != 0.0:
+                residual_hat += half_dual
+            # same bits as dividing by the filter c: numpy divides a + bi by
+            # c + 0j as ((a + b*0) * (1/c), (b - a*0) * (1/c)), and the
+            # product with (1/c) + 0j is (a*(1/c) - b*0, a*0 + b*(1/c)); the
+            # two differ at most in the sign of an exact zero
+            np.multiply(residual_hat, gain, out=updated)
+            np.subtract(updated, mode, out=step)
+            modes_sum += step   # Gauss-Seidel: next mode sees this one
         modes_hat, next_hat = next_hat, modes_hat
+        rows, next_rows = next_rows, rows
         prev_norms = norms
         omegas, norms = update_omega(np.abs(modes_hat) ** 2, freqs, omegas)
-        if config.tau != 0.0:
-            lambda_hat = update_lambda(lambda_hat, f_hat_plus, modes_sum, config.tau)
+        if tau != 0.0:
+            lambda_hat = update_lambda(lambda_hat, f_hat_plus, modes_sum, tau)
         omega_history[iterations] = omegas
         iterations += 1
         if iterations >= 2:

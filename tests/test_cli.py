@@ -257,6 +257,13 @@ def test_backtest_series_too_short_for_periods_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_non_finite_vmd_tol_exits_2(tmp_path, capsys):
+    assert main(["backtest", "-c", SYNTHETIC, "-o", "vmd.tol=nan",
+                 "--outdir", str(tmp_path / "o")]) == 2
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_backtest_empty_split_exits_2(tmp_path, capsys):
     assert main(["backtest", "-c", SYNTHETIC, "-o", "split.train_fraction=0.0001",
                  "--outdir", str(tmp_path / "o")]) == 2

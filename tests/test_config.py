@@ -94,3 +94,20 @@ def test_invalid_values_rejected_through_overrides():
     ):
         with pytest.raises(ConfigError, match=bad.split("=")[0].split(".")[1]):
             apply_overrides(cfg, [bad])
+
+
+@pytest.mark.parametrize("key", ["alpha", "tau", "tol"])
+def test_non_finite_vmd_settings_rejected(tmp_path, key):
+    # a NaN tol never lets a decomposition stop, an infinite one stops every
+    # decomposition after its second sweep, and a NaN alpha or tau surfaces
+    # only mid-run: each must fail at load, through YAML and through -o
+    cfg = ExperimentConfig.from_dict(BASE)
+    for text in ("nan", "inf"):
+        path = tmp_path / f"{key}_{text}.yaml"
+        path.write_text(
+            f"data: {{generator: {{name: two_tone}}}}\nvmd: {{n_modes: 2, {key}: .{text}}}\n"
+        )
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            load_config(path)
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            apply_overrides(cfg, [f"vmd.{key}={text}"])

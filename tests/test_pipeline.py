@@ -290,6 +290,9 @@ def test_backtest_manifest_covers_artifacts(tmp_path):
     # wall-clock times stay out of the manifest, in timing.json
     assert "timing.json" not in manifest["artifacts"]
     timing = json.loads((tmp_path / "timing.json").read_text())
+    assert set(timing) == {"total_s", "artifacts_s", "cells", "stages"}
+    # writing the CSVs and reports is timed apart from the backtest itself
+    assert 0.0 < timing["artifacts_s"]
     cells = {f"period{p}_seed{s}" for p in (0, 1) for s in (0, 1)}
     assert set(timing["cells"]) == set(timing["stages"]) == cells
     names = ("decompose", "normalize", "train", "forecast", "baselines")
