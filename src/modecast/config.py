@@ -82,7 +82,9 @@ class TrainingConfig:
             raise ConfigError("training.batch_size must be >= 1")
         if not self.learning_rate >= 0.0:   # also rejects NaN
             raise ConfigError("training.learning_rate must be >= 0")
-        if not self.seeds or not all(isinstance(s, int) for s in self.seeds):
+        if not self.seeds or not all(
+            isinstance(s, int) and not isinstance(s, bool) for s in self.seeds
+        ):
             raise ConfigError("training.seeds must be a nonempty list of integers")
 
 
@@ -147,10 +149,20 @@ class ExperimentConfig:
             given = raw.get(name) or {}
             if not isinstance(given, dict):
                 raise ConfigError(f"section '{name}' must be a mapping")
-            extra = set(given) - {g.name for g in fields(types[name])}
+            # each field's annotation as written: the string "int" where the
+            # section's module postpones annotations, the class int elsewhere
+            annotations = {g.name: g.type for g in fields(types[name])}
+            extra = set(given) - set(annotations)
             if extra:
                 raise ConfigError(f"unknown keys in '{name}': {sorted(extra)}")
             given = {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
+            # an int key takes an int (not a bool): a float such as 3.0 would
+            # load, then fail every cell at run time
+            for key, value in given.items():
+                if annotations[key] in (int, "int") and (
+                    isinstance(value, bool) or not isinstance(value, int)
+                ):
+                    raise ConfigError(f"{name}.{key} must be an integer, got {value!r}")
             try:
                 if f.default_factory is MISSING:
                     built[name] = types[name](**given)

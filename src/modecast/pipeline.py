@@ -11,12 +11,10 @@ reports label which protocol produced them.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -521,6 +519,10 @@ def run_backtest(config: ExperimentConfig, outdir=None) -> ExperimentReport:
     jobs = [(values, split, config, seed) for split in splits for seed in config.training.seeds]
 
     if config.backtest.workers > 1:
+        # imported here: the pool's import pulls in multiprocessing, which a
+        # one-worker run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.backtest.workers) as pool:
             cells = list(pool.map(_run_cell, jobs))
     else:
@@ -541,12 +543,18 @@ def run_backtest(config: ExperimentConfig, outdir=None) -> ExperimentReport:
 
 
 def write_forecast_csv(path, t: np.ndarray, actual: np.ndarray, predicted: np.ndarray) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "actual", "predicted"])
-        for ti, a, p in zip(t, actual, predicted):
-            writer.writerow([int(ti), repr(float(a)), repr(float(p))])
+    """CSV with header ``t,actual,predicted``; one row per sample, in the
+    bytes ``csv.writer`` writes for these rows (``repr`` of a float never
+    needs quoting; rows end in CR LF)."""
+    rows = zip(
+        np.asarray(t).astype(np.int64).tolist(),
+        np.asarray(actual, dtype=np.float64).tolist(),
+        np.asarray(predicted, dtype=np.float64).tolist(),
+    )
+    lines = ["t,actual,predicted"]
+    lines += [f"{ti},{a!r},{p!r}" for ti, a, p in rows]
+    with Path(path).open("w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _cell_dict(cell: PeriodCell | FailedCell) -> dict:

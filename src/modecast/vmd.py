@@ -19,7 +19,6 @@ conjugate-symmetric completion onto the full grid before ``np.fft.ifft``.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -115,10 +114,9 @@ def update_omega(
     the rows' power sums (the spectra's squared norms)."""
     totals = power.sum(axis=-1)
     centres = np.array(fallback, dtype=np.float64)
-    for m, total in enumerate(totals.tolist()):
-        if total != 0.0:
-            # one dot per row: a single ``power @ freqs`` rounds differently
-            centres[m] = np.dot(freqs, power[m]) / total
+    # vecdot runs dot's kernel on each row; a single ``power @ freqs`` rounds
+    # differently
+    np.divide(np.vecdot(power, freqs), totals, out=centres, where=totals != 0.0)
     return centres, totals
 
 
@@ -190,14 +188,23 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
     residual_hat = np.empty(half, dtype=np.complex128)
     half_dual = np.empty(half, dtype=np.complex128)
     change = np.empty((k, half), dtype=np.complex128)  # each mode's step this sweep
-    filters = np.empty((k, half))                      # Wiener denominators
-    # their reciprocals, held as complex so the multiply below casts nothing
-    gains = np.empty((k, half), dtype=np.complex128)
+    change_parts = change.view(np.float64)             # [K, 2n]: re, im interleaved
+    # one frequency row per mode, so the filters subtract without broadcasting
+    freq_rows = np.repeat(freqs[None], k, axis=0)
+    # Wiener denominators; once their reciprocals are taken, the same buffer
+    # holds the modes' power spectra
+    filters = np.empty((k, half))
+    # the reciprocals, held as complex with a zero imaginary part so the
+    # multiply below casts nothing; each sweep writes only the real parts
+    gains = np.zeros((k, half), dtype=np.complex128)
+    gains_real = gains.real
     norms = np.zeros(k)                                # squared norms of modes_hat
     # row views, bound once; the two spectrum buffers swap roles every sweep
     rows, next_rows = list(modes_hat), list(next_hat)
     change_rows, gain_rows = list(change), list(gains)
+    two_alpha = 2.0 * config.alpha
     tau = config.tau
+    add, subtract, multiply = np.add, np.subtract, np.multiply
 
     omega_history = np.zeros((config.max_iter, k))
     iterations = 0
@@ -207,40 +214,44 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
     while iterations < config.max_iter and not done:
         # mode m's filter, 1 + 2*alpha*(v - omega_m)^2, is centred on its
         # omega from the previous sweep, so all K are built at once
-        np.subtract(freqs, omegas[:, None], out=filters)
+        subtract(freq_rows, omegas[:, None], filters)
         np.square(filters, out=filters)
-        filters *= 2.0 * config.alpha
-        filters += 1.0
-        np.reciprocal(filters, out=gains)
+        multiply(filters, two_alpha, filters)
+        add(filters, 1.0, filters)
+        np.reciprocal(filters, out=gains_real)
         if tau != 0.0:   # tau = 0 keeps the dual variable at exactly zero
             np.divide(lambda_hat, 2.0, out=half_dual)
         modes_hat.sum(axis=0, out=modes_sum)
         for mode, updated, step, gain in zip(rows, next_rows, change_rows, gain_rows):
             # Wiener update: (residual + dual/2) / filter, where the residual
             # subtracts every other mode, those before this one already updated
-            np.subtract(modes_sum, mode, out=residual_hat)
-            np.subtract(f_hat_plus, residual_hat, out=residual_hat)
+            subtract(modes_sum, mode, residual_hat)
+            subtract(f_hat_plus, residual_hat, residual_hat)
             if tau != 0.0:
-                residual_hat += half_dual
+                add(residual_hat, half_dual, residual_hat)
             # same bits as dividing by the filter c: numpy divides a + bi by
             # c + 0j as ((a + b*0) * (1/c), (b - a*0) * (1/c)), and the
             # product with (1/c) + 0j is (a*(1/c) - b*0, a*0 + b*(1/c)); the
             # two differ at most in the sign of an exact zero
-            np.multiply(residual_hat, gain, out=updated)
-            np.subtract(updated, mode, out=step)
-            modes_sum += step   # Gauss-Seidel: next mode sees this one
+            multiply(residual_hat, gain, updated)
+            subtract(updated, mode, step)
+            add(modes_sum, step, modes_sum)   # Gauss-Seidel: next mode sees this one
         modes_hat, next_hat = next_hat, modes_hat
         rows, next_rows = next_rows, rows
         prev_norms = norms
-        omegas, norms = update_omega(np.abs(modes_hat) ** 2, freqs, omegas)
+        # |z|^2 into the filter buffer: the same bits as np.abs(z) ** 2
+        np.abs(modes_hat, out=filters)
+        np.square(filters, out=filters)
+        omegas, norms = update_omega(filters, freqs, omegas)
         if tau != 0.0:
             lambda_hat = update_lambda(lambda_hat, f_hat_plus, modes_sum, tau)
         omega_history[iterations] = omegas
         iterations += 1
         if iterations >= 2:
             # the first sweep leaves all previous iterates at zero norm, which
-            # the stopping rule excludes; comparing from the second sweep on
-            change_norms = (np.abs(change) ** 2).sum(axis=-1)
+            # the stopping rule excludes; comparing from the second sweep on.
+            # Each step's squared norm is re^2 + im^2 summed over its parts
+            change_norms = np.einsum("ij,ij->i", change_parts, change_parts)
             done, residual = converged(change_norms, prev_norms, config.tol)
             if not math.isfinite(residual):
                 raise FloatingPointError(
@@ -272,15 +283,17 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
 
 
 def write_decomposition_csv(path, modes: np.ndarray) -> None:
-    """CSV with header ``t,imf0,...,imf{K-1}``; one row per sample."""
-    modes = np.asarray(modes)
-    k, n = modes.shape
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"imf{m}" for m in range(k)])
-        for t in range(n):
-            writer.writerow([t] + [repr(float(v)) for v in modes[:, t]])
+    """CSV with header ``t,imf0,...,imf{K-1}``; one row per sample, in the
+    bytes ``csv.writer`` writes for these rows (``repr`` of a float never
+    needs quoting; rows end in CR LF)."""
+    modes = np.asarray(modes, dtype=np.float64)
+    k, _n = modes.shape
+    lines = [",".join(["t"] + [f"imf{m}" for m in range(k)])]
+    lines += [
+        ",".join([str(t), *map(repr, row)]) for t, row in enumerate(modes.T.tolist())
+    ]
+    with Path(path).open("w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def write_decomposition_metadata(path, config: VmdConfig, result: VmdResult) -> None:

@@ -264,6 +264,20 @@ def test_non_finite_vmd_tol_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_float_for_integer_key_exits_2(tmp_path, capsys):
+    # a float count must stop the run at load, not fail every cell (exit 1)
+    raw = backtest_raw()
+    raw["training"]["epochs"] = 1.0
+    cfg = write_config(tmp_path, raw)
+    assert main(["backtest", "-c", str(cfg), "--outdir", str(tmp_path / "o")]) == 2
+    assert "training.epochs must be an integer" in capsys.readouterr().err
+    cfg = write_config(tmp_path, backtest_raw(), name="ok.yaml")
+    assert main(["backtest", "-c", str(cfg), "-o", "vmd={n_modes: 3.0}",
+                 "--outdir", str(tmp_path / "o")]) == 2
+    assert "vmd.n_modes must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_backtest_empty_split_exits_2(tmp_path, capsys):
     assert main(["backtest", "-c", SYNTHETIC, "-o", "split.train_fraction=0.0001",
                  "--outdir", str(tmp_path / "o")]) == 2

@@ -1,6 +1,7 @@
 """Config parsing, validation, and dotted overrides."""
 
 import pytest
+import yaml
 
 from modecast.config import ConfigError, ExperimentConfig, apply_overrides, load_config
 
@@ -35,8 +36,6 @@ def test_unknown_sections_and_keys_rejected():
 
 
 def test_yaml_round_trip(tmp_path):
-    import yaml
-
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({
         "data": {"generator": {"name": "two_tone", "n": 500}},
@@ -111,3 +110,33 @@ def test_non_finite_vmd_settings_rejected(tmp_path, key):
             load_config(path)
         with pytest.raises(ConfigError, match=f"{key} must be"):
             apply_overrides(cfg, [f"vmd.{key}={text}"])
+
+
+INT_KEYS = [
+    ("vmd", "n_modes"), ("vmd", "max_iter"), ("vmd", "seed"),
+    ("model", "lookback"), ("model", "horizon"), ("model", "patch_len"),
+    ("model", "stride"), ("model", "d_model"), ("model", "n_heads"),
+    ("model", "n_layers"), ("model", "d_ff"), ("split", "n_periods"),
+    ("training", "epochs"), ("training", "batch_size"),
+    ("baselines", "ar_order"), ("backtest", "workers"),
+]
+
+
+@pytest.mark.parametrize("section, key", INT_KEYS)
+@pytest.mark.parametrize("value", [4.0, True])
+def test_integer_keys_reject_floats_and_bools(tmp_path, section, key, value):
+    # a float or boolean count would load and then fail every cell at run
+    # time; a whole section set with -o reaches the same check as a YAML file
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({**BASE, section: {**BASE.get(section, {}), key: value}}))
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be an integer"):
+        load_config(path)
+    cfg = ExperimentConfig.from_dict(BASE)
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be an integer"):
+        apply_overrides(cfg, [f"{section}={{{key}: {str(value).lower()}}}"])
+
+
+def test_boolean_seed_rejected():
+    # true is an int to Python: it would run as seed 1 under a "seedTrue" label
+    with pytest.raises(ConfigError, match="seeds must be"):
+        ExperimentConfig.from_dict({**BASE, "training": {"seeds": [0, True]}})

@@ -1,7 +1,12 @@
 """Composite pipeline: per-period flow, backtest aggregation, artifact oracles."""
 
+import csv
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +22,10 @@ from modecast.pipeline import (
     run_period,
     train_period_to_dir,
     write_backtest_artifacts,
+    write_forecast_csv,
 )
 from modecast.synthetic import trend_two_tone
-from modecast.vmd import decompose
+from modecast.vmd import decompose, write_decomposition_csv
 
 
 def small_config(**extra) -> ExperimentConfig:
@@ -278,6 +284,45 @@ def test_backtest_worker_pool_matches_sequential(tmp_path):
     assert [c.period_index for c in par.cells] == [c.period_index for c in seq.cells]
     for a, b in zip(seq.cells, par.cells):
         assert np.array_equal(a.predicted, b.predicted)
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # the process pool is imported only by a run with workers > 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, modecast.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _csv_writer_bytes(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+    return Path(path).read_bytes()
+
+
+def test_csv_writers_match_csv_writer_bytes(tmp_path):
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-310,
+               1e308, -1.7976931348623157e308, 0.1, -123.456, 1.0]
+    values = np.array(special + list(np.random.default_rng(0).normal(size=8) * 1e5))
+    modes = np.stack([values, values[::-1], -values])
+    write_decomposition_csv(tmp_path / "modes.csv", modes)
+    want = _csv_writer_bytes(
+        tmp_path / "modes_ref.csv", ["t", "imf0", "imf1", "imf2"],
+        [[t] + [repr(float(v)) for v in modes[:, t]] for t in range(modes.shape[1])],
+    )
+    assert (tmp_path / "modes.csv").read_bytes() == want
+    t = np.arange(100, 100 + values.size)
+    write_forecast_csv(tmp_path / "forecast.csv", t, values, values[::-1])
+    want = _csv_writer_bytes(
+        tmp_path / "forecast_ref.csv", ["t", "actual", "predicted"],
+        [[int(ti), repr(float(a)), repr(float(p))] for ti, a, p in zip(t, values, values[::-1])],
+    )
+    assert (tmp_path / "forecast.csv").read_bytes() == want
 
 
 def test_backtest_manifest_covers_artifacts(tmp_path):

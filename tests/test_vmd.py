@@ -426,20 +426,46 @@ finite_parts = st.one_of(
 
 @given(data=st.data())
 def test_multiplying_by_reciprocal_filters_equals_dividing(data):
-    # decompose multiplies each residual by its filter's reciprocal, held as
-    # complex, instead of dividing by the filter (>= 1); numpy's complex
-    # division must make the two the same bits
+    # decompose multiplies each residual by its filter's reciprocal, written
+    # into the real parts of a zeroed complex array, instead of dividing by
+    # the filter (>= 1); numpy's complex division must make the two the same
+    # bits
     n = data.draw(st.integers(1, 32), label="n")
     parts = st.lists(finite_parts, min_size=2 * n, max_size=2 * n)
     residual = np.array(data.draw(parts, label="parts")).view(np.complex128)
     filters = np.array(data.draw(
         st.lists(st.floats(1.0, 1e300), min_size=n, max_size=n), label="filters"
     ))
-    gains = np.empty(n, dtype=np.complex128)
-    np.reciprocal(filters, out=gains)
+    gains = np.zeros(n, dtype=np.complex128)
+    np.reciprocal(filters, out=gains.real)
+    assert np.array_equal(gains, np.reciprocal(filters.astype(np.complex128)))
     want = np.divide(residual, filters)
     assert np.array_equal(np.multiply(residual, np.reciprocal(filters)), want)
     assert np.array_equal(np.multiply(residual, gains), want)
+
+
+@given(data=st.data())
+def test_update_omega_equals_per_row_dot(data):
+    # update_omega takes every centre in one vecdot call; each row must be
+    # the same bits as its own np.dot, whatever the row's scale, and a row
+    # without power keeps its fallback
+    k = data.draw(st.integers(1, 12), label="k")
+    n = data.draw(st.integers(1, 600), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    scales = data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-150, 1e150)), min_size=k, max_size=k
+    ), label="scales")
+    power = np.array(scales)[:, None] * rng.random((k, n))
+    freqs = np.arange(n) / (2 * n)
+    fallback = rng.uniform(0.0, 0.5, size=k)
+    centres, totals = update_omega(power, freqs, fallback)
+    want_totals = power.sum(axis=-1)
+    want = np.array([
+        np.dot(freqs, row) / total if total != 0.0 else back
+        for row, total, back in zip(power, want_totals.tolist(), fallback)
+    ])
+    assert np.array_equal(totals, want_totals)
+    assert np.array_equal(centres, want)
 
 
 # -- one-sided iteration against the full-grid reference ---------------------------
