@@ -107,6 +107,15 @@ def _norm_shape(xv: np.ndarray, gamma: Tensor, beta: Tensor, name: str) -> tuple
     return (k, n_features) + (1,) * (xv.ndim - 2)
 
 
+def _spare(buffer: np.ndarray | None, *operands: np.ndarray) -> np.ndarray | None:
+    """``buffer`` if it has the dtype numpy promotes ``operands`` to, else
+    None: as a ufunc's ``out=``, a scratch array that can take the result
+    unrounded, or a new array of the promoted dtype."""
+    if buffer is not None and buffer.dtype == np.result_type(*operands):
+        return buffer
+    return None
+
+
 def _sum_over_keys(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=-2, keepdims=True)`` as one BLAS product with a row of
     ones: on ``[..., 13, 13]`` attention maps numpy's reduction along axis
@@ -264,19 +273,37 @@ class Tape:
         return self._record((a,), out, bwd)
 
     def gelu(self, a) -> Tensor:
-        # tanh approximation; closed-form derivative keeps it gradient-checkable
+        """tanh-approximated GELU with a closed-form derivative.  Every
+        intermediate is computed in place in a buffer the op owns, in the
+        order ``0.5*x*(1 + tanh(c*(x + 0.044715*x*x*x)))`` spells out."""
         a = self._lift(a)
         # x * x * x, not x**3: numpy's pow is over ten times slower here, and
         # its SIMD path is not correctly rounded on every machine
         x = a.values
-        inner = _GELU_C * (x + 0.044715 * (x * x * x))
-        t = np.tanh(inner)
-        out = 0.5 * x * (1.0 + t)
+        t = x * x
+        t *= x
+        t *= 0.044715
+        t += x
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        out = 0.5 * x
+        out *= t + 1.0
 
         def bwd(g):
-            sech2 = 1.0 - t * t
-            d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-            return (g * d,)
+            # d = 0.5*(1 + t) + 0.5*x * (1 - t*t) * c * (1 + 3*0.044715*x*x)
+            s = t * t
+            np.subtract(1.0, s, out=s)
+            d = 0.5 * x
+            d *= s
+            d *= _GELU_C
+            np.multiply(x, x, out=s)
+            s *= 3 * 0.044715
+            s += 1.0
+            d *= s
+            np.add(t, 1.0, out=s)
+            s *= 0.5
+            s += d
+            return (np.multiply(s, g, out=_spare(s, s, g)),)
 
         return self._record((a,), out, bwd)
 
@@ -467,9 +494,11 @@ class Tape:
 
         if training:
             mu = xv.mean(axis=axes, keepdims=True)
-            centred = xv - mu
-            # the sum of squares np.var takes, without centring a second time
-            var = (centred * centred).mean(axis=axes, keepdims=True)
+            xhat = xv - mu  # centred here, normalized in place below
+            # the sum of squares np.var takes, without centring a second
+            # time; the squares' buffer then takes the output
+            squares = xhat * xhat
+            var = squares.mean(axis=axes, keepdims=True)
             if state is not None:
                 m = state.momentum
                 state.running_mean += m * (mu.reshape(gamma.shape) - state.running_mean)
@@ -477,23 +506,34 @@ class Tape:
         else:
             if state is None:
                 raise ValueError("batch_norm eval mode needs running statistics")
-            centred = xv - state.running_mean.reshape(pshape)
+            xhat = xv - state.running_mean.reshape(pshape)
             var = state.running_var.reshape(pshape)
+            squares = None
 
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = centred * inv
-        out = gv * xhat + beta.values.reshape(pshape)
+        xhat *= inv
+        bv = beta.values.reshape(pshape)
+        out = np.multiply(gv, xhat, out=_spare(squares, gv, xhat, bv))
+        out += bv
 
         def bwd(g):
             gx = g * xhat
             dgamma = gx.sum(axis=axes)
             dbeta = g.sum(axis=axes)
             if training:
-                gm = g.mean(axis=axes, keepdims=True)
-                gxm = gx.mean(axis=axes, keepdims=True)
-                dx = gv * inv * (g - gm - xhat * gxm)
+                # the means of g and g*xhat from the sums above, divided in
+                # their dtype: bit-equal to np.mean, which divides in float64
+                # and rounds once
+                count = dbeta.dtype.type(g.size // dbeta.size)
+                gm = (dbeta / count).reshape(pshape)
+                gxm = (dgamma / count).reshape(pshape)
+                np.multiply(xhat, gxm, out=gx)
+                dx = g - gm
+                dx -= gx
+                dx *= gv * inv
             else:
-                dx = g * gv * inv
+                dx = g * gv
+                dx *= inv
             return dx, dgamma, dbeta
 
         return self._record((x, gamma, beta), out, bwd)
@@ -591,26 +631,38 @@ class Adam:
         if lr < 0:
             raise ValueError("lr must be >= 0")
         self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        # Python floats, so a float32 parameter's update stays float32
+        self.lr = float(lr)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
         self.states = [
             AdamState(m=np.zeros_like(p.values), v=np.zeros_like(p.values))
             for p in self.params
         ]
 
     def step(self) -> None:
+        """One update per parameter through one scratch array, in the order
+        the class docstring spells out."""
         for p, s in zip(self.params, self.states):
             g = p.grad
             if g is None:
                 continue
             s.t += 1
-            s.m += (1.0 - self.beta1) * (g - s.m)
-            s.v += (1.0 - self.beta2) * (g * g - s.v)
-            m_hat = s.m / (1.0 - self.beta1**s.t)
-            v_hat = s.v / (1.0 - self.beta2**s.t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            scratch = g - s.m
+            scratch *= 1.0 - self.beta1
+            s.m += scratch
+            np.multiply(g, g, out=scratch)
+            scratch -= s.v
+            scratch *= 1.0 - self.beta2
+            s.v += scratch
+            np.divide(s.v, 1.0 - self.beta2**s.t, out=scratch)  # v_hat
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            step = s.m / (1.0 - self.beta1**s.t)  # m_hat
+            step *= self.lr
+            step /= scratch
+            p.values -= step
 
     def zero_grad(self) -> None:
         for p in self.params:

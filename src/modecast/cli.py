@@ -177,7 +177,16 @@ def _read_metric_column(path: Path, preferred: str) -> np.ndarray:
             raise UserError(f"{path}: unparseable value in column {column!r}") from exc
     if not values:
         raise UserError(f"{path}: no data rows")
-    return np.asarray(values)
+    values = np.asarray(values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        # sMAPE would score a NaN point as a perfect match, and metrics.json
+        # would hold a bare NaN token
+        raise UserError(
+            f"{path}: non-finite value {float(values[bad[0]])} in column {column!r}, "
+            f"data row {bad[0] + 1}"
+        )
+    return values
 
 
 def cmd_evaluate(args) -> int:

@@ -33,6 +33,11 @@ class ConfigError(ValueError):
     """Bad configuration file or override."""
 
 
+# annotations, as written or postponed, whose keys take exactly that type
+_EXACT_KINDS = {int: int, "int": int, bool: bool, "bool": bool}
+_KIND_NAMES = {int: "an integer", bool: "true or false"}
+
+
 @dataclass(frozen=True)
 class DataConfig:
     path: str | None = None
@@ -156,13 +161,13 @@ class ExperimentConfig:
             if extra:
                 raise ConfigError(f"unknown keys in '{name}': {sorted(extra)}")
             given = {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
-            # an int key takes an int (not a bool): a float such as 3.0 would
-            # load, then fail every cell at run time
+            # an int key takes an int (not a bool) and a bool key a bool: a
+            # float such as 3.0 would load, then fail every cell at run time,
+            # and a quoted "false" would load as a true string
             for key, value in given.items():
-                if annotations[key] in (int, "int") and (
-                    isinstance(value, bool) or not isinstance(value, int)
-                ):
-                    raise ConfigError(f"{name}.{key} must be an integer, got {value!r}")
+                kind = _EXACT_KINDS.get(annotations[key])
+                if kind is not None and type(value) is not kind:
+                    raise ConfigError(f"{name}.{key} must be {_KIND_NAMES[kind]}, got {value!r}")
             try:
                 if f.default_factory is MISSING:
                     built[name] = types[name](**given)

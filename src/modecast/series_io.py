@@ -159,7 +159,7 @@ def split_periods(series, n_periods: int, train_fraction: float) -> list[PeriodS
     whose sizes differ by at most one (remainder goes to the earliest blocks);
     within each block the first ``floor(train_fraction * block)`` indices are
     train.  ``series`` may be a :class:`PriceSeries`, an array, or a length."""
-    n = series if isinstance(series, int) else len(series)
+    n = int(series) if isinstance(series, (int, np.integer)) else len(series)
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
     if not 0.0 < train_fraction < 1.0:

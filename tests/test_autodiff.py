@@ -409,6 +409,163 @@ def test_batch_norm_updates_running_stats_only_in_training():
     assert np.array_equal(frozen, state.running_mean)
 
 
+# -- in-place kernels against the expressions they replaced ---------------------
+#
+# gelu, batch_norm and Adam write their intermediates into buffers they own;
+# the references below are the expressions they replaced, copied verbatim,
+# and every result must equal them bit for bit.
+
+
+def _gelu_replaced(x):
+    """``Tape.gelu``'s forward and backward before its buffers were reused."""
+    _GELU_C = math.sqrt(2.0 / math.pi)  # the source's Python float
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
+    t = np.tanh(inner)
+    out = 0.5 * x * (1.0 + t)
+
+    def bwd(g):
+        sech2 = 1.0 - t * t
+        d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+        return (g * d,)
+
+    return out, bwd
+
+
+def _batch_norm_replaced(xv, gamma, beta, state, training, eps=1e-5):
+    """``Tape.batch_norm``'s forward and backward before its buffers were
+    reused, on arrays."""
+    pshape = gamma.shape + (1,) * (xv.ndim - 2)
+    axes = tuple(range(2, xv.ndim))
+    gv = gamma.reshape(pshape)
+
+    if training:
+        mu = xv.mean(axis=axes, keepdims=True)
+        centred = xv - mu
+        # the sum of squares np.var takes, without centring a second time
+        var = (centred * centred).mean(axis=axes, keepdims=True)
+        if state is not None:
+            m = state.momentum
+            state.running_mean += m * (mu.reshape(gamma.shape) - state.running_mean)
+            state.running_var += m * (var.reshape(gamma.shape) - state.running_var)
+    else:
+        centred = xv - state.running_mean.reshape(pshape)
+        var = state.running_var.reshape(pshape)
+
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centred * inv
+    out = gv * xhat + beta.reshape(pshape)
+
+    def bwd(g):
+        gx = g * xhat
+        dgamma = gx.sum(axis=axes)
+        dbeta = g.sum(axis=axes)
+        if training:
+            gm = g.mean(axis=axes, keepdims=True)
+            gxm = gx.mean(axis=axes, keepdims=True)
+            dx = gv * inv * (g - gm - xhat * gxm)
+        else:
+            dx = g * gv * inv
+        return dx, dgamma, dbeta
+
+    return out, bwd
+
+
+def _adam_step_replaced(opt):
+    """``Adam.step`` before its scratch array."""
+    for p, s in zip(opt.params, opt.states):
+        g = p.grad
+        if g is None:
+            continue
+        s.t += 1
+        s.m += (1.0 - opt.beta1) * (g - s.m)
+        s.v += (1.0 - opt.beta2) * (g * g - s.v)
+        m_hat = s.m / (1.0 - opt.beta1**s.t)
+        v_hat = s.v / (1.0 - opt.beta2**s.t)
+        p.values -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+kernel_dtypes = st.sampled_from([np.float32, np.float64])
+# [K, D, T] or [K, D, B, N]
+kernel_shapes = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 12)),
+    st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 6)),
+)
+_TINY = float(np.finfo(np.float32).smallest_subnormal)
+_EDGE_VALUES = np.array([0.0, -0.0, _TINY, -_TINY, 37 * _TINY, 1e-40, -1e-30, 1e6, -1e6])
+
+
+def _kernel_array(rng, dtype, shape, positive=False):
+    """Values up to 1e6 in magnitude, so no intermediate overflows in float32:
+    half of them normal with scale 3, half of any magnitude down to below
+    float32's subnormals, and about a fifth replaced by exact zeros, float32
+    subnormals or +-1e6."""
+    scale = np.where(rng.random(shape) < 0.5, 3.0, 10.0 ** rng.uniform(-47.0, 6.0, shape))
+    a = np.clip(rng.normal(size=shape) * scale, -1e6, 1e6)
+    edge = rng.random(shape) < 0.2
+    a[edge] = rng.choice(_EDGE_VALUES, size=int(edge.sum()))
+    return (np.abs(a) if positive else a).astype(dtype)
+
+
+def _bitwise_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@given(dtype=kernel_dtypes, g_dtype=kernel_dtypes, shape=kernel_shapes,
+       seed=st.integers(0, 2**16))
+def test_gelu_equals_the_expressions_it_replaced(dtype, g_dtype, shape, seed):
+    rng = np.random.default_rng(seed)
+    x, g = _kernel_array(rng, dtype, shape), _kernel_array(rng, g_dtype, shape)
+    x_before, g_before = x.copy(), g.copy()
+    tape = Tape()
+    out = tape.gelu(Tensor(x))
+    (entry,) = tape._entries
+    (dx,) = entry.backward(g)
+    want_out, want_bwd = _gelu_replaced(x_before)
+    (want_dx,) = want_bwd(g_before)
+    _bitwise_equal(out.values, want_out)
+    _bitwise_equal(dx, want_dx)
+    _bitwise_equal(x, x_before)
+    _bitwise_equal(g, g_before)
+
+
+@given(x_dtype=kernel_dtypes, p_dtype=kernel_dtypes, g_wide=st.booleans(), shape=kernel_shapes,
+       mode=st.sampled_from(["training", "training with state", "eval"]),
+       seed=st.integers(0, 2**16))
+def test_batch_norm_equals_the_expressions_it_replaced(x_dtype, p_dtype, g_wide, shape, mode,
+                                                       seed):
+    # scale, shift and running statistics share one dtype, as a model's do;
+    # the incoming gradient has at least the output's dtype, as on a tape
+    rng = np.random.default_rng(seed)
+    training = mode != "eval"
+    params = (shape[0], shape[1])
+    x = _kernel_array(rng, x_dtype, shape)
+    gamma, beta = _kernel_array(rng, p_dtype, params), _kernel_array(rng, p_dtype, params)
+    g_dtype = np.float64 if g_wide else np.result_type(x_dtype, p_dtype)
+    g = _kernel_array(rng, g_dtype, shape)
+    states = [None, None]
+    if mode != "training":
+        mean = _kernel_array(rng, p_dtype, params)
+        var = _kernel_array(rng, p_dtype, params, positive=True)
+        states = [BatchNormState(mean.copy(), var.copy()) for _ in range(2)]
+    before = [a.copy() for a in (x, gamma, beta, g)]
+
+    tape = Tape()
+    out = tape.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), state=states[0],
+                          training=training)
+    (entry,) = tape._entries
+    grads = entry.backward(g)
+    want_out, want_bwd = _batch_norm_replaced(*before[:3], states[1], training)
+    _bitwise_equal(out.values, want_out)
+    for got, want in zip(grads, want_bwd(before[3])):
+        _bitwise_equal(got, want)
+    if states[0] is not None:
+        _bitwise_equal(states[0].running_mean, states[1].running_mean)
+        _bitwise_equal(states[0].running_var, states[1].running_var)
+    for after, copy in zip((x, gamma, beta, g), before):
+        _bitwise_equal(after, copy)
+
+
 # -- Adam ----------------------------------------------------------------------
 
 
@@ -454,6 +611,39 @@ def test_adam_deterministic_trajectory():
         return p.values.copy()
 
     assert np.array_equal(run(), run())
+
+
+@given(
+    dtypes=st.lists(kernel_dtypes, min_size=1, max_size=4),
+    lr=st.sampled_from([0.0, 1e-3, 0.1]),
+    n_steps=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_adam_steps_equal_the_update_they_replaced(dtypes, lr, n_steps, seed):
+    # float32 parameters (the encoder) next to float64 ones (theta); gradients
+    # span small and large magnitudes and include exact zeros
+    rng = np.random.default_rng(seed)
+    shapes = [tuple(rng.integers(1, 5, size=rng.integers(1, 3))) for _ in dtypes]
+    initial = [rng.normal(size=shape).astype(dtype) for shape, dtype in zip(shapes, dtypes)]
+    runs = []
+    for _ in range(2):
+        params = [Tensor(values.copy(), requires_grad=True) for values in initial]
+        runs.append(Adam(params, lr=lr))
+    for _ in range(n_steps):
+        for p, q in zip(runs[0].params, runs[1].params):
+            grad = rng.normal(size=p.shape) * 10.0 ** rng.integers(-30, 6, size=p.shape)
+            grad[rng.random(p.shape) < 0.2] = 0.0
+            p.grad[...] = grad
+            q.grad[...] = grad
+        before = [p.grad.copy() for p in runs[0].params]
+        runs[0].step()
+        _adam_step_replaced(runs[1])
+        for p, q, grad in zip(runs[0].params, runs[1].params, before):
+            _bitwise_equal(p.values, q.values)
+            _bitwise_equal(p.grad, grad)
+        for s, r in zip(runs[0].states, runs[1].states):
+            _bitwise_equal(s.m, r.m)
+            _bitwise_equal(s.v, r.v)
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
 from modecast.autodiff import load_checkpoint, save_checkpoint
@@ -134,6 +135,27 @@ def test_evaluate_length_mismatch_exits_2(tmp_path, capsys):
     assert main(["evaluate", "--forecast", str(f), "--actual", str(a),
                  "--outdir", str(tmp_path)]) == 2
     assert "mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("side", ["forecast", "actual"])
+def test_evaluate_rejects_non_finite_values(tmp_path, capsys, side, bad):
+    # a NaN scored as sMAPE 0 (a perfect match) and wrote a bare NaN token
+    # into metrics.json; now it exits 2 naming the file, column and row
+    f = tmp_path / "pred.csv"
+    a = tmp_path / "act.csv"
+    predicted, actual = [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]
+    (predicted if side == "forecast" else actual)[1] = float(bad)
+    write_two_column(f, "predicted", predicted)
+    write_two_column(a, "actual", actual)
+    outdir = tmp_path / "scores"
+    assert main(["evaluate", "--forecast", str(f), "--actual", str(a),
+                 "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    path, column = (f, "predicted") if side == "forecast" else (a, "actual")
+    assert str(path) in err and f"non-finite value {float(bad)}" in err
+    assert f"column {column!r}, data row 2" in err
+    assert not outdir.exists()
 
 
 # -- backtest --------------------------------------------------------------------

@@ -136,6 +136,36 @@ def test_integer_keys_reject_floats_and_bools(tmp_path, section, key, value):
         apply_overrides(cfg, [f"{section}={{{key}: {str(value).lower()}}}"])
 
 
+BOOL_KEYS = [
+    ("vmd", "sort_modes"), ("aswl", "enabled"), ("aswl", "train_theta"),
+    ("backtest", "strict_causal"),
+]
+
+
+@pytest.mark.parametrize("section, key", BOOL_KEYS)
+@pytest.mark.parametrize("value", ["false", "no", 0, 1])
+def test_boolean_keys_reject_strings_and_numbers(tmp_path, section, key, value):
+    # a quoted "false" loaded as a true string: strict_causal: "false" ran the
+    # backtest strict-causal and enabled: "no" kept ASWL on
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({**BASE, section: {**BASE.get(section, {}), key: value}}))
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be true or false"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be true or false"):
+        ExperimentConfig.from_dict({**BASE, section: {key: value}})
+
+
+@pytest.mark.parametrize("section, key", BOOL_KEYS)
+def test_boolean_keys_take_yaml_booleans_and_override_words(tmp_path, section, key):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({**BASE, section: {**BASE.get(section, {}), key: False}}))
+    assert getattr(getattr(load_config(path), section), key) is False
+    cfg = ExperimentConfig.from_dict(BASE)
+    for text, want in (("false", False), ("true", True), ("off", False)):
+        got = apply_overrides(cfg, [f"{section}.{key}={text}"])
+        assert getattr(getattr(got, section), key) is want
+
+
 def test_boolean_seed_rejected():
     # true is an int to Python: it would run as seed 1 under a "seedTrue" label
     with pytest.raises(ConfigError, match="seeds must be"):

@@ -96,6 +96,14 @@ def test_split_single_period():
     assert s.test == (8, 10)
 
 
+def test_split_accepts_a_numpy_integer_length():
+    # a length read off an array shape or a sum arrives as np.int64
+    for n in (np.int64(600), np.int32(600), np.uint16(600)):
+        splits = split_periods(n, 1, 0.8)
+        assert splits == split_periods(600, 1, 0.8)
+        assert all(type(i) is int for s in splits for i in s.train + s.test)
+
+
 def test_split_remainder_goes_to_earliest_blocks():
     splits = split_periods(101, 5, 0.8)
     sizes = [s.stop - s.start for s in splits]
