@@ -93,15 +93,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _norm_shape(xv: np.ndarray, gamma: Tensor, beta: Tensor, name: str) -> tuple[int, ...]:
+def _norm_shape(xv: np.ndarray, gamma: Tensor, beta: Tensor) -> tuple[int, ...]:
     """Check that ``x`` is ``[K, features, tokens...]`` and scale/shift
     ``[K, features]``; return the shape that broadcasts those against ``x``."""
     if xv.ndim < 3:
-        raise ValueError(f"{name} expects [K, features, tokens...] input, got shape {xv.shape}")
+        raise ValueError(
+            f"batch_norm expects [K, features, tokens...] input, got shape {xv.shape}"
+        )
     k, n_features = xv.shape[:2]
     if gamma.shape != (k, n_features) or beta.shape != (k, n_features):
         raise ValueError(
-            f"{name} scale/shift must have shape ({k}, {n_features}), "
+            f"batch_norm scale/shift must have shape ({k}, {n_features}), "
             f"got {gamma.shape} and {beta.shape}"
         )
     return (k, n_features) + (1,) * (xv.ndim - 2)
@@ -488,7 +490,7 @@ class Tape:
         """
         x = self._lift(x)
         xv = x.values
-        pshape = _norm_shape(xv, gamma, beta, "batch_norm")
+        pshape = _norm_shape(xv, gamma, beta)
         axes = tuple(range(2, xv.ndim))
         gv = gamma.values.reshape(pshape)
 
@@ -534,31 +536,6 @@ class Tape:
             else:
                 dx = g * gv
                 dx *= inv
-            return dx, dgamma, dbeta
-
-        return self._record((x, gamma, beta), out, bwd)
-
-    def layer_norm(self, x, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-        """Per-position normalization over the feature axis (axis 1 of
-        ``[K, features, tokens...]``)."""
-        x = self._lift(x)
-        xv = x.values
-        pshape = _norm_shape(xv, gamma, beta, "layer_norm")
-        others = tuple(range(2, xv.ndim))
-        gv = gamma.values.reshape(pshape)
-        mu = xv.mean(axis=1, keepdims=True)
-        var = xv.var(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (xv - mu) * inv
-        out = gv * xhat + beta.values.reshape(pshape)
-
-        def bwd(g):
-            dgamma = (g * xhat).sum(axis=others)
-            dbeta = g.sum(axis=others)
-            ggv = g * gv
-            gm = ggv.mean(axis=1, keepdims=True)
-            gxm = (ggv * xhat).mean(axis=1, keepdims=True)
-            dx = inv * (ggv - gm - xhat * gxm)
             return dx, dgamma, dbeta
 
         return self._record((x, gamma, beta), out, bwd)

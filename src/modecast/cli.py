@@ -63,10 +63,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.override:
         config = apply_overrides(config, args.override)
     if getattr(args, "seed", None) is not None:
-        config = apply_overrides(
-            config,
-            [f"training.seeds=[{args.seed}]", f"vmd.seed={args.seed}"],
-        )
+        config = apply_overrides(config, [f"training.seeds=[{args.seed}]"])
     return config
 
 
@@ -263,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "-o", "--override", action="append", default=[],
                 metavar="KEY=VALUE", help="dotted config override, e.g. vmd.alpha=500",
             )
-            p.add_argument("--seed", type=int, help="override the experiment seed")
+            p.add_argument("--seed", type=int, help="set training.seeds to this one seed")
         p.add_argument("--outdir", help="output directory (default $MODECAST_OUTDIR or ./modecast_out)")
 
     p = sub.add_parser("decompose", help="run the mode decomposition and export it")

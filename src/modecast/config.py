@@ -33,9 +33,15 @@ class ConfigError(ValueError):
     """Bad configuration file or override."""
 
 
-# annotations, as written or postponed, whose keys take exactly that type
-_EXACT_KINDS = {int: int, "int": int, bool: bool, "bool": bool}
-_KIND_NAMES = {int: "an integer", bool: "true or false"}
+# annotations, as written or postponed, whose keys take exactly these types
+_INTEGER = ((int,), "an integer")
+_BOOLEAN = ((bool,), "true or false")
+_NUMBER = ((int, float), "a number")
+_EXACT_KINDS = {
+    int: _INTEGER, "int": _INTEGER,
+    bool: _BOOLEAN, "bool": _BOOLEAN,
+    float: _NUMBER, "float": _NUMBER,
+}
 
 
 @dataclass(frozen=True)
@@ -161,13 +167,14 @@ class ExperimentConfig:
             if extra:
                 raise ConfigError(f"unknown keys in '{name}': {sorted(extra)}")
             given = {k: tuple(v) if isinstance(v, list) else v for k, v in given.items()}
-            # an int key takes an int (not a bool) and a bool key a bool: a
-            # float such as 3.0 would load, then fail every cell at run time,
-            # and a quoted "false" would load as a true string
+            # an int key takes an int (not a bool), a bool key a bool, and a
+            # float key an int or a float: a float such as 3.0 would load,
+            # then fail every cell at run time, a quoted "false" would load
+            # as a true string, and YAML reads 1e-3 (no dot) as a string
             for key, value in given.items():
                 kind = _EXACT_KINDS.get(annotations[key])
-                if kind is not None and type(value) is not kind:
-                    raise ConfigError(f"{name}.{key} must be {_KIND_NAMES[kind]}, got {value!r}")
+                if kind is not None and type(value) not in kind[0]:
+                    raise ConfigError(f"{name}.{key} must be {kind[1]}, got {value!r}")
             try:
                 if f.default_factory is MISSING:
                     built[name] = types[name](**given)

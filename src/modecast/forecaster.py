@@ -57,7 +57,6 @@ class ForecasterConfig:
     n_heads: int = 4
     n_layers: int = 2
     d_ff: int = 128
-    norm: str = "batch"   # batch | layer
 
     def __post_init__(self) -> None:
         if self.lookback < 2:
@@ -74,8 +73,6 @@ class ForecasterConfig:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
             )
-        if self.norm not in ("batch", "layer"):
-            raise ValueError(f"unknown norm {self.norm!r}")
 
     @property
     def n_patches(self) -> int:
@@ -199,8 +196,7 @@ class PatchForecaster:
         def init_norm(name: str) -> None:
             store(f"{name}.gamma", np.ones((k, d)))
             store(f"{name}.beta", np.zeros((k, d)))
-            if config.norm == "batch":
-                self.bn_states[name] = BatchNormState.for_features(k, d, self.dtype)
+            self.bn_states[name] = BatchNormState.for_features(k, d, self.dtype)
 
         init("w_patch", (d, p), p)
         init("w_pos", (d, n), d)
@@ -263,9 +259,7 @@ class PatchForecaster:
     def _norm(self, tape: Tape, x, name: str, training: bool):
         gamma = self.params[f"{name}.gamma"]
         beta = self.params[f"{name}.beta"]
-        if self.config.norm == "batch":
-            return tape.batch_norm(x, gamma, beta, state=self.bn_states[name], training=training)
-        return tape.layer_norm(x, gamma, beta)
+        return tape.batch_norm(x, gamma, beta, state=self.bn_states[name], training=training)
 
     def _attention_layer(self, tape: Tape, x, index: int, training: bool):
         """One encoder layer on feature-major ``[K, D, B*N]`` tokens: every

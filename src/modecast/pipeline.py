@@ -324,7 +324,7 @@ def _warn_decomposition(result: VmdResult, period_index: int, seed: int) -> None
             "(%d iterations)",
             period_index, seed, result.iterations,
         )
-    centres = np.sort(result.omegas)
+    centres = result.omegas   # ascending: decompose sorts its modes
     if centres.size < 2:
         return
     closest = int(np.argmin(np.diff(centres)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +45,8 @@ class VmdConfig:
 
     ``alpha`` is the bandwidth penalty, ``tau`` the dual-ascent rate (0 keeps
     the dual variable frozen, which tolerates a noisy residual), ``tol`` the
-    relative-change threshold of the stopping rule, ``omega_init`` one of
-    ``uniform``/``zero``/``random``.
+    relative-change threshold of the stopping rule, ``omega_init`` the centre
+    frequencies' start: ``uniform`` (spread over ``[0, 0.5)``) or ``zero``.
     """
 
     n_modes: int
@@ -55,8 +55,6 @@ class VmdConfig:
     tol: float = 1e-7
     max_iter: int = 500
     omega_init: str = "uniform"
-    seed: int = 0
-    sort_modes: bool = True
 
     def __post_init__(self) -> None:
         if self.n_modes < 1:
@@ -70,7 +68,7 @@ class VmdConfig:
             raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.omega_init not in ("uniform", "zero", "random"):
+        if self.omega_init not in ("uniform", "zero"):
             raise ValueError(f"unknown omega_init {self.omega_init!r}")
 
     def to_dict(self) -> dict:
@@ -79,15 +77,15 @@ class VmdConfig:
 
 @dataclass
 class VmdResult:
-    """Modes (rows, same length as the input), their center frequencies in
-    cycles/sample, and convergence telemetry."""
+    """Modes (rows, same length as the input) and their center frequencies
+    in cycles/sample, both in ascending order of frequency, and convergence
+    telemetry."""
 
     modes: np.ndarray          # [K, n]
     omegas: np.ndarray         # [K], in [0, 0.5]
     iterations: int
     converged: bool
     final_residual: float
-    omega_history: np.ndarray | None = field(repr=False, default=None)  # [iterations, K]
 
     def reconstruction(self) -> np.ndarray:
         return self.modes.sum(axis=0)
@@ -150,15 +148,11 @@ def converged(
     return residual < tol, residual
 
 
-def _initial_omegas(config: VmdConfig, n: int) -> np.ndarray:
+def _initial_omegas(config: VmdConfig) -> np.ndarray:
     k = config.n_modes
     if config.omega_init == "zero":
         return np.zeros(k)
-    if config.omega_init == "uniform":
-        return 0.5 * np.arange(k) / k
-    rng = np.random.default_rng(config.seed)
-    lo, hi = math.log(1.0 / n), math.log(0.5)
-    return np.sort(np.exp(lo + (hi - lo) * rng.random(k)))
+    return 0.5 * np.arange(k) / k
 
 
 def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
@@ -180,7 +174,7 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
     f_hat_plus = np.fft.fft(mirrored)[:half]  # one-sided grid
     freqs = np.arange(half) / m_len    # cycles/sample on [0, 0.5)
 
-    omegas = _initial_omegas(config, n)
+    omegas = _initial_omegas(config)
     lambda_hat = np.zeros(half, dtype=np.complex128)
     modes_hat = np.zeros((k, half), dtype=np.complex128)
     next_hat = np.empty((k, half), dtype=np.complex128)
@@ -206,7 +200,6 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
     tau = config.tau
     add, subtract, multiply = np.add, np.subtract, np.multiply
 
-    omega_history = np.zeros((config.max_iter, k))
     iterations = 0
     done = False
     residual = math.inf
@@ -245,7 +238,6 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
         omegas, norms = update_omega(filters, freqs, omegas)
         if tau != 0.0:
             lambda_hat = update_lambda(lambda_hat, f_hat_plus, modes_sum, tau)
-        omega_history[iterations] = omegas
         iterations += 1
         if iterations >= 2:
             # the first sweep leaves all previous iterates at zero norm, which
@@ -258,27 +250,19 @@ def decompose(signal: np.ndarray, config: VmdConfig) -> VmdResult:
                     f"non-finite convergence residual at iteration {iterations}"
                 )
 
-    omega_history = omega_history[:iterations]
-
     # conjugate-symmetric completion, inverse transform, un-mirror
     full = np.zeros((k, m_len), dtype=np.complex128)
     full[:, :half] = modes_hat
     full[:, half + 1:] = np.conj(modes_hat[:, :0:-1])
-    modes = np.fft.ifft(full).real[:, n // 2: n // 2 + n].copy()
+    modes = np.fft.ifft(full).real[:, n // 2: n // 2 + n]
 
-    if config.sort_modes:
-        order = np.argsort(omegas, kind="stable")
-        omegas = omegas[order]
-        modes = modes[order]
-        omega_history = omega_history[:, order]
-
+    order = np.argsort(omegas, kind="stable")
     return VmdResult(
-        modes=modes,
-        omegas=np.asarray(omegas),
+        modes=modes[order],
+        omegas=omegas[order],
         iterations=iterations,
         converged=done,
         final_residual=residual,
-        omega_history=omega_history,
     )
 
 

@@ -235,16 +235,6 @@ def test_gradcheck_batch_norm(training, ndim):
     _gradcheck(build, [shape, (2, 3), (2, 3)], seeds=range(5))
 
 
-@pytest.mark.parametrize("ndim", [2, 3])
-def test_gradcheck_layer_norm(ndim):
-    shape = (2, 3, 4) if ndim == 2 else (2, 3, 4, 5)
-
-    def build(tp, ts):
-        return tp.layer_norm(ts[0], ts[1], ts[2])
-
-    _gradcheck(build, [shape, (2, 3), (2, 3)], seeds=range(5))
-
-
 # -- rewritten kernels against the code they replaced ---------------------------
 
 _GELU_C = np.sqrt(2.0 / np.pi)

@@ -272,6 +272,21 @@ def test_forecast_from_per_head_model_npz_exits_2(tmp_path, capsys):
     assert "layer0.w_q" in err
 
 
+def test_forecast_with_a_removed_config_key_exits_2(tmp_path, capsys):
+    # a run directory saved while model.norm still existed
+    cfg = write_config(tmp_path, backtest_raw())
+    run_dir = tmp_path / "run"
+    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+    arrays, meta = load_checkpoint(run_dir / "state.npz")
+    meta["config"]["model"]["norm"] = "batch"
+    save_checkpoint(run_dir / "state.npz", arrays, meta=meta)
+    capsys.readouterr()
+    assert main(["forecast", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "unknown keys in 'model': ['norm']" in err
+
+
 def test_backtest_series_too_short_for_periods_exits_2(tmp_path, capsys):
     assert main(["backtest", "-c", SYNTHETIC, "-o", "split.n_periods=1000",
                  "--outdir", str(tmp_path / "o")]) == 2

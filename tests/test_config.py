@@ -1,5 +1,7 @@
 """Config parsing, validation, and dotted overrides."""
 
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -55,14 +57,14 @@ def test_overrides_coerce_types():
         "training.epochs=3",
         "aswl.enabled=false",
         "training.seeds=[5, 6]",
-        "model.norm=layer",
+        "aswl.init=uniform",
         "data.generator={name: trend_two_tone, n: 700}",
     ])
     assert out.vmd.alpha == 750.0
     assert out.training.epochs == 3
     assert out.aswl.enabled is False
     assert out.training.seeds == (5, 6)
-    assert out.model.norm == "layer"
+    assert out.aswl.init == "uniform"
     assert out.data.generator == {"name": "trend_two_tone", "n": 700}
     for bad in ("data.generator=trend_two_tone", "data.generator=[1, 2]", "training.epochs=abc"):
         with pytest.raises(ConfigError):
@@ -113,7 +115,7 @@ def test_non_finite_vmd_settings_rejected(tmp_path, key):
 
 
 INT_KEYS = [
-    ("vmd", "n_modes"), ("vmd", "max_iter"), ("vmd", "seed"),
+    ("vmd", "n_modes"), ("vmd", "max_iter"),
     ("model", "lookback"), ("model", "horizon"), ("model", "patch_len"),
     ("model", "stride"), ("model", "d_model"), ("model", "n_heads"),
     ("model", "n_layers"), ("model", "d_ff"), ("split", "n_periods"),
@@ -136,9 +138,36 @@ def test_integer_keys_reject_floats_and_bools(tmp_path, section, key, value):
         apply_overrides(cfg, [f"{section}={{{key}: {str(value).lower()}}}"])
 
 
+FLOAT_KEYS = [
+    ("vmd", "alpha"), ("vmd", "tau"), ("vmd", "tol"),
+    ("training", "learning_rate"), ("split", "train_fraction"),
+]
+
+
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_float_keys_take_numbers_only(tmp_path, section, key):
+    # YAML reads an exponent without a dot (1e-3) as a string, which used to
+    # fail later with a comparison error that named no key
+    path = tmp_path / "cfg.yaml"
+
+    def load(text):
+        path.write_text(f"data: {{generator: {{name: two_tone}}}}\n{section}: {{{key}: {text}}}\n")
+        return load_config(path)
+
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be a number, got '1e-3'"):
+        load("1e-3")
+    for value in (True, "0.5"):
+        with pytest.raises(ConfigError, match=f"{section}.{key} must be a number"):
+            ExperimentConfig.from_dict({**BASE, section: {key: value}})
+    # 1.0e-3, with a dot, is a YAML float, and an integer is a number too
+    for text, want in (("1.0e-3", 0.001), ("1", 1)):
+        if key == "train_fraction" and want == 1:
+            continue   # no integer lies strictly between 0 and 1
+        assert getattr(getattr(load(text), section), key) == want
+
+
 BOOL_KEYS = [
-    ("vmd", "sort_modes"), ("aswl", "enabled"), ("aswl", "train_theta"),
-    ("backtest", "strict_causal"),
+    ("aswl", "enabled"), ("aswl", "train_theta"), ("backtest", "strict_causal"),
 ]
 
 
@@ -170,3 +199,12 @@ def test_boolean_seed_rejected():
     # true is an int to Python: it would run as seed 1 under a "seedTrue" label
     with pytest.raises(ConfigError, match="seeds must be"):
         ExperimentConfig.from_dict({**BASE, "training": {"seeds": [0, True]}})
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")),
+    ids=lambda path: path.name,
+)
+def test_bundled_configs_load(path):
+    # a bundled config that still held a removed key would fail only when run
+    assert isinstance(load_config(path), ExperimentConfig)

@@ -1,7 +1,6 @@
 """Patch forecaster: patching, instance scaling, attention, training, persistence."""
 
 import ctypes
-import itertools
 import math
 import platform
 import sys
@@ -39,12 +38,13 @@ def test_config_validation():
         ForecasterConfig(patch_len=200, lookback=96)
     with pytest.raises(ValueError):
         ForecasterConfig(d_model=10, n_heads=4)
-    for section, key in (("model", "dropout"), ("aswl", "aggregate")):
+    for section, key in (
+        ("model", "dropout"), ("aswl", "aggregate"),
+        ("model", "norm"), ("vmd", "seed"), ("vmd", "sort_modes"),
+    ):
         with pytest.raises(ConfigError, match=f"unknown keys in '{section}'.*{key}"):
             ExperimentConfig.from_dict({"data": {"generator": {"name": "two_tone"}},
                                         section: {key: 0}})
-    with pytest.raises(ValueError):
-        ForecasterConfig(norm="group")
 
 
 def test_patch_count_spot_value():
@@ -248,8 +248,7 @@ def _per_head_attention_layer(model, x, index):
 
     def norm(z, name):
         gamma, beta = (param(f"{name}.{s}")[..., None] for s in ("gamma", "beta"))
-        axes = (1, 3) if cfg.norm == "batch" else (2,)
-        mu, var = z.mean(axis=axes, keepdims=True), z.var(axis=axes, keepdims=True)
+        mu, var = z.mean(axis=(1, 3), keepdims=True), z.var(axis=(1, 3), keepdims=True)
         return gamma * (z - mu) / np.sqrt(var + 1e-5) + beta
 
     tokens = np.swapaxes(x, -1, -2)                                    # [K, B, N, D]
@@ -269,12 +268,11 @@ def _per_head_attention_layer(model, x, index):
     return norm(z + param("w_ff2") @ hidden + param("b_ff2"), "norm2"), attns
 
 
-@pytest.mark.parametrize("norm", ["batch", "layer"])
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
-def test_attention_layer_matches_per_head_reference(n_heads, norm, attention_maps):
+def test_attention_layer_matches_per_head_reference(n_heads, attention_maps):
     cfg = ForecasterConfig(
         lookback=16, horizon=1, patch_len=4, stride=2, d_model=8, n_heads=n_heads,
-        n_layers=1, d_ff=16, norm=norm,
+        n_layers=1, d_ff=16,
     )
     model = PatchForecaster(cfg, [np.random.default_rng(50), np.random.default_rng(51)])
     rng = np.random.default_rng(52)
@@ -368,10 +366,9 @@ def test_channel_independence():
     rng = np.random.default_rng(17)
     windows = rng.normal(size=(4, 8, k))
     targets = rng.normal(size=(k, 4, 1))
-    for norm, j in itertools.product(("batch", "layer"), range(k)):
-        cfg = ForecasterConfig(**dict(TINY.to_dict(), norm=norm))
-        base = PatchForecaster(cfg, [np.random.default_rng(18 + m) for m in range(k)])
-        moved = PatchForecaster(cfg, [np.random.default_rng(18 + m) for m in range(k)])
+    for j in range(k):
+        base = PatchForecaster(TINY, [np.random.default_rng(18 + m) for m in range(k)])
+        moved = PatchForecaster(TINY, [np.random.default_rng(18 + m) for m in range(k)])
         moved_windows = windows.copy()
         moved_windows[:, :, j] = moved_windows[:, :, j] * 5.0 + 100.0
         for p in moved.parameters():
@@ -383,9 +380,9 @@ def test_channel_independence():
         moved_pred, moved_grads = _forward_and_gradients(moved, moved_windows, targets)
         others = [i for i in range(k) if i != j]
         assert not np.array_equal(pred[j], moved_pred[j])
-        assert np.array_equal(pred[others], moved_pred[others]), (norm, j)
+        assert np.array_equal(pred[others], moved_pred[others]), j
         for name in grads:
-            assert np.array_equal(grads[name][others], moved_grads[name][others]), (norm, j, name)
+            assert np.array_equal(grads[name][others], moved_grads[name][others]), (j, name)
 
 
 # -- full-model gradient integrity ------------------------------------------------
@@ -525,16 +522,14 @@ def test_training_without_mallopt_still_trains(monkeypatch, cdll):
         forecaster._retain_freed_memory.cache_clear()
 
 
-@pytest.mark.parametrize("norm", ["batch", "layer"])
-def test_stacked_training_equals_separate_channel_models(norm):
+def test_stacked_training_equals_separate_channel_models():
     # K=3 trained as one stacked model must equal three one-channel models
     # trained alone on identically seeded shuffles, bit for bit
-    cfg = ForecasterConfig(**dict(TINY.to_dict(), norm=norm))
     k = 3
     rng = np.random.default_rng(30)
     inputs = rng.normal(size=(20, 8, k))
     targets = rng.normal(size=(20, 1, k))
-    stacked = PatchForecaster(cfg, [np.random.default_rng(31 + m) for m in range(k)])
+    stacked = PatchForecaster(TINY, [np.random.default_rng(31 + m) for m in range(k)])
     opt = Adam(stacked.parameters(), lr=0.01)
     shuffle = np.random.default_rng(5)
     for _epoch in range(2):
@@ -543,7 +538,7 @@ def test_stacked_training_equals_separate_channel_models(norm):
     pred = stacked.predict(windows)
     arrays = stacked.param_arrays()
     for m in range(k):
-        alone = PatchForecaster(cfg, [np.random.default_rng(31 + m)])
+        alone = PatchForecaster(TINY, [np.random.default_rng(31 + m)])
         opt = Adam(alone.parameters(), lr=0.01)
         shuffle = np.random.default_rng(5)
         for _epoch in range(2):

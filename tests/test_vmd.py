@@ -306,18 +306,19 @@ def test_decompose_deterministic_bitwise():
     assert a.final_residual == b.final_residual
 
 
-@given(signal=signals(min_len=8, max_len=500))
-def test_omegas_in_range_at_every_iteration(signal):
-    result = decompose(signal, VmdConfig(n_modes=4, alpha=800.0))
-    assert result.omega_history.shape == (result.iterations, 4)
-    assert np.all(result.omega_history >= 0.0)
-    assert np.all(result.omega_history <= 0.5)
-    assert np.all(np.isfinite(result.omega_history))
+@given(signal=signals(min_len=8, max_len=500), max_iter=st.integers(1, 500))
+def test_omegas_in_range_at_every_iteration(signal, max_iter):
+    # a drawn iteration cap makes the final centres any sweep's iterate
+    result = decompose(signal, VmdConfig(n_modes=4, alpha=800.0, max_iter=max_iter))
+    assert result.omegas.shape == (4,)
+    assert np.all(result.omegas >= 0.0)
+    assert np.all(result.omegas <= 0.5)
+    assert np.all(np.isfinite(result.omegas))
 
 
 @given(signal=signals(min_len=6, max_len=800))
 def test_sorted_modes_are_consistent_with_their_centroids(signal):
-    result = decompose(signal, VmdConfig(n_modes=3, alpha=1000.0, sort_modes=True))
+    result = decompose(signal, VmdConfig(n_modes=3, alpha=1000.0))
     assert np.all(np.diff(result.omegas) >= 0)
     # re-derive each mode's centroid from scratch and check the pairing
     for mode, omega in zip(result.modes, result.omegas):
@@ -387,8 +388,8 @@ def test_decompose_input_validation():
 
 def test_omega_init_variants_are_deterministic():
     signal = two_tone(400)
-    for init in ("uniform", "zero", "random"):
-        cfg = VmdConfig(n_modes=2, omega_init=init, seed=9)
+    for init in ("uniform", "zero"):
+        cfg = VmdConfig(n_modes=2, omega_init=init)
         assert np.array_equal(
             decompose(signal, cfg).modes, decompose(signal, cfg).modes
         )
@@ -519,11 +520,10 @@ def full_grid_decompose(signal, config):
     f_hat_plus[half:] = 0.0            # one-sided support
     freqs = np.arange(m_len) / m_len   # cycles/sample on [0, 1)
 
-    omegas = _initial_omegas(config, n)
+    omegas = _initial_omegas(config)
     lambda_hat = np.zeros(m_len, dtype=np.complex128)
     modes_hat = np.zeros((k, m_len), dtype=np.complex128)
 
-    omega_history = np.zeros((config.max_iter, k))
     iterations = 0
     done = False
     residual = math.inf
@@ -540,7 +540,6 @@ def full_grid_decompose(signal, config):
             modes_hat[m] = updated
             omegas[m] = _full_grid_omega(modes_hat[m], freqs, fallback=omegas[m])
         lambda_hat = update_lambda(lambda_hat, f_hat_plus, modes_sum, config.tau)
-        omega_history[iterations] = omegas
         iterations += 1
         if iterations >= 2:
             done, residual = _per_mode_converged(prev_modes_hat, modes_hat, config.tol)
@@ -548,8 +547,6 @@ def full_grid_decompose(signal, config):
                 raise FloatingPointError(
                     f"non-finite convergence residual at iteration {iterations}"
                 )
-
-    omega_history = omega_history[:iterations]
 
     # conjugate-symmetric completion, inverse transform, un-mirror
     modes = np.empty((k, n))
@@ -560,19 +557,13 @@ def full_grid_decompose(signal, config):
         time_mode = np.real(np.fft.ifft(full))
         modes[m] = time_mode[n // 2: n // 2 + n]
 
-    if config.sort_modes:
-        order = np.argsort(omegas, kind="stable")
-        omegas = omegas[order]
-        modes = modes[order]
-        omega_history = omega_history[:, order]
-
+    order = np.argsort(omegas, kind="stable")
     return VmdResult(
-        modes=modes,
-        omegas=np.asarray(omegas),
+        modes=modes[order],
+        omegas=omegas[order],
         iterations=iterations,
         converged=done,
         final_residual=residual,
-        omega_history=omega_history,
     )
 
 
@@ -585,15 +576,12 @@ def test_one_sided_decompose_matches_full_grid_reference(data):
         alpha=data.draw(st.sampled_from([200.0, 2000.0]), label="alpha"),
         tau=data.draw(st.sampled_from([0.0, 0.1]), label="tau"),
         max_iter=data.draw(st.integers(1, 120), label="max_iter"),
-        omega_init=data.draw(st.sampled_from(["uniform", "zero", "random"]), label="omega_init"),
-        seed=data.draw(st.integers(0, 1000), label="seed"),
-        sort_modes=data.draw(st.booleans(), label="sort_modes"),
+        omega_init=data.draw(st.sampled_from(["uniform", "zero"]), label="omega_init"),
     )
     got = decompose(signal, config)
     want = full_grid_decompose(signal, config)
     assert np.array_equal(got.modes, want.modes)
     assert np.array_equal(got.omegas, want.omegas)
-    assert np.array_equal(got.omega_history, want.omega_history)
     assert got.iterations == want.iterations
     assert got.converged == want.converged
     # the norms now sum over half as many bins, which regroups the pairwise
@@ -621,6 +609,5 @@ def test_long_unconverged_runs_match_full_grid_reference(n, k, tau):
     want = full_grid_decompose(signal, config)
     assert np.array_equal(got.modes, want.modes)
     assert np.array_equal(got.omegas, want.omegas)
-    assert np.array_equal(got.omega_history, want.omega_history)
     assert got.iterations == want.iterations
     assert got.converged == want.converged
