@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,6 +33,7 @@ __all__ = [
     "Adam",
     "save_checkpoint",
     "load_checkpoint",
+    "CheckpointFormatError",
     "CHECKPOINT_FORMAT_VERSION",
 ]
 
@@ -653,6 +655,10 @@ CHECKPOINT_FORMAT_VERSION = 1
 _META_KEY = "__checkpoint_meta__"
 
 
+class CheckpointFormatError(ValueError):
+    """A file that is not a checkpoint :func:`save_checkpoint` wrote."""
+
+
 def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
     """Write a versioned key->array map.  Reload is bit-exact: each array
     keeps its dtype (a model's float32 parameters stay float32)."""
@@ -666,13 +672,18 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
-    with np.load(path) as data:
+    """Read a checkpoint written by :func:`save_checkpoint`; any other file
+    raises :class:`CheckpointFormatError`."""
+    try:
+        data = np.load(path)   # allow_pickle=False: a file that is no array raises
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:   # text, empty, truncated
+        raise CheckpointFormatError(f"{path}: not a checkpoint file ({exc})") from exc
+    with data:
         if _META_KEY not in data:
-            raise ValueError(f"{path}: not a checkpoint file (missing metadata)")
+            raise CheckpointFormatError(f"{path}: not a checkpoint file (missing metadata)")
         meta = json.loads(bytes(data[_META_KEY]).decode())
         version = meta.get("format_version")
         if version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+            raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version!r}")
         arrays = {k: data[k] for k in data.files if k != _META_KEY}
     return arrays, meta

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import CheckpointFormatError
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .forecaster import CheckpointMismatchError
 from .metrics import metric_pair
@@ -36,7 +37,7 @@ from .pipeline import (
     render_report_text,
     run_backtest,
     train_period_to_dir,
-    write_forecast_csv,
+    write_cell_forecasts,
     write_manifest,
 )
 from .vmd import decompose, write_decomposition_csv, write_decomposition_metadata
@@ -120,22 +121,14 @@ def cmd_forecast(args) -> int:
             f"(trained by an older modecast?): {exc}"
         ) from exc
     outdir = Path(args.outdir) if args.outdir else run_dir
-    outdir.mkdir(parents=True, exist_ok=True)
-    forecast_path = outdir / "forecast.csv"
-    write_forecast_csv(forecast_path, result["test_index"], result["actual"], result["predicted"])
-    emitted = [forecast_path]
-    if result["channel_actual"] is not None:
-        for m in range(result["channel_predicted"].shape[0]):
-            path = outdir / f"imf{m}_forecast.csv"
-            write_forecast_csv(
-                path, result["test_index"], result["channel_actual"][m],
-                result["channel_predicted"][m],
-            )
-            emitted.append(path)
-    mp = result["metrics"]
+    emitted = write_cell_forecasts(
+        outdir, result["test_index"], result["actual"], result["predicted"],
+        result["channel_actual"], result["channel_predicted"],
+    )
+    mp = result["overall"]
     _merge_manifest(outdir, result["config"], [result["seed"]], emitted)
     print(f"forecast ({result['decomposition']}): mse={mp.mse:.6g} smape={mp.smape:.6g}")
-    print(f"wrote {forecast_path}")
+    print(f"wrote {emitted[0]}")
     return EXIT_OK
 
 
@@ -240,7 +233,11 @@ def cmd_report(args) -> int:
     data = Path(args.run_dir) / "report.json"
     if not data.exists():
         raise UserError(f"{args.run_dir} has no report.json")
-    print(render_report_text(json.loads(data.read_text())), end="")
+    try:
+        doc = json.loads(data.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UserError(f"{data}: not a report.json ({exc})") from exc
+    print(render_report_text(doc), end="")
     return EXIT_OK
 
 
@@ -301,7 +298,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (UserError, ConfigError, FileNotFoundError) as exc:
+    except (UserError, ConfigError, CheckpointFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except Exception as exc:  # internal failure

@@ -170,11 +170,18 @@ class ExperimentConfig:
             # an int key takes an int (not a bool), a bool key a bool, and a
             # float key an int or a float: a float such as 3.0 would load,
             # then fail every cell at run time, a quoted "false" would load
-            # as a true string, and YAML reads 1e-3 (no dot) as a string
+            # as a true string, and YAML reads 1e-3 (no dot) as a string.  A
+            # float key keeps its value as a float, so 2000 and 2000.0 save
+            # (and hash) alike
             for key, value in given.items():
                 kind = _EXACT_KINDS.get(annotations[key])
                 if kind is not None and type(value) not in kind[0]:
                     raise ConfigError(f"{name}.{key} must be {kind[1]}, got {value!r}")
+                if kind is _NUMBER:
+                    try:
+                        given[key] = float(value)
+                    except OverflowError:
+                        raise ConfigError(f"{name}.{key} is too large for a float") from None
             try:
                 if f.default_factory is MISSING:
                     built[name] = types[name](**given)

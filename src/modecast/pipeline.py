@@ -59,6 +59,7 @@ __all__ = [
     "render_report_text",
     "report_to_dict",
     "write_forecast_csv",
+    "write_cell_forecasts",
 ]
 
 log = logging.getLogger(__name__)
@@ -79,11 +80,16 @@ class PipelineStageError(RuntimeError):
 
 @dataclass
 class PeriodCell:
-    """Everything one (period, seed) run produced."""
+    """Everything one (period, seed) run produced.
+
+    ``vmd`` is the cell's own decomposition: of the whole period, or under
+    ``strict_causal`` of its train segment only.  ``channel_actual`` holds each
+    mode's test segment (``[K, n_test]``, the targets of ``channel_predicted``)
+    and ``per_channel`` each mode's test metrics; both are None under
+    ``strict_causal``, which has no single set of test modes."""
 
     period_index: int
     seed: int
-    global_start: int
     train_size: int
     decomposition_label: str
     overall: MetricPair
@@ -92,37 +98,19 @@ class PeriodCell:
     aswl_weights_final: list[float] | None
     weight_sum_history: list[float]
     epoch_losses: list[float]
-    vmd_iterations: int
-    vmd_converged: bool
-    vmd_omegas: list[float]
     runtime_s: float
+    per_channel: list[MetricPair] | None
+    vmd: VmdResult = field(repr=False)
     test_index: np.ndarray = field(repr=False)
     actual: np.ndarray = field(repr=False)
     predicted: np.ndarray = field(repr=False)
-    channel_predicted: np.ndarray | None = field(repr=False, default=None)
-    modes: np.ndarray | None = field(repr=False, default=None)
+    channel_actual: np.ndarray | None = field(repr=False)
+    channel_predicted: np.ndarray = field(repr=False)
     stage_timing: dict = field(repr=False, default_factory=dict)  # see _stage
 
     @property
     def ok(self) -> bool:
         return True
-
-    @property
-    def channel_actual(self) -> np.ndarray | None:
-        return _channel_actual(self.decomposition_label, self.modes, self.train_size)
-
-    @property
-    def per_channel(self) -> list[MetricPair] | None:
-        """Each mode's test metrics, when :attr:`channel_actual` exists."""
-        if self.channel_actual is None:
-            return None
-        return [metric_pair(a, p) for a, p in zip(self.channel_actual, self.channel_predicted)]
-
-
-def _channel_actual(label: str, modes: np.ndarray, train_size: int) -> np.ndarray | None:
-    """Each mode's test segment; None under ``strict_causal``, which has no
-    single set of test modes."""
-    return None if label == "strict_causal" else modes[:, train_size:]
 
 
 @dataclass
@@ -237,12 +225,8 @@ def _stage(name: str):
 
 
 @_stage("decompose")
-def _decompose_stage(values: np.ndarray, train_size: int, config: ExperimentConfig):
-    if config.backtest.strict_causal:
-        result = decompose(values[:train_size], config.vmd)
-        return result, "strict_causal"
-    result = decompose(values, config.vmd)
-    return result, "full_period"
+def _decompose_stage(values: np.ndarray, train_size: int, config: ExperimentConfig) -> VmdResult:
+    return decompose(values[:train_size] if config.backtest.strict_causal else values, config.vmd)
 
 
 def _per_channel(fn, rows, params: list[NormalizationParams]) -> np.ndarray:
@@ -354,14 +338,13 @@ def _forecast_stage(
     params: list[NormalizationParams],
     model: PatchForecaster,
     train_size: int,
-    label: str,
     config: ExperimentConfig,
 ):
     """Forecast the test segment in horizon-sized blocks under the protocol
-    named by ``label``; returns ``(channel_pred, prefix_converged,
-    prefix_timing)``: the ``[K, n_test]`` forecast at the raw scale, whether
-    each prefix decomposition this call ran converged, and their summed
-    seconds and VMD iterations as ``prefix_decompose_s`` and
+    ``config.backtest.strict_causal`` selects; returns ``(channel_pred,
+    prefix_converged, prefix_timing)``: the ``[K, n_test]`` forecast at the
+    raw scale, whether each prefix decomposition this call ran converged, and
+    their summed seconds and VMD iterations as ``prefix_decompose_s`` and
     ``prefix_vmd_iterations`` (all empty under ``full_period``).
 
     ``modes_norm`` is the cell's own decomposition, scaled.  ``full_period``
@@ -375,7 +358,7 @@ def _forecast_stage(
     starts = np.arange(train_size, values.shape[0], config.model.horizon)
     prefix_converged: list[bool] = []
     prefix_timing: dict = {}
-    if label != "strict_causal":
+    if not config.backtest.strict_causal:
         windows = np.stack([modes_norm[:, s - lookback: s].T for s in starts])
         preds = model.predict(windows)
     else:
@@ -398,6 +381,28 @@ def _forecast_stage(
     return _per_channel(minmax_invert, preds, params), prefix_converged, prefix_timing
 
 
+def _scored_forecast(values: np.ndarray, train_size: int, global_start: int, modes: np.ndarray,
+                     channel_pred: np.ndarray, config: ExperimentConfig) -> dict:
+    """The period's forecast, the sum of its ``[K, n_test]`` channel
+    forecasts, scored against the raw prices; each mode is scored against its
+    own test segment of ``modes`` except under ``strict_causal``.  The keys
+    are :class:`PeriodCell` fields."""
+    actual = values[train_size:]
+    predicted = channel_pred.sum(axis=0)
+    channel_actual = None if config.backtest.strict_causal else modes[:, train_size:]
+    return {
+        "test_index": np.arange(global_start + train_size, global_start + values.shape[0]),
+        "actual": actual,
+        "predicted": predicted,
+        "overall": metric_pair(actual, predicted),
+        "channel_actual": channel_actual,
+        "channel_predicted": channel_pred,
+        "per_channel": None if channel_actual is None else [
+            metric_pair(a, p) for a, p in zip(channel_actual, channel_pred)
+        ],
+    }
+
+
 def run_period(
     values: np.ndarray,
     train_size: int,
@@ -407,10 +412,7 @@ def run_period(
     global_start: int = 0,
 ) -> PeriodCell:
     """Run the full per-period flow and score it against the raw prices."""
-    cell, _artifacts = _run_period_full(
-        values, train_size, config, seed, period_index, global_start
-    )
-    return cell
+    return _run_period_full(values, train_size, config, seed, period_index, global_start)[0]
 
 
 def _run_period_full(
@@ -420,10 +422,10 @@ def _run_period_full(
     seed: int,
     period_index: int = 0,
     global_start: int = 0,
-) -> tuple[PeriodCell, dict]:
+) -> tuple[PeriodCell, tuple]:
+    """:func:`run_period`'s cell and ``(model, scale_weights, params, ranges)``."""
     t_begin = time.perf_counter()
     values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
     lookback, horizon = config.model.lookback, config.model.horizon
     if train_size < lookback + horizon:
         raise PipelineStageError(
@@ -431,10 +433,9 @@ def _run_period_full(
         )
 
     timing: dict = {}
-    vmd_result, label = _decompose_stage(values, train_size, config, timing=timing)
-    _warn_decomposition(vmd_result, period_index, seed)
-    modes = vmd_result.modes
-    params, ranges, modes_norm = _normalize_stage(modes, train_size, timing=timing)
+    vmd = _decompose_stage(values, train_size, config, timing=timing)
+    _warn_decomposition(vmd, period_index, seed)
+    params, ranges, modes_norm = _normalize_stage(vmd.modes, train_size, timing=timing)
     (
         model,
         sw,
@@ -445,48 +446,29 @@ def _run_period_full(
     ) = _train_stage(modes_norm[:, :train_size], ranges, config, seed, timing=timing)
 
     channel_pred, prefix_converged, prefix_timing = _forecast_stage(
-        values, modes_norm, params, model, train_size, label, config, timing=timing,
+        values, modes_norm, params, model, train_size, config, timing=timing,
     )
     timing.update(prefix_timing)
     _warn_prefixes(prefix_converged, period_index, seed)
-
-    predicted = channel_pred.sum(axis=0)
-    actual = values[train_size:]
-    overall = metric_pair(actual, predicted)
-
-    baseline_scores = _baselines_stage(values[:train_size], actual, config, timing=timing)
+    scored = _scored_forecast(values, train_size, global_start, vmd.modes, channel_pred, config)
+    baselines = _baselines_stage(values[:train_size], scored["actual"], config, timing=timing)
 
     cell = PeriodCell(
         period_index=period_index,
         seed=seed,
-        global_start=global_start,
         train_size=train_size,
-        decomposition_label=label,
-        overall=overall,
-        baselines=baseline_scores,
+        decomposition_label="strict_causal" if config.backtest.strict_causal else "full_period",
+        baselines=baselines,
         aswl_weights_initial=weights_initial,
         aswl_weights_final=weights_final,
         weight_sum_history=weight_sum_history,
         epoch_losses=epoch_losses,
-        vmd_iterations=vmd_result.iterations,
-        vmd_converged=vmd_result.converged,
-        vmd_omegas=[float(w) for w in vmd_result.omegas],
+        vmd=vmd,
         runtime_s=time.perf_counter() - t_begin,
         stage_timing=timing,
-        test_index=np.arange(global_start + train_size, global_start + n),
-        actual=actual,
-        predicted=predicted,
-        channel_predicted=channel_pred,
-        modes=modes,
+        **scored,
     )
-    artifacts = {
-        "model": model,
-        "scale_weights": sw,
-        "vmd_result": vmd_result,
-        "params": params,
-        "ranges": ranges,
-    }
-    return cell, artifacts
+    return cell, (model, sw, params, ranges)
 
 
 # -- backtest across periods and seeds ---------------------------------------
@@ -557,6 +539,21 @@ def write_forecast_csv(path, t: np.ndarray, actual: np.ndarray, predicted: np.nd
         fh.write("\r\n".join(lines) + "\r\n")
 
 
+def write_cell_forecasts(outdir, test_index, actual, predicted, channel_actual,
+                         channel_predicted) -> list[Path]:
+    """Write a cell's ``forecast.csv`` and, when per-mode actuals exist, one
+    ``imf{m}_forecast.csv`` per mode into ``outdir``; returns their paths."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = [outdir / "forecast.csv"]
+    write_forecast_csv(paths[0], test_index, actual, predicted)
+    if channel_actual is not None:
+        for m, (mode_actual, mode_predicted) in enumerate(zip(channel_actual, channel_predicted)):
+            paths.append(outdir / f"imf{m}_forecast.csv")
+            write_forecast_csv(paths[-1], test_index, mode_actual, mode_predicted)
+    return paths
+
+
 def _cell_dict(cell: PeriodCell | FailedCell) -> dict:
     if not cell.ok:
         return {
@@ -587,9 +584,9 @@ def _cell_dict(cell: PeriodCell | FailedCell) -> dict:
             "weights_final": cell.aswl_weights_final,
         },
         "vmd": {
-            "iterations": cell.vmd_iterations,
-            "converged": cell.vmd_converged,
-            "omegas": cell.vmd_omegas,
+            "iterations": cell.vmd.iterations,
+            "converged": cell.vmd.converged,
+            "omegas": cell.vmd.omegas.tolist(),
         },
         "epoch_losses": cell.epoch_losses,
     }
@@ -711,24 +708,15 @@ def write_backtest_artifacts(report: ExperimentReport, outdir) -> None:
         if not cell.ok:
             continue
         period_dir = outdir / f"period{cell.period_index}"
-        period_dir.mkdir(exist_ok=True)
-        if cell.period_index not in decomposition_written and cell.modes is not None:
+        emitted += write_cell_forecasts(
+            period_dir / f"seed{cell.seed}", cell.test_index, cell.actual, cell.predicted,
+            cell.channel_actual, cell.channel_predicted,
+        )
+        if cell.period_index not in decomposition_written:
             decomp = period_dir / "decomposition.csv"
-            write_decomposition_csv(decomp, cell.modes)
+            write_decomposition_csv(decomp, cell.vmd.modes)
             emitted.append(decomp)
             decomposition_written.add(cell.period_index)
-        cell_dir = period_dir / f"seed{cell.seed}"
-        cell_dir.mkdir(exist_ok=True)
-        forecast = cell_dir / "forecast.csv"
-        write_forecast_csv(forecast, cell.test_index, cell.actual, cell.predicted)
-        emitted.append(forecast)
-        if cell.channel_actual is not None and cell.channel_predicted is not None:
-            for m in range(cell.channel_predicted.shape[0]):
-                path = cell_dir / f"imf{m}_forecast.csv"
-                write_forecast_csv(
-                    path, cell.test_index, cell.channel_actual[m], cell.channel_predicted[m]
-                )
-                emitted.append(path)
 
     doc = report_to_dict(report)
     report_txt = outdir / "report.txt"
@@ -772,7 +760,7 @@ def train_period_to_dir(
     values = load_series(config)
     split = config_period(config, len(values), period_index)
     slice_values = values[split.start: split.stop]
-    cell, artifacts = _run_period_full(
+    cell, (model, sw, params, ranges) = _run_period_full(
         slice_values,
         split.train_size,
         config,
@@ -780,15 +768,12 @@ def train_period_to_dir(
         period_index=period_index,
         global_start=split.start,
     )
-    sw = artifacts["scale_weights"]
-    vmd_result = artifacts["vmd_result"]
-    params = artifacts["params"]
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         outdir / "model.npz",
-        artifacts["model"].param_arrays(),
+        model.param_arrays(),
         meta={
             "model": config.model.to_dict(),
             "seed": seed,
@@ -797,10 +782,10 @@ def train_period_to_dir(
     )
     state = {
         "values": slice_values,
-        "modes": vmd_result.modes,
+        "modes": cell.vmd.modes,
         "mins": np.array([p.min for p in params]),
         "maxs": np.array([p.max for p in params]),
-        "ranges": artifacts["ranges"],
+        "ranges": ranges,
         "theta": sw.theta.values if sw is not None else np.zeros(len(params)),
         "train_size": np.array(split.train_size),
         "period_index": np.array(period_index),
@@ -815,8 +800,8 @@ def train_period_to_dir(
             "decomposition": cell.decomposition_label,
         },
     )
-    write_decomposition_csv(outdir / "decomposition.csv", vmd_result.modes)
-    write_decomposition_metadata(outdir / "decomposition_meta.json", config.vmd, vmd_result)
+    write_decomposition_csv(outdir / "decomposition.csv", cell.vmd.modes)
+    write_decomposition_metadata(outdir / "decomposition_meta.json", config.vmd, cell.vmd)
     written = ("model.npz", "state.npz", "decomposition.csv", "decomposition_meta.json")
     write_manifest(outdir, config.to_dict(), [seed], [outdir / name for name in written])
     return cell
@@ -824,7 +809,9 @@ def train_period_to_dir(
 
 def forecast_from_dir(run_dir) -> dict:
     """Load a trained run directory (``state.npz`` and ``model.npz``) and
-    produce the test-segment forecast, with the saved config dict and seed.
+    produce the test-segment forecast, scored as a backtest cell is: the keys
+    of :func:`_scored_forecast`, the protocol label as ``decomposition``, the
+    saved config dict and the seed.
 
     Pure function of the persisted state: repeated calls are bit-identical.
     """
@@ -844,19 +831,11 @@ def forecast_from_dir(run_dir) -> dict:
     model.load_param_arrays(load_checkpoint(run_dir / "model.npz")[0])
     modes_norm = _per_channel(minmax_apply, modes, params)
     channel_pred, prefix_converged, _prefix_timing = _forecast_stage(
-        values, modes_norm, params, model, train_size, meta["decomposition"], config,
+        values, modes_norm, params, model, train_size, config,
     )
     _warn_prefixes(prefix_converged, period_index, meta["seed"])
-
-    predicted = channel_pred.sum(axis=0)
-    actual = values[train_size:]
     return {
-        "test_index": np.arange(global_start + train_size, global_start + values.shape[0]),
-        "actual": actual,
-        "predicted": predicted,
-        "channel_actual": _channel_actual(meta["decomposition"], modes, train_size),
-        "channel_predicted": channel_pred,
-        "metrics": metric_pair(actual, predicted),
+        **_scored_forecast(values, train_size, global_start, modes, channel_pred, config),
         "decomposition": meta["decomposition"],
         "config": meta["config"],
         "seed": meta["seed"],

@@ -287,6 +287,26 @@ def test_forecast_with_a_removed_config_key_exits_2(tmp_path, capsys):
     assert "unknown keys in 'model': ['norm']" in err
 
 
+@pytest.mark.parametrize("state", ["text", "empty", "truncated", "npz_without_metadata"])
+def test_forecast_from_a_state_npz_that_is_no_checkpoint_exits_2(tmp_path, capsys, state):
+    # numpy refuses text as pickled data, and an empty or cut-short file
+    # before it reads an array; the npz lacks the checkpoint metadata: each
+    # is a bad input file, not an internal error
+    path = tmp_path / "state.npz"
+    np.savez(path, values=np.zeros(3))
+    if state == "text":
+        path.write_text("not an archive\n")
+    elif state == "empty":
+        path.write_bytes(b"")
+    elif state == "truncated":
+        path.write_bytes(path.read_bytes()[:40])
+    (tmp_path / "model.npz").write_bytes(b"")
+    assert main(["forecast", "--run-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{tmp_path / 'state.npz'}: not a checkpoint file" in err
+
+
 def test_backtest_series_too_short_for_periods_exits_2(tmp_path, capsys):
     assert main(["backtest", "-c", SYNTHETIC, "-o", "split.n_periods=1000",
                  "--outdir", str(tmp_path / "o")]) == 2
@@ -312,6 +332,16 @@ def test_float_for_integer_key_exits_2(tmp_path, capsys):
     assert main(["backtest", "-c", str(cfg), "-o", "vmd={n_modes: 3.0}",
                  "--outdir", str(tmp_path / "o")]) == 2
     assert "vmd.n_modes must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_float_key_integer_too_large_for_a_float_exits_2(tmp_path, capsys):
+    # it used to load and then fail every cell (exit 1) in 2.0 * alpha
+    raw = backtest_raw()
+    raw["vmd"]["alpha"] = 10**400
+    cfg = write_config(tmp_path, raw)
+    assert main(["backtest", "-c", str(cfg), "--outdir", str(tmp_path / "o")]) == 2
+    assert "vmd.alpha is too large for a float" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -374,3 +404,12 @@ def test_report_without_report_json_exits_2(tmp_path, capsys):
     (tmp_path / "report.txt").write_text("stale\n")
     assert main(["report", "--run-dir", str(tmp_path)]) == 2
     assert "report.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b'{"config": ', b"\xff\xfe"], ids=["cut_short", "not_utf8"])
+def test_report_with_unparseable_report_json_exits_2(tmp_path, capsys, content):
+    (tmp_path / "report.json").write_bytes(content)
+    assert main(["report", "--run-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{tmp_path / 'report.json'}: not a report.json" in err

@@ -1,5 +1,6 @@
 """Config parsing, validation, and dotted overrides."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,21 @@ def test_float_keys_take_numbers_only(tmp_path, section, key):
         if key == "train_fraction" and want == 1:
             continue   # no integer lies strictly between 0 and 1
         assert getattr(getattr(load(text), section), key) == want
+
+
+def test_float_keys_save_integers_as_floats():
+    # vmd: {alpha: 2000} and {alpha: 2000.0} are one experiment: they must
+    # save the same JSON, and so give report.txt the same config_hash
+    for section, key in FLOAT_KEYS:
+        if key == "train_fraction":
+            continue   # no integer lies strictly between 0 and 1
+        saved = [
+            json.dumps(ExperimentConfig.from_dict({**BASE, section: {key: value}}).to_dict())
+            for value in (2, 2.0)
+        ]
+        assert saved[0] == saved[1], (section, key)
+    with pytest.raises(ConfigError, match="vmd.alpha is too large for a float"):
+        ExperimentConfig.from_dict({**BASE, "vmd": {"n_modes": 2, "alpha": 10**400}})
 
 
 BOOL_KEYS = [

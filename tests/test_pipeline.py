@@ -107,7 +107,7 @@ def test_aggregation_identity_and_composite_sum():
     cell = run_period(values, 480, cfg, seed=3)
     # per-channel actuals sum to the decomposition's reconstruction of the
     # test segment; aggregation itself introduces no extra error
-    reconstruction = cell.modes.sum(axis=0)[480:]
+    reconstruction = cell.vmd.modes.sum(axis=0)[480:]
     assert np.max(np.abs(cell.channel_actual.sum(axis=0) - reconstruction)) < 1e-9
     assert np.max(np.abs(cell.channel_predicted.sum(axis=0) - cell.predicted)) < 1e-12
 
@@ -235,23 +235,42 @@ def test_backtest_rerun_is_byte_identical(tmp_path):
 
 
 def test_backtest_emitted_csv_metric_oracle(tmp_path):
-    report = run_backtest(backtest_config(), tmp_path)
-    payload = json.loads((tmp_path / "report.json").read_text())
-    for cell_info in payload["cells"]:
-        period, seed = cell_info["period"], cell_info["seed"]
-        actual, predicted = forecast_csv_columns(
-            tmp_path / f"period{period}" / f"seed{seed}" / "forecast.csv"
-        )
+    def check(scores, path):
         # brute-force recomputation from the emitted artifact
+        actual, predicted = forecast_csv_columns(path)
         want_mse = sum((a - p) ** 2 for a, p in zip(actual, predicted)) / len(actual)
         terms = [
             abs(a - p) / (abs(a) + abs(p)) if (abs(a) + abs(p)) > 0 else 0.0
             for a, p in zip(actual, predicted)
         ]
         want_smape = 2.0 * sum(terms) / len(terms)
-        assert abs(cell_info["mse"] - want_mse) < 1e-9 * max(1.0, want_mse)
-        assert abs(cell_info["smape"] - want_smape) < 1e-9
-    assert payload["n_failed"] == 0
+        assert abs(scores["mse"] - want_mse) < 1e-9 * max(1.0, want_mse)
+        assert abs(scores["smape"] - want_smape) < 1e-9
+
+    strict = backtest_config(
+        backtest={"strict_causal": True},
+        model={"lookback": 24, "patch_len": 6, "stride": 3, "d_model": 8,
+               "n_heads": 2, "n_layers": 1, "d_ff": 16, "horizon": 8},
+        split={"n_periods": 1, "train_fraction": 0.8},
+        training={"epochs": 1, "seeds": [0]},
+    )
+    for name, cfg in (("full", backtest_config()), ("strict", strict)):
+        run_backtest(cfg, tmp_path / name)
+        payload = json.loads((tmp_path / name / "report.json").read_text())
+        assert payload["n_failed"] == 0
+        for cell_info in payload["cells"]:
+            period, seed = cell_info["period"], cell_info["seed"]
+            cell_dir = tmp_path / name / f"period{period}" / f"seed{seed}"
+            check(cell_info, cell_dir / "forecast.csv")
+            # each mode's scores against the columns of its own CSV; a
+            # strict-causal cell has no single set of test modes to score
+            if cfg.backtest.strict_causal:
+                assert cell_info["per_channel"] is None
+                assert not list(cell_dir.glob("imf*"))
+                continue
+            assert len(cell_info["per_channel"]) == cfg.vmd.n_modes
+            for m, scores in enumerate(cell_info["per_channel"]):
+                check(scores, cell_dir / f"imf{m}_forecast.csv")
 
 
 def test_backtest_per_channel_rows_match_mode_count(tmp_path):
@@ -279,11 +298,23 @@ def test_backtest_worker_pool_matches_sequential(tmp_path):
     cfg_seq = backtest_config(training={"epochs": 1, "seeds": [0]})
     cfg_par = backtest_config(training={"epochs": 1, "seeds": [0]},
                               backtest={"strict_causal": False, "workers": 2})
-    seq = run_backtest(cfg_seq)
-    par = run_backtest(cfg_par)
+    seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"
+    seq = run_backtest(cfg_seq, seq_dir)
+    par = run_backtest(cfg_par, par_dir)
     assert [c.period_index for c in par.cells] == [c.period_index for c in seq.cells]
     for a, b in zip(seq.cells, par.cells):
         assert np.array_equal(a.predicted, b.predicted)
+    # the cells the pool sends back write the same files: every CSV, and the
+    # report once the worker count is dropped from its config
+    csvs = sorted(p.relative_to(seq_dir) for p in seq_dir.rglob("*.csv"))
+    assert csvs == sorted(p.relative_to(par_dir) for p in par_dir.rglob("*.csv"))
+    assert len(csvs) == 2 * (1 + 1 + cfg_seq.vmd.n_modes)   # decomposition, forecast, imf*
+    for rel in csvs:
+        assert (seq_dir / rel).read_bytes() == (par_dir / rel).read_bytes(), rel
+    docs = [json.loads((run / "report.json").read_text()) for run in (seq_dir, par_dir)]
+    for doc in docs:
+        del doc["config"]["backtest"]["workers"]
+    assert docs[0] == docs[1]
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
@@ -403,7 +434,7 @@ def test_strict_causal_first_block_reuses_the_training_decomposition(tmp_path, m
     forecast = pipeline._forecast_stage
 
     def fresh_first_block(values, modes_norm, params, *args, **kwargs):
-        train_size, config = args[1], args[3]
+        train_size, config = args[1], args[2]
         fresh = counted(values[:train_size], config.vmd).modes
         modes_norm = pipeline._per_channel(pipeline.minmax_apply, fresh, params)
         return forecast(values, modes_norm, params, *args, **kwargs)
