@@ -113,6 +113,8 @@ def cmd_forecast(args) -> int:
     for name in ("state.npz", "model.npz"):
         if not (run_dir / name).exists():
             raise UserError(f"{run_dir} does not contain a trained run ({name} missing)")
+    outdir = Path(args.outdir) if args.outdir else run_dir
+    manifest = _existing_manifest(outdir)
     try:
         result = forecast_from_dir(run_dir)
     except CheckpointMismatchError as exc:
@@ -120,31 +122,42 @@ def cmd_forecast(args) -> int:
             f"{run_dir / 'model.npz'} does not fit the model its config describes "
             f"(trained by an older modecast?): {exc}"
         ) from exc
-    outdir = Path(args.outdir) if args.outdir else run_dir
     emitted = write_cell_forecasts(
         outdir, result["test_index"], result["actual"], result["predicted"],
         result["channel_actual"], result["channel_predicted"],
     )
     mp = result["overall"]
-    _merge_manifest(outdir, result["config"], [result["seed"]], emitted)
+    _merge_manifest(outdir, manifest, result["config"], [result["seed"]], emitted)
     print(f"forecast ({result['decomposition']}): mse={mp.mse:.6g} smape={mp.smape:.6g}")
     print(f"wrote {emitted[0]}")
     return EXIT_OK
 
 
-def _merge_manifest(outdir: Path, config: dict, seeds, new_paths) -> None:
-    """Write the manifest, folding new artifacts into an existing one (the
-    forecast command usually writes into the directory that 'train' filled):
-    the existing config and seeds are kept and every listed artifact is
+def _existing_manifest(outdir: Path) -> dict:
+    """The manifest already in ``outdir`` (empty when there is none), read
+    before a command writes anything there; one that is not a JSON object is
+    a :class:`UserError`."""
+    path = outdir / "manifest.json"
+    if not path.exists():
+        return {}
+    try:
+        manifest = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UserError(f"{path}: not a manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise UserError(f"{path}: not a manifest (expected a JSON object)")
+    return manifest
+
+
+def _merge_manifest(outdir: Path, existing: dict, config: dict, seeds, new_paths) -> None:
+    """Write the manifest, folding new artifacts into the ``existing`` one
+    (the forecast command usually writes into the directory that 'train'
+    filled): its config and seeds are kept and every listed artifact is
     re-hashed."""
-    manifest_path = outdir / "manifest.json"
     paths = set(new_paths)
-    if manifest_path.exists():
-        existing = json.loads(manifest_path.read_text())
-        config = existing.get("config", config)
-        seeds = existing.get("seeds", seeds)
-        paths.update(outdir / name for name in existing.get("artifacts", {}))
-    write_manifest(outdir, config, seeds, list(paths))
+    paths.update(outdir / name for name in existing.get("artifacts", {}))
+    write_manifest(outdir, existing.get("config", config), existing.get("seeds", seeds),
+                   list(paths))
 
 
 def _read_metric_column(path: Path, preferred: str) -> np.ndarray:
@@ -189,12 +202,14 @@ def cmd_evaluate(args) -> int:
         )
     mp = metric_pair(actual, predicted)
     outdir = _outdir(args)
+    manifest = _existing_manifest(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {"mse": mp.mse, "smape": mp.smape, "n": int(actual.size)}
     metrics_path = outdir / "metrics.json"
     metrics_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _merge_manifest(
         outdir,
+        manifest,
         {"forecast": str(args.forecast), "actual": str(args.actual)},
         [],
         [metrics_path],
@@ -237,7 +252,15 @@ def cmd_report(args) -> int:
         doc = json.loads(data.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UserError(f"{data}: not a report.json ({exc})") from exc
-    print(render_report_text(doc), end="")
+    if not isinstance(doc, dict):
+        raise UserError(f"{data}: not a report.json (expected a JSON object)")
+    try:
+        text = render_report_text(doc)
+    except KeyError as exc:
+        raise UserError(f"{data}: not a report.json (missing key {exc})") from exc
+    except (TypeError, ValueError) as exc:  # a value of the wrong type
+        raise UserError(f"{data}: not a report.json ({exc})") from exc
+    print(text, end="")
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Adam, BatchNormState, Tape, Tensor
-from .scale_weights import ScaleWeights, weighted_loss, weights
+from .scale_weights import ScaleWeights, weighted_loss
 
 __all__ = [
     "CheckpointMismatchError",
@@ -369,7 +369,7 @@ def train_epoch(
     batch_size: int,
     rng: np.random.Generator,
     sw: ScaleWeights | None = None,
-) -> tuple[float, list[float]]:
+) -> float:
     """One shuffled pass of minibatch training over the model's K channels.
 
     ``inputs`` is ``[n, lookback, K]`` and ``targets`` ``[n, horizon, K]``;
@@ -377,8 +377,7 @@ def train_epoch(
     pass and the ``[K]`` per-channel MSE on one tape and combines it with
     :func:`weighted_loss` (the scale weights ``sw``, or the plain sum when
     ``sw`` is None), so the optimizer may also hold ``sw.theta``.  Returns the
-    mean minibatch loss and the total weight mass after every step (empty when
-    ``sw`` is None).  Aborts on a non-finite loss.
+    mean minibatch loss.  Aborts on a non-finite loss.
     """
     _retain_freed_memory()
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -387,7 +386,6 @@ def train_epoch(
         raise ValueError("inputs and targets must be nonempty and aligned")
     order = rng.permutation(inputs.shape[0])
     losses = []
-    weight_sums: list[float] = []
     for start in range(0, len(order), batch_size):
         idx = order[start: start + batch_size]
         tape = Tape()
@@ -405,6 +403,4 @@ def train_epoch(
         tape.backward(total)
         optimizer.step()
         losses.append(value)
-        if sw is not None:
-            weight_sums.append(float(weights(sw).sum()))
-    return float(np.mean(losses)), weight_sums
+    return float(np.mean(losses))

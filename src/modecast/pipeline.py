@@ -96,7 +96,6 @@ class PeriodCell:
     baselines: dict[str, MetricPair]
     aswl_weights_initial: list[float] | None
     aswl_weights_final: list[float] | None
-    weight_sum_history: list[float]
     epoch_losses: list[float]
     runtime_s: float
     per_channel: list[MetricPair] | None
@@ -229,17 +228,12 @@ def _decompose_stage(values: np.ndarray, train_size: int, config: ExperimentConf
     return decompose(values[:train_size] if config.backtest.strict_causal else values, config.vmd)
 
 
-def _per_channel(fn, rows, params: list[NormalizationParams]) -> np.ndarray:
-    """Apply ``minmax_apply`` or ``minmax_invert`` to each channel's row."""
-    return np.stack([fn(row, p) for row, p in zip(rows, params)])
-
-
 @_stage("normalize")
-def _normalize_stage(modes: np.ndarray, train_size: int):
-    """Fit min-max on each mode's train portion only; reuse for test."""
-    params = [minmax_fit(mode[:train_size]) for mode in modes]
-    ranges = np.array([p.range for p in params])
-    return params, ranges, _per_channel(minmax_apply, modes, params)
+def _normalize_stage(train_modes: np.ndarray):
+    """Fit min-max on each mode's train segment and scale that segment; the
+    forecast stage reuses the fit for its windows."""
+    params = minmax_fit(train_modes)
+    return params, minmax_apply(train_modes, params)
 
 
 @_stage("train")
@@ -269,18 +263,13 @@ def _train_stage(
     optimizer = Adam(params, lr=config.training.learning_rate)
 
     weights_initial = swmod.weights(sw).tolist() if sw is not None else None
-    weight_sum_history: list[float] = []
-    epoch_losses: list[float] = []
-    for _epoch in range(config.training.epochs):
-        loss, weight_sums = train_epoch(
-            model, batch.inputs, batch.targets, optimizer,
-            config.training.batch_size, shuffle_rng, sw,
-        )
-        epoch_losses.append(loss)
-        weight_sum_history.extend(weight_sums)
-
+    epoch_losses = [
+        train_epoch(model, batch.inputs, batch.targets, optimizer,
+                    config.training.batch_size, shuffle_rng, sw)
+        for _epoch in range(config.training.epochs)
+    ]
     weights_final = swmod.weights(sw).tolist() if sw is not None else None
-    return model, sw, weights_initial, weights_final, weight_sum_history, epoch_losses
+    return model, sw, weights_initial, weights_final, epoch_losses
 
 
 @_stage("baselines")
@@ -334,8 +323,8 @@ def _warn_prefixes(prefix_converged: list[bool], period_index: int, seed: int) -
 @_stage("forecast")
 def _forecast_stage(
     values: np.ndarray,
-    modes_norm: np.ndarray,   # [K, n]
-    params: list[NormalizationParams],
+    modes: np.ndarray,   # [K, n]
+    params: NormalizationParams,
     model: PatchForecaster,
     train_size: int,
     config: ExperimentConfig,
@@ -347,38 +336,38 @@ def _forecast_stage(
     their summed seconds and VMD iterations as ``prefix_decompose_s`` and
     ``prefix_vmd_iterations`` (all empty under ``full_period``).
 
-    ``modes_norm`` is the cell's own decomposition, scaled.  ``full_period``
-    builds every lookback window from those modes (true history).
-    ``strict_causal`` decomposes the observed prefix at every block, so no
-    test-range sample enters a decomposition; the first block's prefix is the
-    train segment, whose decomposition ``modes_norm`` already is (min-max
-    scaling is elementwise, so its slice is the scaled slice).
+    ``modes`` is the cell's own decomposition at the raw scale and ``params``
+    its per-mode min-max fit (``[K, 1]`` arrays).  Each block's ``[K,
+    lookback]`` window is the ``lookback`` samples before it.  ``full_period``
+    takes every window from ``modes`` (true history).  ``strict_causal``
+    takes each later block's window from a decomposition of the prefix
+    observed before it, so no test-range sample enters a decomposition; the
+    first block's prefix is the train segment, whose decomposition ``modes``
+    already is.  All windows are scaled, predicted and inverted at once.
     """
     lookback = config.model.lookback
     starts = np.arange(train_size, values.shape[0], config.model.horizon)
     prefix_converged: list[bool] = []
-    prefix_timing: dict = {}
-    if not config.backtest.strict_causal:
-        windows = np.stack([modes_norm[:, s - lookback: s].T for s in starts])
-        preds = model.predict(windows)
-    else:
-        prefix_timing = {"prefix_decompose_s": 0.0, "prefix_vmd_iterations": 0}
-        blocks = []
-        for s in starts:
-            if s == train_size:
-                window = modes_norm[:, s - lookback: s]
-            else:
-                t_begin = time.perf_counter()
-                prefix = decompose(values[:s], config.vmd)
-                prefix_timing["prefix_decompose_s"] += time.perf_counter() - t_begin
-                prefix_timing["prefix_vmd_iterations"] += prefix.iterations
-                prefix_converged.append(prefix.converged)
-                window = _per_channel(minmax_apply, prefix.modes[:, s - lookback: s], params)
-            blocks.append(model.predict(window.T[None]))
-        preds = np.concatenate(blocks, axis=1)
+    prefix_timing: dict = (
+        {"prefix_decompose_s": 0.0, "prefix_vmd_iterations": 0}
+        if config.backtest.strict_causal else {}
+    )
+    windows = []
+    for s in starts:
+        source = modes
+        if config.backtest.strict_causal and s > train_size:
+            t_begin = time.perf_counter()
+            prefix = decompose(values[:s], config.vmd)
+            prefix_timing["prefix_decompose_s"] += time.perf_counter() - t_begin
+            prefix_timing["prefix_vmd_iterations"] += prefix.iterations
+            prefix_converged.append(prefix.converged)
+            source = prefix.modes
+        windows.append(source[:, s - lookback: s])
+    # [blocks, K, lookback] scaled, fed as [blocks, lookback, K]
+    preds = model.predict(minmax_apply(np.stack(windows), params).transpose(0, 2, 1))
     # [K, blocks, horizon] -> [K, n_test]: the last block may overrun the period
-    preds = preds.reshape(modes_norm.shape[0], -1)[:, : values.shape[0] - train_size]
-    return _per_channel(minmax_invert, preds, params), prefix_converged, prefix_timing
+    preds = preds.reshape(modes.shape[0], -1)[:, : values.shape[0] - train_size]
+    return minmax_invert(preds, params), prefix_converged, prefix_timing
 
 
 def _scored_forecast(values: np.ndarray, train_size: int, global_start: int, modes: np.ndarray,
@@ -423,7 +412,7 @@ def _run_period_full(
     period_index: int = 0,
     global_start: int = 0,
 ) -> tuple[PeriodCell, tuple]:
-    """:func:`run_period`'s cell and ``(model, scale_weights, params, ranges)``."""
+    """:func:`run_period`'s cell and ``(model, scale_weights, params)``."""
     t_begin = time.perf_counter()
     values = np.asarray(values, dtype=np.float64)
     lookback, horizon = config.model.lookback, config.model.horizon
@@ -435,18 +424,13 @@ def _run_period_full(
     timing: dict = {}
     vmd = _decompose_stage(values, train_size, config, timing=timing)
     _warn_decomposition(vmd, period_index, seed)
-    params, ranges, modes_norm = _normalize_stage(vmd.modes, train_size, timing=timing)
-    (
-        model,
-        sw,
-        weights_initial,
-        weights_final,
-        weight_sum_history,
-        epoch_losses,
-    ) = _train_stage(modes_norm[:, :train_size], ranges, config, seed, timing=timing)
+    params, train_norm = _normalize_stage(vmd.modes[:, :train_size], timing=timing)
+    model, sw, weights_initial, weights_final, epoch_losses = _train_stage(
+        train_norm, params.range[:, 0], config, seed, timing=timing,
+    )
 
     channel_pred, prefix_converged, prefix_timing = _forecast_stage(
-        values, modes_norm, params, model, train_size, config, timing=timing,
+        values, vmd.modes, params, model, train_size, config, timing=timing,
     )
     timing.update(prefix_timing)
     _warn_prefixes(prefix_converged, period_index, seed)
@@ -461,14 +445,13 @@ def _run_period_full(
         baselines=baselines,
         aswl_weights_initial=weights_initial,
         aswl_weights_final=weights_final,
-        weight_sum_history=weight_sum_history,
         epoch_losses=epoch_losses,
         vmd=vmd,
         runtime_s=time.perf_counter() - t_begin,
         stage_timing=timing,
         **scored,
     )
-    return cell, (model, sw, params, ranges)
+    return cell, (model, sw, params)
 
 
 # -- backtest across periods and seeds ---------------------------------------
@@ -760,7 +743,7 @@ def train_period_to_dir(
     values = load_series(config)
     split = config_period(config, len(values), period_index)
     slice_values = values[split.start: split.stop]
-    cell, (model, sw, params, ranges) = _run_period_full(
+    cell, (model, sw, params) = _run_period_full(
         slice_values,
         split.train_size,
         config,
@@ -783,10 +766,9 @@ def train_period_to_dir(
     state = {
         "values": slice_values,
         "modes": cell.vmd.modes,
-        "mins": np.array([p.min for p in params]),
-        "maxs": np.array([p.max for p in params]),
-        "ranges": ranges,
-        "theta": sw.theta.values if sw is not None else np.zeros(len(params)),
+        "mins": params.min[:, 0],
+        "maxs": params.max[:, 0],
+        "theta": sw.theta.values if sw is not None else np.zeros(len(cell.vmd.modes)),
         "train_size": np.array(split.train_size),
         "period_index": np.array(period_index),
         "global_start": np.array(split.start),
@@ -823,15 +805,11 @@ def forecast_from_dir(run_dir) -> dict:
     train_size = int(np.asarray(state["train_size"]).reshape(-1)[0])
     period_index = int(np.asarray(state["period_index"]).reshape(-1)[0])
     global_start = int(np.asarray(state["global_start"]).reshape(-1)[0])
-    params = [
-        NormalizationParams(min=float(lo), max=float(hi))
-        for lo, hi in zip(state["mins"], state["maxs"])
-    ]
-    model = PatchForecaster(config.model, [np.random.default_rng(0)] * len(params))
+    params = NormalizationParams(min=state["mins"][:, None], max=state["maxs"][:, None])
+    model = PatchForecaster(config.model, [np.random.default_rng(0)] * len(modes))
     model.load_param_arrays(load_checkpoint(run_dir / "model.npz")[0])
-    modes_norm = _per_channel(minmax_apply, modes, params)
     channel_pred, prefix_converged, _prefix_timing = _forecast_stage(
-        values, modes_norm, params, model, train_size, config,
+        values, modes, params, model, train_size, config,
     )
     _warn_prefixes(prefix_converged, period_index, meta["seed"])
     return {

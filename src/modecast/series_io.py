@@ -77,17 +77,19 @@ class PeriodSplit:
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """Min and max of the fitted array; max == min flags the degenerate case."""
+    """Min and max of each row of the fitted array, along its last axis with
+    that axis kept (``[K, 1]`` for a ``[K, n]`` array), so they broadcast
+    over the rows they scale; a row whose max equals its min is degenerate."""
 
-    min: float
-    max: float
+    min: np.ndarray
+    max: np.ndarray
 
     @property
-    def degenerate(self) -> bool:
+    def degenerate(self) -> np.ndarray:
         return self.max <= self.min
 
     @property
-    def range(self) -> float:
+    def range(self) -> np.ndarray:
         return self.max - self.min
 
 
@@ -190,34 +192,36 @@ def split_periods(series, n_periods: int, train_fraction: float) -> list[PeriodS
 
 
 def minmax_fit(values: np.ndarray) -> NormalizationParams:
-    """Record the min and max of a non-empty array."""
+    """Record the min and max of each row (the last axis) of a non-empty
+    array."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot fit normalization on an empty array")
-    params = NormalizationParams(min=float(values.min()), max=float(values.max()))
-    if params.degenerate:
+    params = NormalizationParams(
+        min=values.min(axis=-1, keepdims=True), max=values.max(axis=-1, keepdims=True)
+    )
+    if np.any(params.degenerate):
         warnings.warn("constant array: min-max normalization is degenerate", stacklevel=2)
     return params
 
 
 def minmax_apply(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
-    """Scale by (x - min) / (max - min).  Values outside the fitted range map
-    outside [0, 1] on purpose (test data may exceed the train range).  The
-    degenerate case maps everything to zero."""
+    """Scale each row by (x - min) / (max - min).  Values outside the fitted
+    range map outside [0, 1] on purpose (test data may exceed the train
+    range).  A degenerate row maps to zero."""
     values = np.asarray(values, dtype=np.float64)
-    if params.degenerate:
+    degenerate = params.degenerate
+    if np.any(degenerate):
         warnings.warn("degenerate normalization: mapping all values to 0", stacklevel=2)
-        return np.zeros_like(values)
-    return (values - params.min) / params.range
+    scaled = (values - params.min) / np.where(degenerate, 1.0, params.range)
+    return np.where(degenerate, 0.0, scaled)
 
 
 def minmax_invert(values: np.ndarray, params: NormalizationParams) -> np.ndarray:
-    """Inverse of :func:`minmax_apply`; degenerate parameters invert to the
+    """Inverse of :func:`minmax_apply`; a degenerate row inverts to its
     constant minimum."""
     values = np.asarray(values, dtype=np.float64)
-    if params.degenerate:
-        return np.full_like(values, params.min)
-    return values * params.range + params.min
+    return np.where(params.degenerate, params.min, values * params.range + params.min)
 
 
 def make_windows(channels: np.ndarray, lookback: int, horizon: int) -> WindowBatch:

@@ -413,3 +413,40 @@ def test_report_with_unparseable_report_json_exits_2(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"{tmp_path / 'report.json'}: not a report.json" in err
+
+
+@pytest.mark.parametrize("content,reason", [
+    (b"{}", "missing key 'config'"),
+    (b'{"config": {"training": {"seeds": [0]}}, "splits": []}', "missing key 'cells'"),
+    (b"[1, 2]", "expected a JSON object"),
+    (b'{"config": {"training": {"seeds": [0]}}, "splits": 5, "cells": []}', "has no len()"),
+], ids=["empty_object", "no_cells", "list", "splits_not_a_list"])
+def test_report_with_an_incomplete_report_json_exits_2(tmp_path, capsys, content, reason):
+    (tmp_path / "report.json").write_bytes(content)
+    assert main(["report", "--run-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'report.json'}: not a report.json")
+    assert reason in err
+
+
+@pytest.mark.parametrize("manifest", [b'{"config": {"data"', b'["model.npz"]'],
+                         ids=["cut_short", "list"])
+def test_forecast_and_evaluate_with_a_bad_manifest_exit_2_before_writing(
+        tmp_path, capsys, manifest):
+    cfg = write_config(tmp_path, backtest_raw())
+    run_dir = tmp_path / "run"
+    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+    (run_dir / "manifest.json").write_bytes(manifest)
+    capsys.readouterr()
+    assert main(["forecast", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir / 'manifest.json'}: not a manifest")
+    assert not list(run_dir.glob("*forecast.csv"))
+
+    f, a = tmp_path / "pred.csv", tmp_path / "act.csv"
+    write_two_column(f, "predicted", [1.0])
+    write_two_column(a, "actual", [1.0])
+    assert main(["evaluate", "--forecast", str(f), "--actual", str(a),
+                 "--outdir", str(run_dir)]) == 2
+    assert "not a manifest" in capsys.readouterr().err
+    assert not (run_dir / "metrics.json").exists()

@@ -422,10 +422,10 @@ def test_train_epoch_zero_learning_rate_freezes_parameters():
     rng = np.random.default_rng(22)
     inputs = rng.normal(size=(6, 8))
     targets = rng.normal(size=(6, 1))
-    first, _ = train_epoch(model, inputs[:, :, None], targets[:, :, None], opt, 4,
-                           np.random.default_rng(0))
-    second, _ = train_epoch(model, inputs[:, :, None], targets[:, :, None], opt, 4,
-                            np.random.default_rng(0))
+    first = train_epoch(model, inputs[:, :, None], targets[:, :, None], opt, 4,
+                        np.random.default_rng(0))
+    second = train_epoch(model, inputs[:, :, None], targets[:, :, None], opt, 4,
+                         np.random.default_rng(0))
     for k, v in model.params.items():
         assert np.array_equal(before[k], v.values)
     assert first == second
@@ -438,8 +438,8 @@ def test_train_epoch_memorizes_constant_pair():
     targets = np.array([[0.7]])
     loss = np.inf
     for _ in range(200):
-        loss, _ = train_epoch(model, inputs[:, :, None], targets[:, :, None], opt, 32,
-                              np.random.default_rng(1))
+        loss = train_epoch(model, inputs[:, :, None], targets[:, :, None], opt, 32,
+                           np.random.default_rng(1))
     assert loss < 1e-4
 
 
@@ -456,7 +456,7 @@ def test_training_curve_decreases_on_sinusoid():
     opt = Adam(model.parameters(), lr=0.002)
     shuffle = np.random.default_rng(2)
     losses = [
-        train_epoch(model, windows[:, :, None], targets[:, :, None], opt, 32, shuffle)[0]
+        train_epoch(model, windows[:, :, None], targets[:, :, None], opt, 32, shuffle)
         for _ in range(50)
     ]
     assert losses[-1] < losses[0]
@@ -516,7 +516,7 @@ def test_training_without_mallopt_still_trains(monkeypatch, cdll):
         model = PatchForecaster(TINY, [np.random.default_rng(29)])
         opt = Adam(model.parameters(), lr=0.001)
         inputs = np.random.default_rng(30).normal(size=(6, 8, 1))
-        loss, _ = train_epoch(model, inputs, inputs[:, -1:], opt, 4, np.random.default_rng(5))
+        loss = train_epoch(model, inputs, inputs[:, -1:], opt, 4, np.random.default_rng(5))
         assert math.isfinite(loss)
     finally:
         forecaster._retain_freed_memory.cache_clear()

@@ -96,9 +96,7 @@ def test_aswl_weight_mass_fixed_through_training():
     cfg = small_config(training={"epochs": 3, "seeds": [3]})
     values = trend_two_tone(n=600, seed=3, noise_std=0.2)
     cell = run_period(values, 480, cfg, seed=3)
-    assert len(cell.weight_sum_history) > 0
-    for total in cell.weight_sum_history:
-        assert abs(total - cfg.vmd.n_modes) < 1e-9
+    assert abs(sum(cell.aswl_weights_final) - cfg.vmd.n_modes) < 1e-9
 
 
 def test_aggregation_identity_and_composite_sum():
@@ -430,14 +428,13 @@ def test_strict_causal_first_block_reuses_the_training_decomposition(tmp_path, m
     assert np.array_equal(forecast_from_dir(tmp_path / "run")["predicted"], cell.predicted)
 
     # reference: the first block decomposes its prefix afresh, and its window
-    # comes from that decomposition's scaled modes
+    # comes from that decomposition's modes
     forecast = pipeline._forecast_stage
 
-    def fresh_first_block(values, modes_norm, params, *args, **kwargs):
+    def fresh_first_block(values, modes, params, *args, **kwargs):
         train_size, config = args[1], args[2]
         fresh = counted(values[:train_size], config.vmd).modes
-        modes_norm = pipeline._per_channel(pipeline.minmax_apply, fresh, params)
-        return forecast(values, modes_norm, params, *args, **kwargs)
+        return forecast(values, fresh, params, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "_forecast_stage", fresh_first_block)
     run_backtest(cfg, tmp_path / "fresh")

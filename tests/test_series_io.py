@@ -1,7 +1,11 @@
 """CSV ingestion, period splitting, min-max scaling, and windowing."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modecast.series_io import (
     NormalizationParams,
@@ -193,6 +197,58 @@ def test_minmax_apply_of_fitted_array_is_in_unit_interval():
         x = rng.normal(size=50) * rng.uniform(0.1, 100)
         out = minmax_apply(x, minmax_fit(x))
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def _per_call_warnings(fn, *args):
+    """``fn(*args)`` and the messages of the warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+@given(
+    k=st.integers(1, 5), n=st.integers(2, 40), blocks=st.integers(1, 3),
+    width=st.integers(1, 12), seed=st.integers(0, 2**16),
+    constant=st.lists(st.booleans(), min_size=5, max_size=5).filter(any),
+)
+def test_minmax_rows_match_each_row_alone(k, n, blocks, width, seed, constant):
+    """Fit, apply and invert over a ``[K, n]`` array (applied to ``[blocks,
+    K, width]`` windows, as the forecast does) give the bytes each row gets
+    alone, and a non-constant row the bytes of ``(x - min) / (max - min)``;
+    any constant row makes fit and apply warn once per call."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(k, n)) * rng.uniform(0.01, 100.0, size=(k, 1)) + rng.normal(size=(k, 1))
+    constant = np.array(constant[:k])
+    constant[rng.integers(k)] = True
+    x[constant] = rng.normal(size=(int(constant.sum()), 1))
+    windows = rng.normal(size=(blocks, k, width)) * 3.0 * np.abs(x).max()
+
+    params, fit_warnings = _per_call_warnings(minmax_fit, x)
+    assert params.min.shape == params.max.shape == (k, 1)
+    assert np.array_equal(params.degenerate[:, 0], constant)
+    scaled, apply_warnings = _per_call_warnings(minmax_apply, windows, params)
+    inverted, invert_warnings = _per_call_warnings(minmax_invert, scaled, params)
+    assert len(fit_warnings) == 1 and "degenerate" in fit_warnings[0]
+    assert len(apply_warnings) == 1 and "degenerate" in apply_warnings[0]
+    assert invert_warnings == []
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for m in range(k):
+            alone = minmax_fit(x[m])
+            assert params.min[m].tobytes() == alone.min.tobytes()
+            assert params.max[m].tobytes() == alone.max.tobytes()
+            lo, hi = float(x[m].min()), float(x[m].max())
+            for b in range(blocks):
+                row_scaled = minmax_apply(windows[b, m], alone)
+                assert scaled[b, m].tobytes() == row_scaled.tobytes()
+                if not constant[m]:  # the scalar formula, to the bit
+                    assert row_scaled.tobytes() == ((windows[b, m] - lo) / (hi - lo)).tobytes()
+                row_inverted = minmax_invert(row_scaled, alone)
+                assert inverted[b, m].tobytes() == row_inverted.tobytes()
+    assert np.all(scaled[:, constant] == 0.0)
+    assert np.all(inverted[:, constant] == params.min[constant])
 
 
 # -- windowing -------------------------------------------------------------------
