@@ -95,6 +95,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _broadcasts_to(shape: tuple[int, ...], target: tuple[int, ...]) -> bool:
+    """Whether an array of ``shape`` broadcasts to ``target`` unchanged."""
+    return len(shape) <= len(target) and all(
+        n == 1 or n == m for n, m in zip(reversed(shape), reversed(target))
+    )
+
+
 def _norm_shape(xv: np.ndarray, gamma: Tensor, beta: Tensor) -> tuple[int, ...]:
     """Check that ``x`` is ``[K, features, tokens...]`` and scale/shift
     ``[K, features]``; return the shape that broadcasts those against ``x``."""
@@ -319,9 +326,15 @@ class Tape:
 
     # -- linear algebra and shape ----------------------------------------
 
-    def matmul(self, a, b) -> Tensor:
+    def matmul(self, a, b, *, bias=None, residual=None) -> Tensor:
         """Matrix product over the last two axes of operands with equal leading
-        axes (``[K, m, n] @ [K, n, p]``, say); nothing broadcasts."""
+        axes (``[K, m, n] @ [K, n, p]``, say); nothing broadcasts.
+
+        ``bias`` (broadcast against the product) and then ``residual`` (of the
+        product's shape) are added into the product in place: one tape entry
+        and no new array where ``matmul`` -> ``add`` -> ``add`` records three
+        and allocates two.  The sums and their gradients are the chain's bit
+        for bit, since each addition only swaps commutative operands."""
         a, b = self._lift(a), self._lift(b)
         av, bv = a.values, b.values
         if min(av.ndim, bv.ndim) < 2 or av.shape[:-2] != bv.shape[:-2]:
@@ -331,11 +344,26 @@ class Tape:
         if av.shape[-1] != bv.shape[-2]:
             raise ValueError(f"matmul inner dims disagree: {av.shape} @ {bv.shape}")
         out = np.matmul(av, bv)
+        inputs, addend_shapes = (a, b), []
+        for name, addend in (("bias", bias), ("residual", residual)):
+            if addend is None:
+                continue
+            addend = self._lift(addend)
+            fits = (_broadcasts_to(addend.shape, out.shape) if name == "bias"
+                    else addend.shape == out.shape)
+            if not fits:
+                raise ValueError(f"matmul {name} of shape {addend.shape} does not fit "
+                                 f"the product's {out.shape}")
+            # a promoted dtype takes a new array, as the chain's add would
+            out = np.add(out, addend.values, out=_spare(out, out, addend.values))
+            inputs += (addend,)
+            addend_shapes.append(addend.shape)
 
         def bwd(g):
-            return np.matmul(g, np.swapaxes(bv, -1, -2)), np.matmul(np.swapaxes(av, -1, -2), g)
+            return (np.matmul(g, np.swapaxes(bv, -1, -2)), np.matmul(np.swapaxes(av, -1, -2), g),
+                    *(_unbroadcast(g, shape) for shape in addend_shapes))
 
-        return self._record((a, b), out, bwd)
+        return self._record(inputs, out, bwd)
 
     def transpose(self, a, axes: tuple[int, ...] | None = None) -> Tensor:
         """Permute the axes as ``np.transpose(a, axes)`` does; by default swap
@@ -586,16 +614,61 @@ class Tape:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers and step counter for one parameter."""
+    """First/second moment views for one parameter."""
 
     m: np.ndarray
     v: np.ndarray
-    t: int = 0
+
+
+class _Arena:
+    """Parameters of one dtype moved into one flat buffer each for values,
+    gradients and the two moments.  Every parameter's ``values`` and ``grad``
+    become views of these buffers, in parameter order."""
+
+    def __init__(self, params: list[Tensor]):
+        size = sum(p.size for p in params)
+        dtype = params[0].values.dtype
+        self.params = params
+        self.values = np.empty(size, dtype)
+        self.grad = np.empty(size, dtype)
+        self.m = np.zeros(size, dtype)
+        self.v = np.zeros(size, dtype)
+        self.views: list[tuple[np.ndarray, np.ndarray]] = []
+        self.states: list[AdamState] = []
+        offset = 0
+        for p in params:
+            span, shape = slice(offset, offset + p.size), p.shape
+            offset += p.size
+            self.values[span] = p.values.reshape(-1)
+            self.grad[span] = p.grad.reshape(-1)
+            p.values, p.grad = self.values[span].reshape(shape), self.grad[span].reshape(shape)
+            self.views.append((p.values, p.grad))
+            self.states.append(AdamState(self.m[span].reshape(shape), self.v[span].reshape(shape)))
+
+    def check_views(self) -> None:
+        """Raise if a parameter's ``values`` or ``grad`` was rebound to an
+        array outside the arena: the optimizer would no longer see it."""
+        for p, (values, grad) in zip(self.params, self.views):
+            if p.values is not values or p.grad is not grad:
+                raise RuntimeError(
+                    f"a {p.shape} parameter's values or grad was replaced after Adam was "
+                    "built; write into the existing array (p.values[...] = ...) instead"
+                )
 
 
 class Adam:
     """Adam with bias correction: m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2,
-    update = -lr * m_hat / (sqrt(v_hat) + eps)."""
+    update = -lr * m_hat / (sqrt(v_hat) + eps).
+
+    The parameters with a gradient are grouped by dtype, and each group moves
+    into an arena (flat values, gradient and moment buffers that the
+    parameters view), so a step runs one elementwise update per dtype rather
+    than per parameter.  Every element sees the operations a per-parameter
+    update would run, in the same order, so the results are bit-identical.
+    Build the optimizer once the parameters hold their starting values and
+    from then on write into them in place: a parameter rebound to a new array
+    makes ``step`` raise.
+    """
 
     def __init__(
         self,
@@ -610,42 +683,52 @@ class Adam:
         if lr < 0:
             raise ValueError("lr must be >= 0")
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("a parameter is listed twice")
         # Python floats, so a float32 parameter's update stays float32
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
+        self.t = 0   # steps taken; every parameter with a gradient takes each one
+        by_dtype: dict[np.dtype, list[Tensor]] = {}
+        for p in self.params:
+            if p.grad is not None:
+                by_dtype.setdefault(p.values.dtype, []).append(p)
+        self._arenas = [_Arena(group) for group in by_dtype.values()]
+        state_of = {id(p): s for a in self._arenas for p, s in zip(a.params, a.states)}
+        # a parameter without a gradient never moves: its moments stay zero
         self.states = [
-            AdamState(m=np.zeros_like(p.values), v=np.zeros_like(p.values))
+            state_of[id(p)] if id(p) in state_of
+            else AdamState(np.zeros_like(p.values), np.zeros_like(p.values))
             for p in self.params
         ]
 
     def step(self) -> None:
-        """One update per parameter through one scratch array, in the order
-        the class docstring spells out."""
-        for p, s in zip(self.params, self.states):
-            g = p.grad
-            if g is None:
-                continue
-            s.t += 1
-            scratch = g - s.m
+        """One update per arena through one scratch array, in the order the
+        class docstring spells out."""
+        self.t += 1
+        for a in self._arenas:
+            a.check_views()
+            g = a.grad
+            scratch = g - a.m
             scratch *= 1.0 - self.beta1
-            s.m += scratch
+            a.m += scratch
             np.multiply(g, g, out=scratch)
-            scratch -= s.v
+            scratch -= a.v
             scratch *= 1.0 - self.beta2
-            s.v += scratch
-            np.divide(s.v, 1.0 - self.beta2**s.t, out=scratch)  # v_hat
+            a.v += scratch
+            np.divide(a.v, 1.0 - self.beta2**self.t, out=scratch)  # v_hat
             np.sqrt(scratch, out=scratch)
             scratch += self.eps
-            step = s.m / (1.0 - self.beta1**s.t)  # m_hat
+            step = a.m / (1.0 - self.beta1**self.t)  # m_hat
             step *= self.lr
             step /= scratch
-            p.values -= step
+            a.values -= step
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        for a in self._arenas:
+            a.grad.fill(0.0)
 
 
 # -- checkpoint format -------------------------------------------------------

@@ -135,8 +135,9 @@ def cmd_forecast(args) -> int:
 
 def _existing_manifest(outdir: Path) -> dict:
     """The manifest already in ``outdir`` (empty when there is none), read
-    before a command writes anything there; one that is not a JSON object is
-    a :class:`UserError`."""
+    before a command writes anything there.  One that is not a JSON object,
+    or that lists an artifact no longer in ``outdir``, is a
+    :class:`UserError`: :func:`_merge_manifest` re-hashes every listed file."""
     path = outdir / "manifest.json"
     if not path.exists():
         return {}
@@ -146,6 +147,12 @@ def _existing_manifest(outdir: Path) -> dict:
         raise UserError(f"{path}: not a manifest ({exc})") from exc
     if not isinstance(manifest, dict):
         raise UserError(f"{path}: not a manifest (expected a JSON object)")
+    artifacts = manifest.get("artifacts", {})
+    if not isinstance(artifacts, dict):
+        raise UserError(f"{path}: not a manifest (artifacts is not a JSON object)")
+    for name in artifacts:
+        if not (outdir / name).is_file():
+            raise UserError(f"{path} lists {outdir / name}, which is missing")
     return manifest
 
 

@@ -233,26 +233,28 @@ class PatchForecaster:
         return out
 
     def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Load a :meth:`param_arrays` map, each array cast to the model's
-        dtype (a float64 checkpoint loads rounded into a float32 model).  Every
-        key and shape is checked before anything is loaded."""
+        """Load a :meth:`param_arrays` map into the model's arrays in place,
+        each array cast to the model's dtype (a float64 checkpoint loads
+        rounded into a float32 model).  Every key and shape is checked before
+        anything is loaded."""
         expected = self.param_arrays()
         if set(expected) != set(arrays):
             missing, extra = set(expected) - set(arrays), set(arrays) - set(expected)
             raise CheckpointMismatchError(
                 f"checkpoint key mismatch: missing={sorted(missing)} extra={sorted(extra)}"
             )
-        loaded = {name: np.array(arrays[name], dtype=self.dtype) for name in expected}
+        loaded = {name: np.asarray(arrays[name], dtype=self.dtype) for name in expected}
         for name, arr in loaded.items():
             if arr.shape != expected[name].shape:
                 raise CheckpointMismatchError(
                     f"{name}: shape {arr.shape} != expected {expected[name].shape}"
                 )
+        # into the existing arrays, which an optimizer may hold views of
         for name, p in self.params.items():
-            p.values = loaded[name]
+            p.values[...] = loaded[name]
         for name, state in self.bn_states.items():
-            state.running_mean = loaded[f"{name}.running_mean"]
-            state.running_var = loaded[f"{name}.running_var"]
+            state.running_mean[...] = loaded[f"{name}.running_mean"]
+            state.running_var[...] = loaded[f"{name}.running_var"]
 
     # -- forward ----------------------------------------------------------
 
@@ -263,20 +265,22 @@ class PatchForecaster:
 
     def _attention_layer(self, tape: Tape, x, index: int, training: bool):
         """One encoder layer on feature-major ``[K, D, B*N]`` tokens: every
-        weight is one ``[K, D_out, D_in] @ [K, D_in, B*N]`` product, and the
-        heads' attention is one op."""
+        weight is one ``[K, D_out, D_in] @ [K, D_in, B*N]`` product, which adds
+        its bias and residual in place, and the heads' attention is one op."""
         cfg = self.config
 
-        def linear(name: str, z) -> Tensor:
-            return tape.matmul(self.params[f"layer{index}.{name}"], z)
+        def param(name: str) -> Tensor:
+            return self.params[f"layer{index}.{name}"]
+
+        def linear(name: str, z, **addends) -> Tensor:
+            return tape.matmul(param(name), z, **addends)
 
         merged = tape.attention(linear("w_q", x), linear("w_k", x), linear("w_v", x),
                                 cfg.n_heads, cfg.n_patches)
-        z = tape.add(x, linear("w_attn_out", merged))              # residual
+        z = linear("w_attn_out", merged, residual=x)
         z = self._norm(tape, z, f"layer{index}.norm1", training)
-        hidden = tape.gelu(tape.add(linear("w_ff1", z), self.params[f"layer{index}.b_ff1"]))
-        ff = tape.add(linear("w_ff2", hidden), self.params[f"layer{index}.b_ff2"])
-        z = tape.add(z, ff)                                        # residual
+        hidden = tape.gelu(linear("w_ff1", z, bias=param("b_ff1")))
+        z = linear("w_ff2", hidden, bias=param("b_ff2"), residual=z)
         return self._norm(tape, z, f"layer{index}.norm2", training)
 
     def _channel_major(self, windows: np.ndarray) -> np.ndarray:

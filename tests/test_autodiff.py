@@ -2,6 +2,7 @@
 
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -460,9 +461,11 @@ def _batch_norm_replaced(xv, gamma, beta, state, training, eps=1e-5):
     return out, bwd
 
 
-def _adam_step_replaced(opt):
-    """``Adam.step`` before its scratch array."""
-    for p, s in zip(opt.params, opt.states):
+def _adam_step_replaced(opt, params, states):
+    """``Adam.step`` before its scratch array and its per-dtype arenas: one
+    update per parameter with ``opt``'s settings, on ``states`` holding each
+    parameter's own ``m``, ``v`` and step count ``t``."""
+    for p, s in zip(params, states):
         g = p.grad
         if g is None:
             continue
@@ -556,6 +559,69 @@ def test_batch_norm_equals_the_expressions_it_replaced(x_dtype, p_dtype, g_wide,
         _bitwise_equal(after, copy)
 
 
+addend_kinds = st.sampled_from(["bias", "residual", "both"])
+
+
+@given(dtype=kernel_dtypes, addend_dtype=kernel_dtypes, kind=addend_kinds,
+       full_bias=st.booleans(),
+       shape=st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+                       st.integers(1, 8)),
+       seed=st.integers(0, 2**16))
+def test_matmul_addends_equal_the_add_chain(dtype, addend_dtype, kind, full_bias, shape,
+                                            seed):
+    # matmul(w, x, bias=b, residual=r) against the chain the encoder layer
+    # recorded before, add(r, add(matmul(w, x), b)): output and every
+    # input's gradient; a [K, F, 1] bias broadcasts over the tokens
+    k, f, n, t = shape
+    rng = np.random.default_rng(seed)
+    w, x = _kernel_array(rng, dtype, (k, f, n)), _kernel_array(rng, dtype, (k, n, t))
+    b = _kernel_array(rng, addend_dtype, (k, f, t if full_bias else 1))
+    r = _kernel_array(rng, addend_dtype, (k, f, t))
+    g_dtype = np.result_type(dtype, addend_dtype)
+    g = _kernel_array(rng, g_dtype, (k, f, t))
+    before = [a.copy() for a in (w, x, b, r, g)]
+    bias = b if kind in ("bias", "both") else None
+    residual = r if kind in ("residual", "both") else None
+
+    tape = Tape()
+    out = tape.matmul(Tensor(w), Tensor(x), bias=bias, residual=residual)
+    (entry,) = tape._entries
+    grads = entry.backward(g)
+
+    chain = Tape()
+    want = chain.matmul(Tensor(w), Tensor(x))
+    if bias is not None:
+        want = chain.add(want, Tensor(bias))
+    if residual is not None:
+        want = chain.add(Tensor(residual), want)
+    # the chain's backward, last entry first
+    g_product, added = g, []
+    if residual is not None:
+        g_residual, g_product = chain._entries[-1].backward(g_product)
+        added.append(g_residual)
+    if bias is not None:
+        g_product, g_bias = chain._entries[1].backward(g_product)
+        added.insert(0, g_bias)
+    want_grads = [*chain._entries[0].backward(g_product), *added]   # w, x, bias, residual
+
+    _bitwise_equal(out.values, want.values)
+    assert len(grads) == len(want_grads)
+    for got, want_grad in zip(grads, want_grads):
+        _bitwise_equal(got, want_grad)
+    for after, copy in zip((w, x, b, r), before):
+        _bitwise_equal(after, copy)
+
+
+@pytest.mark.parametrize("addends", [
+    {"bias": np.zeros((2, 3, 2))},        # 2 tokens against 4
+    {"bias": np.zeros((1, 2, 3, 1))},     # an extra leading axis
+    {"residual": np.zeros((2, 3, 1))},    # a residual does not broadcast
+], ids=["bias_tokens", "bias_ndim", "residual_broadcast"])
+def test_matmul_rejects_addends_that_do_not_fit_the_product(addends):
+    with pytest.raises(ValueError, match="does not fit"):
+        Tape().matmul(Tensor(np.ones((2, 3, 5))), Tensor(np.ones((2, 5, 4))), **addends)
+
+
 # -- Adam ----------------------------------------------------------------------
 
 
@@ -615,25 +681,66 @@ def test_adam_steps_equal_the_update_they_replaced(dtypes, lr, n_steps, seed):
     rng = np.random.default_rng(seed)
     shapes = [tuple(rng.integers(1, 5, size=rng.integers(1, 3))) for _ in dtypes]
     initial = [rng.normal(size=shape).astype(dtype) for shape, dtype in zip(shapes, dtypes)]
-    runs = []
-    for _ in range(2):
-        params = [Tensor(values.copy(), requires_grad=True) for values in initial]
-        runs.append(Adam(params, lr=lr))
+    opt = Adam([Tensor(values.copy(), requires_grad=True) for values in initial], lr=lr)
+    alone = [Tensor(values.copy(), requires_grad=True) for values in initial]
+    states = [SimpleNamespace(m=np.zeros_like(values), v=np.zeros_like(values), t=0)
+              for values in initial]
     for _ in range(n_steps):
-        for p, q in zip(runs[0].params, runs[1].params):
+        for p, q in zip(opt.params, alone):
             grad = rng.normal(size=p.shape) * 10.0 ** rng.integers(-30, 6, size=p.shape)
             grad[rng.random(p.shape) < 0.2] = 0.0
             p.grad[...] = grad
             q.grad[...] = grad
-        before = [p.grad.copy() for p in runs[0].params]
-        runs[0].step()
-        _adam_step_replaced(runs[1])
-        for p, q, grad in zip(runs[0].params, runs[1].params, before):
+        before = [p.grad.copy() for p in opt.params]
+        opt.step()
+        _adam_step_replaced(opt, alone, states)
+        for p, q, grad in zip(opt.params, alone, before):
             _bitwise_equal(p.values, q.values)
             _bitwise_equal(p.grad, grad)
-        for s, r in zip(runs[0].states, runs[1].states):
+        for s, r in zip(opt.states, states):
             _bitwise_equal(s.m, r.m)
             _bitwise_equal(s.v, r.v)
+
+
+def _mixed_params(rng):
+    """Float32 parameters (the encoder) around a float64 one (theta)."""
+    return [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+            for shape, dtype in [((2, 3), np.float32), ((4,), np.float64),
+                                 ((3, 1, 2), np.float32)]]
+
+
+def test_adam_zero_grad_clears_every_parameter_through_its_arena():
+    rng = np.random.default_rng(5)
+    params = _mixed_params(rng)
+    opt = Adam(params, lr=0.01)
+    views = [p.grad for p in params]
+    for p in params:
+        p.grad[...] = rng.normal(size=p.shape)
+    opt.zero_grad()
+    for p, view in zip(params, views):
+        assert p.grad is view and p.grad.dtype == p.values.dtype
+        assert not np.any(p.grad)
+    # a backward after zero_grad accumulates into the same views
+    tape = Tape()
+    tape.backward(tape.sum(tape.mul(params[1], params[1])))
+    assert np.array_equal(params[1].grad, 2.0 * params[1].values)
+    assert not np.any(params[0].grad) and not np.any(params[2].grad)
+
+
+@pytest.mark.parametrize("attr", ["values", "grad"])
+def test_adam_step_fails_loudly_on_a_rebound_parameter(attr):
+    params = _mixed_params(np.random.default_rng(6))
+    opt = Adam(params, lr=0.01)
+    opt.step()
+    setattr(params[2], attr, getattr(params[2], attr).copy())
+    with pytest.raises(RuntimeError, match="replaced after Adam was built"):
+        opt.step()
+
+
+def test_adam_rejects_a_parameter_listed_twice():
+    p = Tensor(np.zeros(3), requires_grad=True)
+    with pytest.raises(ValueError, match="twice"):
+        Adam([p, p])
 
 
 # -- checkpoints ---------------------------------------------------------------

@@ -450,3 +450,28 @@ def test_forecast_and_evaluate_with_a_bad_manifest_exit_2_before_writing(
                  "--outdir", str(run_dir)]) == 2
     assert "not a manifest" in capsys.readouterr().err
     assert not (run_dir / "metrics.json").exists()
+
+
+def test_forecast_and_evaluate_with_a_listed_file_missing_exit_2_before_writing(
+        tmp_path, capsys):
+    # the manifest merge re-hashes every listed artifact, so a deleted one
+    # must stop the command before it writes anything
+    cfg = write_config(tmp_path, backtest_raw())
+    run_dir = tmp_path / "run"
+    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+    (run_dir / "decomposition.csv").unlink()
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    assert main(["forecast", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir / 'manifest.json'} lists "
+                          f"{run_dir / 'decomposition.csv'}, which is missing")
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    f, a = tmp_path / "pred.csv", tmp_path / "act.csv"
+    write_two_column(f, "predicted", [1.0])
+    write_two_column(a, "actual", [1.0])
+    assert main(["evaluate", "--forecast", str(f), "--actual", str(a),
+                 "--outdir", str(run_dir)]) == 2
+    assert "decomposition.csv, which is missing" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before

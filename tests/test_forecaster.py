@@ -555,9 +555,9 @@ def test_training_step_broadcasts_no_matmul_batch_axis(monkeypatch):
     products, attentions = [], []
     matmul, attention = Tape.matmul, Tape.attention
 
-    def recording_matmul(self, a, b):
+    def recording_matmul(self, a, b, **addends):
         products.append((a.shape, b.shape))
-        return matmul(self, a, b)
+        return matmul(self, a, b, **addends)
 
     def recording_attention(self, q, k, v, n_heads, n_tokens):
         attentions.append(q.shape)
@@ -575,6 +575,52 @@ def test_training_step_broadcasts_no_matmul_batch_axis(monkeypatch):
     assert len(attentions) == TINY.n_layers
     for a, b in products:
         assert a[:-2] == b[:-2], (a, b)
+
+
+def _attention_layer_with_adds(self, tape, x, index, training):
+    """``PatchForecaster._attention_layer`` before its products took their
+    bias and residual: one ``Tape.add`` entry for each."""
+    cfg = self.config
+
+    def linear(name, z):
+        return tape.matmul(self.params[f"layer{index}.{name}"], z)
+
+    merged = tape.attention(linear("w_q", x), linear("w_k", x), linear("w_v", x),
+                            cfg.n_heads, cfg.n_patches)
+    z = tape.add(x, linear("w_attn_out", merged))              # residual
+    z = self._norm(tape, z, f"layer{index}.norm1", training)
+    hidden = tape.gelu(tape.add(linear("w_ff1", z), self.params[f"layer{index}.b_ff1"]))
+    ff = tape.add(linear("w_ff2", hidden), self.params[f"layer{index}.b_ff2"])
+    z = tape.add(z, ff)                                        # residual
+    return self._norm(tape, z, f"layer{index}.norm2", training)
+
+
+def test_encoder_products_take_their_bias_and_residual(monkeypatch):
+    # one training step of a 2-layer model records 4 entries per layer fewer
+    # than the add chain, with the same loss, gradients and running statistics
+    cfg = ForecasterConfig(lookback=16, horizon=2, patch_len=4, stride=2, d_model=8,
+                           n_heads=2, n_layers=2, d_ff=16)
+    rng = np.random.default_rng(63)
+    windows, targets = rng.normal(size=(5, 16, 2)), rng.normal(size=(2, 5, 2))
+
+    def step():
+        model = PatchForecaster(cfg, [np.random.default_rng(64), np.random.default_rng(65)])
+        tape = Tape()
+        pred = model.forward_on_tape(tape, windows, training=True)
+        loss = tape.sum(tape.mse(pred, Tensor(targets)))
+        tape.backward(loss)
+        return tape.n_ops, loss.values, model
+
+    n_ops, loss, model = step()
+    monkeypatch.setattr(PatchForecaster, "_attention_layer", _attention_layer_with_adds)
+    chain_ops, chain_loss, chain_model = step()
+    assert chain_ops - n_ops == 4 * cfg.n_layers
+    assert np.array_equal(loss, chain_loss)
+    for name, p in model.params.items():
+        assert np.array_equal(p.grad, chain_model.params[name].grad), name
+    chain_arrays = chain_model.param_arrays()
+    for name, array in model.param_arrays().items():
+        assert np.array_equal(array, chain_arrays[name]), name
 
 
 def test_training_step_runs_the_encoder_in_float32_behind_float64(monkeypatch):
@@ -646,6 +692,29 @@ def test_checkpoint_reload_reproduces_forecasts_bitwise(tmp_path):
                             [np.random.default_rng(999)])
     clone.load_param_arrays(arrays)
     assert np.array_equal(clone.predict(windows), want)
+
+
+def test_load_after_the_optimizer_is_built_keeps_training_the_loaded_values():
+    # the optimizer holds views of the parameters, so a load writes into them
+    # and training after it equals training a model loaded before its optimizer
+    rng = np.random.default_rng(34)
+    inputs, targets = rng.normal(size=(12, 8, 2)), rng.normal(size=(12, 1, 2))
+    arrays = PatchForecaster(TINY, [np.random.default_rng(35 + m) for m in range(2)]
+                             ).param_arrays()
+    trained = []
+    for load_first in (True, False):
+        model = PatchForecaster(TINY, [np.random.default_rng(37 + m) for m in range(2)])
+        if load_first:
+            model.load_param_arrays(arrays)
+        opt = Adam(model.parameters(), lr=0.01)
+        if not load_first:
+            model.load_param_arrays(arrays)
+        train_epoch(model, inputs, targets, opt, 4, np.random.default_rng(7))
+        trained.append(model.param_arrays())
+    for name, loaded in arrays.items():
+        assert np.array_equal(trained[0][name], trained[1][name]), name
+    assert not np.array_equal(trained[1]["w_head"], arrays["w_head"])
+    assert not np.array_equal(trained[1]["layer0.w_ff1"], arrays["layer0.w_ff1"])
 
 
 def test_float64_checkpoint_loads_rounded_to_float32(tmp_path):
