@@ -163,7 +163,7 @@ def _attention_probabilities(q: np.ndarray, k: np.ndarray, scale: float) -> np.n
 class _TapeEntry:
     input_ids: tuple[int, ...]
     output_id: int
-    backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
+    backward: Callable[[np.ndarray], tuple[np.ndarray, ...]]
 
 
 @dataclass
@@ -188,7 +188,8 @@ class BatchNormState:
 
 class Tape:
     """Operation recorder.  Recording order is topological order; backward
-    walks it in exact reverse.  Single-threaded by contract.
+    walks it in exact reverse.  Single-threaded by contract.  Every op takes
+    ``Tensor`` operands: wrap a constant array in a ``Tensor``.
 
     The tape holds only the ``requires_grad`` tensors and the arrays its
     backward rules need; an intermediate result is freed as soon as the caller
@@ -213,11 +214,6 @@ class Tape:
             self._leaves.append((nid, t))
         return nid
 
-    def _lift(self, x) -> Tensor:
-        if isinstance(x, Tensor):
-            return x
-        return Tensor(x)
-
     def _record(self, inputs: Sequence[Tensor], out_values: np.ndarray, backward) -> Tensor:
         input_ids = tuple(self._register(t) for t in inputs)
         out = Tensor(out_values)
@@ -231,8 +227,7 @@ class Tape:
 
     # -- elementwise arithmetic -----------------------------------------
 
-    def add(self, a, b) -> Tensor:
-        a, b = self._lift(a), self._lift(b)
+    def add(self, a: Tensor, b: Tensor) -> Tensor:
         out = a.values + b.values
         a_shape, b_shape = a.shape, b.shape
 
@@ -241,8 +236,7 @@ class Tape:
 
         return self._record((a, b), out, bwd)
 
-    def mul(self, a, b) -> Tensor:
-        a, b = self._lift(a), self._lift(b)
+    def mul(self, a: Tensor, b: Tensor) -> Tensor:
         av, bv = a.values, b.values
         out = av * bv
 
@@ -251,8 +245,7 @@ class Tape:
 
         return self._record((a, b), out, bwd)
 
-    def div(self, a, b) -> Tensor:
-        a, b = self._lift(a), self._lift(b)
+    def div(self, a: Tensor, b: Tensor) -> Tensor:
         bv = b.values
         out = a.values / bv
         a_shape = a.shape
@@ -265,17 +258,14 @@ class Tape:
 
         return self._record((a, b), out, bwd)
 
-    def add_scalar(self, a, c: float) -> Tensor:
-        a = self._lift(a)
+    def add_scalar(self, a: Tensor, c: float) -> Tensor:
         return self._record((a,), a.values + float(c), lambda g: (g,))
 
-    def mul_scalar(self, a, c: float) -> Tensor:
-        a = self._lift(a)
+    def mul_scalar(self, a: Tensor, c: float) -> Tensor:
         c = float(c)
         return self._record((a,), a.values * c, lambda g: (g * c,))
 
-    def exp(self, a) -> Tensor:
-        a = self._lift(a)
+    def exp(self, a: Tensor) -> Tensor:
         out = np.exp(a.values)
 
         def bwd(g):
@@ -283,11 +273,10 @@ class Tape:
 
         return self._record((a,), out, bwd)
 
-    def gelu(self, a) -> Tensor:
+    def gelu(self, a: Tensor) -> Tensor:
         """tanh-approximated GELU with a closed-form derivative.  Every
         intermediate is computed in place in a buffer the op owns, in the
         order ``0.5*x*(1 + tanh(c*(x + 0.044715*x*x*x)))`` spells out."""
-        a = self._lift(a)
         # x * x * x, not x**3: numpy's pow is over ten times slower here, and
         # its SIMD path is not correctly rounded on every machine
         x = a.values
@@ -318,15 +307,15 @@ class Tape:
 
         return self._record((a,), out, bwd)
 
-    def astype(self, a, dtype) -> Tensor:
+    def astype(self, a: Tensor, dtype) -> Tensor:
         """Cast to ``dtype``; backward casts the gradient back to ``a``'s."""
-        a = self._lift(a)
         source = a.values.dtype
         return self._record((a,), a.values.astype(dtype), lambda g: (g.astype(source),))
 
     # -- linear algebra and shape ----------------------------------------
 
-    def matmul(self, a, b, *, bias=None, residual=None) -> Tensor:
+    def matmul(self, a: Tensor, b: Tensor, *, bias: Tensor | None = None,
+               residual: Tensor | None = None) -> Tensor:
         """Matrix product over the last two axes of operands with equal leading
         axes (``[K, m, n] @ [K, n, p]``, say); nothing broadcasts.
 
@@ -335,7 +324,6 @@ class Tape:
         and no new array where ``matmul`` -> ``add`` -> ``add`` records three
         and allocates two.  The sums and their gradients are the chain's bit
         for bit, since each addition only swaps commutative operands."""
-        a, b = self._lift(a), self._lift(b)
         av, bv = a.values, b.values
         if min(av.ndim, bv.ndim) < 2 or av.shape[:-2] != bv.shape[:-2]:
             raise ValueError(
@@ -348,7 +336,6 @@ class Tape:
         for name, addend in (("bias", bias), ("residual", residual)):
             if addend is None:
                 continue
-            addend = self._lift(addend)
             fits = (_broadcasts_to(addend.shape, out.shape) if name == "bias"
                     else addend.shape == out.shape)
             if not fits:
@@ -365,10 +352,9 @@ class Tape:
 
         return self._record(inputs, out, bwd)
 
-    def transpose(self, a, axes: tuple[int, ...] | None = None) -> Tensor:
+    def transpose(self, a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
         """Permute the axes as ``np.transpose(a, axes)`` does; by default swap
         the last two.  The output is a view."""
-        a = self._lift(a)
         if axes is None:
             if a.ndim < 2:
                 raise ValueError(f"transpose needs ndim >= 2, got shape {a.shape}")
@@ -383,8 +369,7 @@ class Tape:
 
         return self._record((a,), out, bwd)
 
-    def reshape(self, a, shape: tuple[int, ...]) -> Tensor:
-        a = self._lift(a)
+    def reshape(self, a: Tensor, shape: tuple[int, ...]) -> Tensor:
         old_shape = a.values.shape
         out = a.values.reshape(shape)
 
@@ -393,29 +378,26 @@ class Tape:
 
         return self._record((a,), out, bwd)
 
-    def concat(self, tensors: Sequence, axis: int = 0) -> Tensor:
-        ts = [self._lift(t) for t in tensors]
-        out = np.concatenate([t.values for t in ts], axis=axis)
-        sizes = [t.values.shape[axis] for t in ts]
+    def concat(self, tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+        out = np.concatenate([t.values for t in tensors], axis=axis)
+        sizes = [t.values.shape[axis] for t in tensors]
         splits = np.cumsum(sizes)[:-1]
 
         def bwd(g):
             return tuple(np.split(g, splits, axis=axis))
 
-        return self._record(tuple(ts), out, bwd)
+        return self._record(tuple(tensors), out, bwd)
 
     # -- reductions ------------------------------------------------------
 
-    def sum(self, a) -> Tensor:
+    def sum(self, a: Tensor) -> Tensor:
         """Sum of every entry: a scalar."""
-        a = self._lift(a)
         shape = a.values.shape
         return self._record((a,), a.values.sum(), lambda g: (np.broadcast_to(g, shape).copy(),))
 
     # -- nonlinear blocks --------------------------------------------------
 
-    def softmax(self, a, axis: int = -1) -> Tensor:
-        a = self._lift(a)
+    def softmax(self, a: Tensor, axis: int = -1) -> Tensor:
         shifted = a.values - a.values.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         out = e / e.sum(axis=axis, keepdims=True)
@@ -426,7 +408,7 @@ class Tape:
 
         return self._record((a,), out, bwd)
 
-    def attention(self, q, k, v, n_heads: int, n_tokens: int) -> Tensor:
+    def attention(self, q: Tensor, k: Tensor, v: Tensor, n_heads: int, n_tokens: int) -> Tensor:
         """Multi-head scaled dot-product attention on feature-major
         ``[K, D, B*N]`` query, key and value projections, whose last axis
         holds the N tokens of each of B windows, window after window.  Rows
@@ -440,7 +422,6 @@ class Tape:
         gradient are written into ``[K, H, d_k, B, N]`` buffers, which are
         ``[K, D, B*N]`` already.
         """
-        q, k, v = self._lift(q), self._lift(k), self._lift(v)
         if q.ndim != 3 or not q.shape == k.shape == v.shape:
             raise ValueError(
                 f"attention needs equal [K, D, B*N] shapes, got {q.shape}, {k.shape}, {v.shape}"
@@ -484,10 +465,9 @@ class Tape:
 
         return self._record((q, k, v), out, bwd)
 
-    def mse(self, pred, target) -> Tensor:
+    def mse(self, pred: Tensor, target: Tensor) -> Tensor:
         """Mean squared difference per channel: a ``[K]`` vector holding the
         mean over every axis but the leading channel axis."""
-        pred, target = self._lift(pred), self._lift(target)
         if pred.shape != target.shape:
             raise ValueError(f"mse shape mismatch: {pred.shape} vs {target.shape}")
         diff = pred.values - target.values
@@ -502,7 +482,7 @@ class Tape:
 
     def batch_norm(
         self,
-        x,
+        x: Tensor,
         gamma: Tensor,
         beta: Tensor,
         state: BatchNormState | None = None,
@@ -518,7 +498,6 @@ class Tape:
         ``state`` with its momentum; eval mode normalizes by the running
         statistics in ``state``.
         """
-        x = self._lift(x)
         xv = x.values
         pshape = _norm_shape(xv, gamma, beta)
         axes = tuple(range(2, xv.ndim))
@@ -595,8 +574,6 @@ class Tape:
                 continue
             input_grads = entry.backward(g)
             for nid, ig in zip(entry.input_ids, input_grads):
-                if ig is None:
-                    continue
                 acc = grads.get(nid)
                 grads[nid] = ig if acc is None else acc + ig
 
@@ -660,11 +637,12 @@ class Adam:
     """Adam with bias correction: m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2,
     update = -lr * m_hat / (sqrt(v_hat) + eps).
 
-    The parameters with a gradient are grouped by dtype, and each group moves
-    into an arena (flat values, gradient and moment buffers that the
-    parameters view), so a step runs one elementwise update per dtype rather
-    than per parameter.  Every element sees the operations a per-parameter
-    update would run, in the same order, so the results are bit-identical.
+    Every parameter needs a gradient (``requires_grad``).  The parameters are
+    grouped by dtype, and each group moves into an arena (flat values,
+    gradient and moment buffers that the parameters view), so a step runs one
+    elementwise update per dtype rather than per parameter.  Every element
+    sees the operations a per-parameter update would run, in the same order,
+    so the results are bit-identical.
     Build the optimizer once the parameters hold their starting values and
     from then on write into them in place: a parameter rebound to a new array
     makes ``step`` raise.
@@ -690,19 +668,15 @@ class Adam:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self.t = 0   # steps taken; every parameter with a gradient takes each one
+        self.t = 0   # steps taken; every parameter takes each one
         by_dtype: dict[np.dtype, list[Tensor]] = {}
         for p in self.params:
-            if p.grad is not None:
-                by_dtype.setdefault(p.values.dtype, []).append(p)
+            if p.grad is None:
+                raise ValueError(f"a {p.shape} parameter has no gradient (requires_grad=False)")
+            by_dtype.setdefault(p.values.dtype, []).append(p)
         self._arenas = [_Arena(group) for group in by_dtype.values()]
         state_of = {id(p): s for a in self._arenas for p, s in zip(a.params, a.states)}
-        # a parameter without a gradient never moves: its moments stay zero
-        self.states = [
-            state_of[id(p)] if id(p) in state_of
-            else AdamState(np.zeros_like(p.values), np.zeros_like(p.values))
-            for p in self.params
-        ]
+        self.states = [state_of[id(p)] for p in self.params]
 
     def step(self) -> None:
         """One update per arena through one scratch array, in the order the

@@ -22,6 +22,7 @@ import json
 import logging
 import os
 import sys
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    seed = args.seed if args.seed is not None else config.training.seeds[0]
+    seed = config.training.seeds[0]
     outdir = _outdir(args)
     cell = train_period_to_dir(config, args.period, seed, outdir)
     print(
@@ -114,7 +115,7 @@ def cmd_forecast(args) -> int:
         if not (run_dir / name).exists():
             raise UserError(f"{run_dir} does not contain a trained run ({name} missing)")
     outdir = Path(args.outdir) if args.outdir else run_dir
-    manifest = _existing_manifest(outdir)
+    manifest = _existing_manifest(outdir, ("forecast.csv", "imf*_forecast.csv"))
     try:
         result = forecast_from_dir(run_dir)
     except CheckpointMismatchError as exc:
@@ -133,11 +134,14 @@ def cmd_forecast(args) -> int:
     return EXIT_OK
 
 
-def _existing_manifest(outdir: Path) -> dict:
+def _existing_manifest(outdir: Path, rewrites: tuple[str, ...]) -> dict:
     """The manifest already in ``outdir`` (empty when there is none), read
     before a command writes anything there.  One that is not a JSON object,
     or that lists an artifact no longer in ``outdir``, is a
-    :class:`UserError`: :func:`_merge_manifest` re-hashes every listed file."""
+    :class:`UserError`: :func:`_merge_manifest` re-hashes every listed file.
+    A missing artifact whose name matches one of the ``rewrites`` glob
+    patterns is dropped from the manifest instead: the command writes it
+    again, or it is gone."""
     path = outdir / "manifest.json"
     if not path.exists():
         return {}
@@ -150,9 +154,12 @@ def _existing_manifest(outdir: Path) -> dict:
     artifacts = manifest.get("artifacts", {})
     if not isinstance(artifacts, dict):
         raise UserError(f"{path}: not a manifest (artifacts is not a JSON object)")
-    for name in artifacts:
-        if not (outdir / name).is_file():
+    for name in list(artifacts):
+        if (outdir / name).is_file():
+            continue
+        if not any(fnmatchcase(name, p) for p in rewrites):
             raise UserError(f"{path} lists {outdir / name}, which is missing")
+        del artifacts[name]
     return manifest
 
 
@@ -209,7 +216,7 @@ def cmd_evaluate(args) -> int:
         )
     mp = metric_pair(actual, predicted)
     outdir = _outdir(args)
-    manifest = _existing_manifest(outdir)
+    manifest = _existing_manifest(outdir, ("metrics.json",))
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {"mse": mp.mse, "smape": mp.smape, "n": int(actual.size)}
     metrics_path = outdir / "metrics.json"

@@ -33,15 +33,12 @@ class ConfigError(ValueError):
     """Bad configuration file or override."""
 
 
-# annotations, as written or postponed, whose keys take exactly these types
+# annotations whose keys take exactly these types; every module that defines
+# a section postpones annotations, so a field's type is its annotation string
 _INTEGER = ((int,), "an integer")
 _BOOLEAN = ((bool,), "true or false")
 _NUMBER = ((int, float), "a number")
-_EXACT_KINDS = {
-    int: _INTEGER, "int": _INTEGER,
-    bool: _BOOLEAN, "bool": _BOOLEAN,
-    float: _NUMBER, "float": _NUMBER,
-}
+_EXACT_KINDS = {"int": _INTEGER, "bool": _BOOLEAN, "float": _NUMBER}
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,7 @@ class ExperimentConfig:
             given = raw.get(name) or {}
             if not isinstance(given, dict):
                 raise ConfigError(f"section '{name}' must be a mapping")
-            # each field's annotation as written: the string "int" where the
-            # section's module postpones annotations, the class int elsewhere
+            # each field's annotation string, such as "int"
             annotations = {g.name: g.type for g in fields(types[name])}
             extra = set(given) - set(annotations)
             if extra:

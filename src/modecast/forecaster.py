@@ -85,10 +85,6 @@ class ForecasterConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ForecasterConfig":
-        return cls(**data)
-
 
 class CheckpointMismatchError(ValueError):
     """A checkpoint's arrays do not fit the model its config describes."""
@@ -111,21 +107,14 @@ def n_patches(lookback: int, patch_len: int, stride: int) -> int:
 
 
 def instance_normalize(window: np.ndarray) -> tuple[np.ndarray, InstanceStats]:
-    """Zero-mean/unit-variance scaling per window along the last axis.
-    Accepts ``[L]`` or ``[..., L]``; a constant window hits the std floor and
-    normalizes to zeros."""
+    """Zero-mean/unit-variance scaling of ``[..., L]`` windows along the last
+    axis; a constant window hits the std floor and normalizes to zeros."""
     x = np.asarray(window, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
     if x.shape[-1] < 2:
         raise ValueError("instance normalization needs windows of length >= 2")
     mean = x.mean(axis=-1, keepdims=True)
     std = np.maximum(x.std(axis=-1, keepdims=True), INSTANCE_STD_FLOOR)
-    normed = (x - mean) / std
-    if squeeze:
-        normed = normed[0]
-    return normed, InstanceStats(mean=mean, std=std)
+    return (x - mean) / std, InstanceStats(mean=mean, std=std)
 
 
 def patchify(window: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
@@ -142,14 +131,12 @@ def patchify(window: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
     )
 
 
-def embed(tape: Tape, patches, w_patch: Tensor, w_pos: Tensor) -> Tensor:
+def embed(tape: Tape, patches: Tensor, w_patch: Tensor, w_pos: Tensor) -> Tensor:
     """Project patches into the latent space and add the positional encoding:
     ``w_patch @ patches + w_pos``.  The last axis of ``patches`` may hold the
     N tokens of several windows, window after window (``[K, D, P]`` weights
     against ``[K, P, B*N]`` patches, say: the leading axes must be equal);
     ``w_pos`` (``[..., D, N]``) is added to each window's tokens."""
-    if not isinstance(patches, Tensor):
-        patches = Tensor(patches)
     tokens = tape.matmul(w_patch, patches)                          # [..., D, B*N]
     n = w_pos.shape[-1]
     by_window = tape.reshape(tokens, tokens.shape[:-1] + (-1, n))  # [..., D, B, N]
@@ -306,7 +293,7 @@ class PatchForecaster:
         normed = normed.astype(self.dtype)
         patches = patchify(normed, cfg.patch_len, cfg.stride)      # [K, B, P, N]
         patches = np.moveaxis(patches, 1, 2).reshape(k, cfg.patch_len, b * n)
-        z = embed(tape, patches, self.params["w_patch"], self.params["w_pos"])
+        z = embed(tape, Tensor(patches), self.params["w_patch"], self.params["w_pos"])
         for i in range(cfg.n_layers):
             z = self._attention_layer(tape, z, i, training)
         by_window = tape.transpose(tape.reshape(z, (k, d, b, n)), (0, 2, 1, 3))  # [K, B, D, N]
@@ -401,9 +388,7 @@ def train_epoch(
             raise FloatingPointError(
                 f"non-finite training loss {value} at minibatch starting {start}"
             )
-        optimizer.zero_grad()
-        if sw is not None:
-            sw.theta.zero_grad()
+        optimizer.zero_grad()   # a trained sw.theta's gradient views its arena too
         tape.backward(total)
         optimizer.step()
         losses.append(value)

@@ -157,12 +157,17 @@ def _mean_metrics(cells: list[PeriodCell]) -> MetricPair | None:
 
 def load_series(config: ExperimentConfig) -> np.ndarray:
     """Materialize the configured input series (CSV file or generator).  A CSV
-    it cannot read, or a generator it cannot call, is a :class:`ConfigError`."""
+    it cannot read, or a generator it cannot call, is a :class:`ConfigError`;
+    a CSV whose rows it drops (unparseable or non-finite values) is logged."""
     if config.data.path is not None:
         try:
-            return load_csv(config.data.path, config.data.column, config.data.date_column).values
+            series = load_csv(config.data.path, config.data.column, config.data.date_column)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if series.dropped_rows:
+            log.warning("%s: dropped %d row(s) with an unparseable or non-finite %r value",
+                        config.data.path, series.dropped_rows, config.data.column)
+        return series.values
     try:
         return np.asarray(generate(config.data.generator), dtype=np.float64)
     except (TypeError, ValueError) as exc:

@@ -29,10 +29,9 @@ _RANGE_EPS = 1e-12
 
 @dataclass
 class ScaleWeights:
-    """Unconstrained parameter vector and the raw ranges it was seeded from."""
+    """Unconstrained parameter vector."""
 
-    theta: Tensor              # [M], requires_grad
-    init_ranges: np.ndarray    # [M], raw per-channel ranges at construction
+    theta: Tensor   # [M], requires_grad
 
     @property
     def n_channels(self) -> int:
@@ -51,17 +50,14 @@ def init_from_scales(ranges: np.ndarray) -> ScaleWeights:
         raise ValueError("at least one channel range must be positive")
     theta = np.log(r + _RANGE_EPS)
     theta -= theta.mean()
-    return ScaleWeights(theta=Tensor(theta, requires_grad=True), init_ranges=r.copy())
+    return ScaleWeights(theta=Tensor(theta, requires_grad=True))
 
 
 def uniform(n_channels: int) -> ScaleWeights:
     """All-equal weights (theta = 0); useful as a frozen reference."""
     if n_channels < 1:
         raise ValueError("n_channels must be >= 1")
-    return ScaleWeights(
-        theta=Tensor(np.zeros(n_channels), requires_grad=True),
-        init_ranges=np.ones(n_channels),
-    )
+    return ScaleWeights(theta=Tensor(np.zeros(n_channels), requires_grad=True))
 
 
 def weights_on_tape(tape: Tape, sw: ScaleWeights) -> Tensor:

@@ -70,10 +70,6 @@ class PeriodSplit:
     def train_size(self) -> int:
         return self.train[1] - self.train[0]
 
-    @property
-    def test_size(self) -> int:
-        return self.test[1] - self.test[0]
-
 
 @dataclass(frozen=True)
 class NormalizationParams:
@@ -100,22 +96,13 @@ class WindowBatch:
 
     inputs: np.ndarray   # [batch, lookback, channels]
     targets: np.ndarray  # [batch, horizon, channels]
-    lookback: int
-    horizon: int
-
-    @property
-    def n_windows(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def n_channels(self) -> int:
-        return self.inputs.shape[2]
 
 
 def load_csv(path, column: str, date_column: str = "date") -> PriceSeries:
     """Read one value column of a headered CSV into a date-sorted series.
 
-    Rows whose value fails to parse as a float are dropped and counted.
+    Rows whose value fails to parse as a finite float are dropped and counted
+    in ``dropped_rows``.
     Dates must be ISO-8601 (``YYYY-MM-DD``); any other format is rejected.
     """
     path = Path(path)
@@ -156,12 +143,12 @@ def load_csv(path, column: str, date_column: str = "date") -> PriceSeries:
     return PriceSeries(dates=dates, values=values, dropped_rows=dropped)
 
 
-def split_periods(series, n_periods: int, train_fraction: float) -> list[PeriodSplit]:
-    """Partition the series' index range into ``n_periods`` contiguous blocks
-    whose sizes differ by at most one (remainder goes to the earliest blocks);
-    within each block the first ``floor(train_fraction * block)`` indices are
-    train.  ``series`` may be a :class:`PriceSeries`, an array, or a length."""
-    n = int(series) if isinstance(series, (int, np.integer)) else len(series)
+def split_periods(n_samples: int, n_periods: int, train_fraction: float) -> list[PeriodSplit]:
+    """Partition the index range of an ``n_samples``-long series into
+    ``n_periods`` contiguous blocks whose sizes differ by at most one
+    (remainder goes to the earliest blocks); within each block the first
+    ``floor(train_fraction * block)`` indices are train."""
+    n = int(n_samples)
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
     if not 0.0 < train_fraction < 1.0:
@@ -227,8 +214,6 @@ def minmax_invert(values: np.ndarray, params: NormalizationParams) -> np.ndarray
 def make_windows(channels: np.ndarray, lookback: int, horizon: int) -> WindowBatch:
     """Build all unit-stride supervised windows from a ``[n, channels]`` array."""
     channels = np.asarray(channels, dtype=np.float64)
-    if channels.ndim == 1:
-        channels = channels[:, None]
     if channels.ndim != 2:
         raise ValueError(f"expected [n, channels] data, got shape {channels.shape}")
     n = channels.shape[0]
@@ -244,4 +229,4 @@ def make_windows(channels: np.ndarray, lookback: int, horizon: int) -> WindowBat
     stacked = view.transpose(0, 2, 1)[:n_windows]
     inputs = np.ascontiguousarray(stacked[:, :lookback, :])
     targets = np.ascontiguousarray(stacked[:, lookback:, :])
-    return WindowBatch(inputs=inputs, targets=targets, lookback=lookback, horizon=horizon)
+    return WindowBatch(inputs=inputs, targets=targets)

@@ -65,6 +65,42 @@ def test_concat_and_slice_round_trip():
     assert np.array_equal(merged.values[:, 3:], b.values)
 
 
+_RAW = np.ones((1, 4, 6))
+_W = Tensor(np.ones((1, 6, 2)))
+_NORM = (Tensor(np.ones((1, 4))), Tensor(np.zeros((1, 4))))
+# every op, called with a plain array where a Tensor operand belongs
+RAW_OPERAND_CALLS = {
+    "add": lambda tape, t: tape.add(t, _RAW),
+    "mul": lambda tape, t: tape.mul(_RAW, t),
+    "div": lambda tape, t: tape.div(t, _RAW),
+    "add_scalar": lambda tape, t: tape.add_scalar(_RAW, 1.0),
+    "mul_scalar": lambda tape, t: tape.mul_scalar(_RAW, 2.0),
+    "exp": lambda tape, t: tape.exp(_RAW),
+    "gelu": lambda tape, t: tape.gelu(_RAW),
+    "astype": lambda tape, t: tape.astype(_RAW, np.float32),
+    "matmul": lambda tape, t: tape.matmul(t, _W.values),
+    "matmul_bias": lambda tape, t: tape.matmul(t, _W, bias=np.ones((1, 4, 1))),
+    "matmul_residual": lambda tape, t: tape.matmul(t, _W, residual=np.ones((1, 4, 2))),
+    "transpose": lambda tape, t: tape.transpose(_RAW),
+    "reshape": lambda tape, t: tape.reshape(_RAW, (4, 6)),
+    "concat": lambda tape, t: tape.concat([t, _RAW]),
+    "sum": lambda tape, t: tape.sum(_RAW),
+    "softmax": lambda tape, t: tape.softmax(_RAW),
+    "attention": lambda tape, t: tape.attention(t, t, _RAW, 2, 3),
+    "mse": lambda tape, t: tape.mse(t, _RAW),
+    "batch_norm": lambda tape, t: tape.batch_norm(_RAW, *_NORM),
+}
+
+
+@pytest.mark.parametrize("op", sorted(RAW_OPERAND_CALLS))
+def test_ops_reject_a_raw_array_operand(op):
+    # a plain array is no constant: it fails, and the tape records nothing
+    tape = Tape()
+    with pytest.raises(AttributeError, match="values"):
+        RAW_OPERAND_CALLS[op](tape, Tensor(_RAW))
+    assert tape.n_ops == 0
+
+
 # -- backward contracts -------------------------------------------------------
 
 
@@ -580,8 +616,8 @@ def test_matmul_addends_equal_the_add_chain(dtype, addend_dtype, kind, full_bias
     g_dtype = np.result_type(dtype, addend_dtype)
     g = _kernel_array(rng, g_dtype, (k, f, t))
     before = [a.copy() for a in (w, x, b, r, g)]
-    bias = b if kind in ("bias", "both") else None
-    residual = r if kind in ("residual", "both") else None
+    bias = Tensor(b) if kind in ("bias", "both") else None
+    residual = Tensor(r) if kind in ("residual", "both") else None
 
     tape = Tape()
     out = tape.matmul(Tensor(w), Tensor(x), bias=bias, residual=residual)
@@ -591,9 +627,9 @@ def test_matmul_addends_equal_the_add_chain(dtype, addend_dtype, kind, full_bias
     chain = Tape()
     want = chain.matmul(Tensor(w), Tensor(x))
     if bias is not None:
-        want = chain.add(want, Tensor(bias))
+        want = chain.add(want, bias)
     if residual is not None:
-        want = chain.add(Tensor(residual), want)
+        want = chain.add(residual, want)
     # the chain's backward, last entry first
     g_product, added = g, []
     if residual is not None:
@@ -619,7 +655,8 @@ def test_matmul_addends_equal_the_add_chain(dtype, addend_dtype, kind, full_bias
 ], ids=["bias_tokens", "bias_ndim", "residual_broadcast"])
 def test_matmul_rejects_addends_that_do_not_fit_the_product(addends):
     with pytest.raises(ValueError, match="does not fit"):
-        Tape().matmul(Tensor(np.ones((2, 3, 5))), Tensor(np.ones((2, 5, 4))), **addends)
+        Tape().matmul(Tensor(np.ones((2, 3, 5))), Tensor(np.ones((2, 5, 4))),
+                      **{name: Tensor(a) for name, a in addends.items()})
 
 
 # -- Adam ----------------------------------------------------------------------
@@ -741,6 +778,12 @@ def test_adam_rejects_a_parameter_listed_twice():
     p = Tensor(np.zeros(3), requires_grad=True)
     with pytest.raises(ValueError, match="twice"):
         Adam([p, p])
+
+
+def test_adam_rejects_a_parameter_without_a_gradient():
+    trained = Tensor(np.zeros(3), requires_grad=True)
+    with pytest.raises(ValueError, match=r"\(2,\) parameter has no gradient"):
+        Adam([trained, Tensor(np.zeros(2))])
 
 
 # -- checkpoints ---------------------------------------------------------------

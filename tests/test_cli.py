@@ -475,3 +475,35 @@ def test_forecast_and_evaluate_with_a_listed_file_missing_exit_2_before_writing(
                  "--outdir", str(run_dir)]) == 2
     assert "decomposition.csv, which is missing" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+def test_forecast_and_evaluate_rewrite_their_own_missing_outputs(tmp_path):
+    # a listed file the command writes again is no reason to stop: forecast
+    # rewrites forecast.csv and imf*_forecast.csv, evaluate metrics.json
+    cfg = write_config(tmp_path, backtest_raw())
+    run_dir = tmp_path / "run"
+    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+    assert main(["forecast", "--run-dir", str(run_dir)]) == 0
+    forecasts = ["forecast.csv", "imf0_forecast.csv", "imf1_forecast.csv"]
+    before = {name: (run_dir / name).read_bytes() for name in forecasts}
+    manifest = (run_dir / "manifest.json").read_bytes()
+    for name in ("forecast.csv", "imf1_forecast.csv"):
+        (run_dir / name).unlink()
+    assert main(["forecast", "--run-dir", str(run_dir)]) == 0
+    assert {name: (run_dir / name).read_bytes() for name in forecasts} == before
+    assert (run_dir / "manifest.json").read_bytes() == manifest
+    # a listed forecast this run does not write (a model with more modes
+    # wrote it) is dropped, not re-hashed
+    listed = json.loads(manifest)
+    listed["artifacts"]["imf5_forecast.csv"] = "0" * 64
+    (run_dir / "manifest.json").write_text(json.dumps(listed))
+    assert main(["forecast", "--run-dir", str(run_dir)]) == 0
+    assert (run_dir / "manifest.json").read_bytes() == manifest
+
+    forecast = str(run_dir / "forecast.csv")
+    args = ["evaluate", "--forecast", forecast, "--actual", forecast, "--outdir", str(run_dir)]
+    assert main(args) == 0
+    metrics = (run_dir / "metrics.json").read_bytes()
+    (run_dir / "metrics.json").unlink()
+    assert main(args) == 0
+    assert (run_dir / "metrics.json").read_bytes() == metrics

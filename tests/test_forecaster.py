@@ -97,14 +97,14 @@ def test_patchify_coverage_when_stride_le_patch():
 
 
 def test_instance_normalize_centers():
-    normed, stats = instance_normalize(np.array([1.0, 2.0, 3.0]))
+    normed, stats = instance_normalize(np.array([[1.0, 2.0, 3.0]]))
     assert abs(normed.mean()) < 1e-12
     assert stats.mean[0, 0] == 2.0
 
 
 def test_instance_normalize_constant_window():
-    normed, stats = instance_normalize(np.array([5.0, 5.0, 5.0]))
-    assert np.array_equal(normed, np.zeros(3))
+    normed, stats = instance_normalize(np.array([[5.0, 5.0, 5.0]]))
+    assert np.array_equal(normed, np.zeros((1, 3)))
     # the inverse the forecaster's head applies to its output
     assert np.array_equal(normed * stats.std + stats.mean, [[5.0, 5.0, 5.0]])
 
@@ -123,14 +123,14 @@ def test_instance_round_trip():
 def test_embed_zero_projection_gives_positional_encoding():
     rng = np.random.default_rng(2)
     w_pos = Tensor(rng.normal(size=(4, 3)))
-    out = embed(Tape(), rng.normal(size=(2, 5, 3)), Tensor(np.zeros((2, 4, 5))), w_pos)
+    out = embed(Tape(), Tensor(rng.normal(size=(2, 5, 3))), Tensor(np.zeros((2, 4, 5))), w_pos)
     assert np.allclose(out.values, np.broadcast_to(w_pos.values, (2, 4, 3)))
 
 
 def test_embed_basis_columns_select_projection_columns():
     rng = np.random.default_rng(3)
     w_patch = Tensor(rng.normal(size=(4, 5)))
-    patches = np.eye(5)[:, :3]  # unit columns pick w_patch columns
+    patches = Tensor(np.eye(5)[:, :3])  # unit columns pick w_patch columns
     out = embed(Tape(), patches, w_patch, Tensor(np.zeros((4, 3))))
     assert np.allclose(out.values, w_patch.values[:, :3])
 
@@ -140,7 +140,7 @@ def test_embed_matches_dense_multiply_oracle():
     w_patch = rng.normal(size=(6, 4))
     w_pos = rng.normal(size=(6, 5))
     patches = rng.normal(size=(4, 5))
-    out = embed(Tape(), patches, Tensor(w_patch), Tensor(w_pos))
+    out = embed(Tape(), Tensor(patches), Tensor(w_patch), Tensor(w_pos))
     oracle = w_patch @ patches + w_pos
     assert np.max(np.abs(out.values - oracle)) < 1e-12
 
@@ -688,7 +688,7 @@ def test_checkpoint_reload_reproduces_forecasts_bitwise(tmp_path):
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, model.param_arrays(), meta={"model": cfg.to_dict()})
     arrays, meta = load_checkpoint(path)
-    clone = PatchForecaster(ForecasterConfig.from_dict(meta["model"]),
+    clone = PatchForecaster(ForecasterConfig(**meta["model"]),
                             [np.random.default_rng(999)])
     clone.load_param_arrays(arrays)
     assert np.array_equal(clone.predict(windows), want)

@@ -158,6 +158,24 @@ def test_forecast_from_dir_warns_of_unconverged_strict_causal_prefixes(caplog, t
     ]
 
 
+def test_load_series_warns_once_of_dropped_rows(caplog, tmp_path):
+    path = tmp_path / "prices.csv"
+    path.write_text("date,close\n2020-01-01,1.0\n2020-01-02,oops\n2020-01-03,nan\n"
+                    "2020-01-04,4.0\n2020-01-05,5.0\n")
+    with caplog.at_level(logging.WARNING, logger="modecast"):
+        values = pipeline.load_series(small_config(data={"path": str(path), "generator": None}))
+    assert np.array_equal(values, [1.0, 4.0, 5.0])
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: dropped 2 row(s) with an unparseable or non-finite 'close' value",
+    ]
+    caplog.clear()
+    # a clean file logs nothing
+    path.write_text("date,close\n2020-01-01,1.0\n2020-01-02,2.0\n")
+    with caplog.at_level(logging.WARNING, logger="modecast"):
+        pipeline.load_series(small_config(data={"path": str(path), "generator": None}))
+    assert caplog.records == []
+
+
 def test_unconverged_or_duplicate_centre_decomposition_logs_once_per_cell(caplog, tmp_path):
     # K=10 from zero-initialised centres on two tones: after two iterations the
     # decomposition has not converged and two centres sit within 1/(2*600)

@@ -47,14 +47,12 @@ def test_uniform_theta_gives_exact_ones():
 
 
 def test_theta_shift_invariance():
-    a = sw.ScaleWeights(theta=Tensor(np.array([1.3, 1.3]), requires_grad=True),
-                        init_ranges=np.ones(2))
+    a = sw.ScaleWeights(theta=Tensor(np.array([1.3, 1.3]), requires_grad=True))
     assert np.allclose(sw.weights(a), [1.0, 1.0], atol=1e-15)
 
 
 def test_large_theta_gap_saturates_but_stays_positive():
-    s = sw.ScaleWeights(theta=Tensor(np.array([50.0, 0.0, 0.0]), requires_grad=True),
-                        init_ranges=np.ones(3))
+    s = sw.ScaleWeights(theta=Tensor(np.array([50.0, 0.0, 0.0]), requires_grad=True))
     weights = sw.weights(s)
     assert weights[0] == pytest.approx(3.0, abs=1e-9)
     assert np.all(weights > 0)

@@ -90,7 +90,7 @@ def test_split_100_into_5_blocks_of_20():
     assert len(splits) == 5
     for p, s in enumerate(splits):
         assert s.train_size == 16
-        assert s.test_size == 4
+        assert s.test[1] - s.test[0] == 4
         assert s.start == p * 20
 
 
@@ -133,11 +133,6 @@ def test_split_train_fraction_floor():
 def test_split_too_short_series():
     with pytest.raises(ValueError, match="too short"):
         split_periods(20, 5, 0.8)
-
-
-def test_split_accepts_series_like():
-    splits = split_periods(np.zeros(40), 2, 0.8)
-    assert splits[1].stop == 40
 
 
 # -- min-max normalization ----------------------------------------------------------
@@ -256,13 +251,13 @@ def test_minmax_rows_match_each_row_alone(k, n, blocks, width, seed, constant):
 
 def test_window_count_formula():
     batch = make_windows(np.zeros((10, 1)), 4, 1)
-    assert batch.n_windows == 6
+    assert len(batch.inputs) == 6
 
 
 def test_window_boundary_case():
     data = np.arange(5.0)[:, None]
     batch = make_windows(data, 4, 1)
-    assert batch.n_windows == 1
+    assert len(batch.inputs) == 1
     assert np.array_equal(batch.inputs[0, :, 0], [0, 1, 2, 3])
     assert np.array_equal(batch.targets[0, :, 0], [4])
 
@@ -272,12 +267,18 @@ def test_window_too_short_errors():
         make_windows(np.zeros((4, 1)), 4, 1)
 
 
+def test_window_rejects_a_1d_series():
+    # one series is one channel: values[:, None]
+    with pytest.raises(ValueError, match=r"expected \[n, channels\] data, got shape \(10,\)"):
+        make_windows(np.zeros(10), 4, 1)
+
+
 def test_window_content_alignment_multichannel():
     n, m = 12, 3
     data = np.arange(n * m, dtype=float).reshape(n, m)
     batch = make_windows(data, 5, 2)
-    assert batch.n_windows == n - 5 - 2 + 1
-    for b in range(batch.n_windows):
+    assert len(batch.inputs) == n - 5 - 2 + 1
+    for b in range(len(batch.inputs)):
         assert np.array_equal(batch.inputs[b], data[b: b + 5])
         assert np.array_equal(batch.targets[b], data[b + 5: b + 7])
 
@@ -285,4 +286,4 @@ def test_window_content_alignment_multichannel():
 @pytest.mark.parametrize("n,lookback,horizon", [(10, 4, 1), (30, 7, 3), (100, 20, 5)])
 def test_window_count_property(n, lookback, horizon):
     batch = make_windows(np.zeros((n, 2)), lookback, horizon)
-    assert batch.n_windows == n - lookback - horizon + 1
+    assert len(batch.inputs) == n - lookback - horizon + 1
