@@ -127,11 +127,26 @@ def _spare(buffer: np.ndarray | None, *operands: np.ndarray) -> np.ndarray | Non
     return None
 
 
+def _by_window(a: np.ndarray) -> np.ndarray:
+    """The ``[K, B, H, rows, N]`` view of a window-inner ``[K, H, rows, B, N]``
+    array: attention heads (rows are ``d_k`` features) and attention maps
+    (rows are ``N`` keys) are both stored this way."""
+    return a.transpose(0, 3, 1, 2, 4)
+
+
+def _window_inner(a: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_by_window`."""
+    return a.transpose(0, 2, 3, 1, 4)
+
+
 def _sum_over_keys(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-2, keepdims=True)`` as one BLAS product with a row of
-    ones: on ``[..., 13, 13]`` attention maps numpy's reduction along axis
-    -2 is several times slower than the product."""
-    return np.matmul(np.ones((1, a.shape[-2]), a.dtype), a)
+    """``a.sum(axis=2, keepdims=True)`` of window-inner ``[K, H, N_keys, B, N]``
+    maps as one BLAS product with a row of ones per map, written into a
+    ``[K, H, 1, B, N]`` array through its strided view: numpy's reduction
+    along the key axis of ``[..., 13, 13]`` maps is several times slower."""
+    sums = np.empty(a.shape[:2] + (1,) + a.shape[3:], a.dtype)
+    np.matmul(np.ones((1, a.shape[2]), a.dtype), _by_window(a), out=_by_window(sums))
+    return sums
 
 
 def _transposed_copy(a: np.ndarray) -> np.ndarray:
@@ -143,20 +158,24 @@ def _transposed_copy(a: np.ndarray) -> np.ndarray:
 
 def _attention_probabilities(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     """Key-major attention maps ``softmax(scale * kᵀ q)`` over the key axis:
-    ``[..., d_k, N]`` query and key heads give ``[..., N_keys, N_queries]``
-    maps whose every column sums to one.  The softmax runs in place on the
-    score product, and every pass runs across the contiguous query axis."""
-    p = np.matmul(np.swapaxes(k, -1, -2), q)
+    ``[K, B, H, d_k, N]`` query and key heads give ``[K, B, H, N_keys,
+    N_queries]`` maps whose every column sums to one.  The maps are the
+    :func:`_by_window` view of a window-inner ``[K, H, N_keys, B, N_queries]``
+    array, so every softmax pass runs across the ``B*N`` contiguous queries
+    of one key, in place on the score product."""
+    n_channels, batch, n_heads, _, n_tokens = q.shape
+    p = np.empty((n_channels, n_heads, k.shape[-1], batch, n_tokens), np.result_type(q, k))
+    np.matmul(np.swapaxes(k, -1, -2), q, out=_by_window(p))
     p *= scale
-    # the maximum over keys row by row: numpy's max along axis -2 of small
-    # maps is about four times slower
-    top = p[..., 0, :].copy()
-    for key in range(1, p.shape[-2]):
-        np.maximum(top, p[..., key, :], out=top)
-    p -= top[..., None, :]
+    # the maximum over keys key by key: numpy's max along the key axis of
+    # small maps is about four times slower
+    top = p[:, :, 0].copy()
+    for key in range(1, p.shape[2]):
+        np.maximum(top, p[:, :, key], out=top)
+    p -= top[:, :, None]
     np.exp(p, out=p)
     p /= _sum_over_keys(p)
-    return p
+    return _by_window(p)
 
 
 @dataclass
@@ -193,14 +212,18 @@ class Tape:
 
     The tape holds only the ``requires_grad`` tensors and the arrays its
     backward rules need; an intermediate result is freed as soon as the caller
-    drops it, unless a backward rule keeps its values.
+    drops it, unless a backward rule keeps its values.  ``backward`` releases
+    each rule, and the arrays it kept, as soon as the rule has run, so a tape
+    serves one backward.
     """
 
     def __init__(self) -> None:
         self._token = object()  # a tensor's ``owner`` when this tape numbered it
         self._n_nodes = 0
+        self._n_ops = 0
         self._leaves: list[tuple[int, Tensor]] = []  # requires_grad tensors by node id
         self._entries: list[_TapeEntry] = []
+        self._consumed = False
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -219,11 +242,13 @@ class Tape:
         out = Tensor(out_values)
         out_id = self._register(out)
         self._entries.append(_TapeEntry(input_ids, out_id, backward))
+        self._n_ops += 1
         return out
 
     @property
     def n_ops(self) -> int:
-        return len(self._entries)
+        """The number of ops recorded, before and after ``backward``."""
+        return self._n_ops
 
     # -- elementwise arithmetic -----------------------------------------
 
@@ -420,7 +445,9 @@ class Tape:
         inputs, the key-major ``[K, B, H, N_keys, N_queries]`` maps ``P`` are
         all the entry keeps besides q, k and v, and the output and each
         gradient are written into ``[K, H, d_k, B, N]`` buffers, which are
-        ``[K, D, B*N]`` already.
+        ``[K, D, B*N]`` already.  ``P`` and its score gradient are stored
+        window-inner, ``[K, H, N_keys, B, N_queries]``, the heads' layout, so
+        their elementwise passes run over ``B*N`` contiguous queries.
         """
         if q.ndim != 3 or not q.shape == k.shape == v.shape:
             raise ValueError(
@@ -433,15 +460,14 @@ class Tape:
                 f"or {width} tokens into windows of {n_tokens}"
             )
         layout = (n_channels, n_heads, d_model // n_heads, width // n_tokens, n_tokens)
-        by_head = (0, 3, 1, 2, 4)  # [K, H, d_k, B, N] -> [K, B, H, d_k, N]
 
         def heads(a: np.ndarray) -> np.ndarray:
-            return a.reshape(layout).transpose(by_head)
+            return _by_window(a.reshape(layout))
 
         def new_heads(dtype) -> tuple[np.ndarray, np.ndarray]:
             """A new array as its ``[K, D, B*N]`` and heads views."""
             buffer = np.empty(layout, dtype)
-            return buffer.reshape(q.shape), buffer.transpose(by_head)
+            return buffer.reshape(q.shape), _by_window(buffer)
 
         qh, kh, vh = heads(q.values), heads(k.values), heads(v.values)
         scale = 1.0 / math.sqrt(layout[2])
@@ -455,12 +481,15 @@ class Tape:
             dk, dk_heads = new_heads(kh.dtype)
             dv, dv_heads = new_heads(vh.dtype)
             np.matmul(gh, _transposed_copy(p), out=dv_heads)
-            ds = np.matmul(np.swapaxes(vh, -1, -2), gh)  # dP, then dS in place
-            ds -= _sum_over_keys(ds * p)
-            ds *= p
+            # dP, then dS in place, window-inner as P is
+            p_inner = _window_inner(p)
+            ds = np.empty(p_inner.shape, np.result_type(vh, gh))
+            np.matmul(np.swapaxes(vh, -1, -2), gh, out=_by_window(ds))
+            ds -= _sum_over_keys(ds * p_inner)
+            ds *= p_inner
             ds *= scale
-            np.matmul(kh, ds, out=dq_heads)
-            np.matmul(qh, _transposed_copy(ds), out=dk_heads)
+            np.matmul(kh, _by_window(ds), out=dq_heads)
+            np.matmul(qh, _transposed_copy(_by_window(ds)), out=dk_heads)
             return dq, dk, dv
 
         return self._record((q, k, v), out, bwd)
@@ -557,23 +586,30 @@ class Tape:
         Returns the gradient for every ``requires_grad`` tensor registered on
         this tape (zeros for tensors with no path to the loss), in that
         tensor's dtype, and accumulates the same values into its ``grad``.
+        The sweep pops each entry before running its rule, so the arrays a
+        rule kept are freed once it has run; a second ``backward`` on the
+        tape raises ``ValueError``.
         """
+        if self._consumed:
+            raise ValueError("this tape's backward has run: a tape serves one backward")
         if loss.values.size != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
         if loss.owner is not self._token:
             raise ValueError("loss tensor was not produced on this tape")
+        self._consumed = True
 
         grads: dict[int, np.ndarray] = {
             loss.node_id: np.ones_like(loss.values)
         }
-        for entry in reversed(self._entries):
+        entries = self._entries
+        while entries:
+            entry = entries.pop()
             # every consumer of an op's output was recorded after the op, so
             # its gradient is complete here and is dropped once propagated
             g = grads.pop(entry.output_id, None)
             if g is None:
                 continue
-            input_grads = entry.backward(g)
-            for nid, ig in zip(entry.input_ids, input_grads):
+            for nid, ig in zip(entry.input_ids, entry.backward(g)):
                 acc = grads.get(nid)
                 grads[nid] = ig if acc is None else acc + ig
 

@@ -11,10 +11,12 @@ reports label which protocol produced them.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -325,6 +327,21 @@ def _warn_prefixes(prefix_converged: list[bool], period_index: int, seed: int) -
         )
 
 
+@contextlib.contextmanager
+def _logged_warnings(period_index: int, seed: int):
+    """Log every warning raised inside, each occurrence, as ``period P seed
+    S: <message>``.  Python's default filter would show a warning once per
+    call site and process, with no cell coordinates."""
+    caught: list[warnings.WarningMessage] = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield
+    finally:
+        for w in caught:
+            log.warning("period %d seed %d: %s", period_index, seed, w.message)
+
+
 @_stage("forecast")
 def _forecast_stage(
     values: np.ndarray,
@@ -417,46 +434,51 @@ def _run_period_full(
     period_index: int = 0,
     global_start: int = 0,
 ) -> tuple[PeriodCell, tuple]:
-    """:func:`run_period`'s cell and ``(model, scale_weights, params)``."""
-    t_begin = time.perf_counter()
-    values = np.asarray(values, dtype=np.float64)
-    lookback, horizon = config.model.lookback, config.model.horizon
-    if train_size < lookback + horizon:
-        raise PipelineStageError(
-            "window", f"train portion ({train_size}) shorter than lookback+horizon"
+    """:func:`run_period`'s cell and ``(model, scale_weights, params)``.
+    The warnings the cell raises are logged with its coordinates."""
+    with _logged_warnings(period_index, seed):
+        t_begin = time.perf_counter()
+        values = np.asarray(values, dtype=np.float64)
+        lookback, horizon = config.model.lookback, config.model.horizon
+        if train_size < lookback + horizon:
+            raise PipelineStageError(
+                "window", f"train portion ({train_size}) shorter than lookback+horizon"
+            )
+
+        timing: dict = {}
+        vmd = _decompose_stage(values, train_size, config, timing=timing)
+        _warn_decomposition(vmd, period_index, seed)
+        params, train_norm = _normalize_stage(vmd.modes[:, :train_size], timing=timing)
+        model, sw, weights_initial, weights_final, epoch_losses = _train_stage(
+            train_norm, params.range[:, 0], config, seed, timing=timing,
         )
 
-    timing: dict = {}
-    vmd = _decompose_stage(values, train_size, config, timing=timing)
-    _warn_decomposition(vmd, period_index, seed)
-    params, train_norm = _normalize_stage(vmd.modes[:, :train_size], timing=timing)
-    model, sw, weights_initial, weights_final, epoch_losses = _train_stage(
-        train_norm, params.range[:, 0], config, seed, timing=timing,
-    )
+        channel_pred, prefix_converged, prefix_timing = _forecast_stage(
+            values, vmd.modes, params, model, train_size, config, timing=timing,
+        )
+        timing.update(prefix_timing)
+        _warn_prefixes(prefix_converged, period_index, seed)
+        scored = _scored_forecast(values, train_size, global_start, vmd.modes, channel_pred,
+                                  config)
+        baselines = _baselines_stage(values[:train_size], scored["actual"], config,
+                                     timing=timing)
 
-    channel_pred, prefix_converged, prefix_timing = _forecast_stage(
-        values, vmd.modes, params, model, train_size, config, timing=timing,
-    )
-    timing.update(prefix_timing)
-    _warn_prefixes(prefix_converged, period_index, seed)
-    scored = _scored_forecast(values, train_size, global_start, vmd.modes, channel_pred, config)
-    baselines = _baselines_stage(values[:train_size], scored["actual"], config, timing=timing)
-
-    cell = PeriodCell(
-        period_index=period_index,
-        seed=seed,
-        train_size=train_size,
-        decomposition_label="strict_causal" if config.backtest.strict_causal else "full_period",
-        baselines=baselines,
-        aswl_weights_initial=weights_initial,
-        aswl_weights_final=weights_final,
-        epoch_losses=epoch_losses,
-        vmd=vmd,
-        runtime_s=time.perf_counter() - t_begin,
-        stage_timing=timing,
-        **scored,
-    )
-    return cell, (model, sw, params)
+        cell = PeriodCell(
+            period_index=period_index,
+            seed=seed,
+            train_size=train_size,
+            decomposition_label=("strict_causal" if config.backtest.strict_causal
+                                 else "full_period"),
+            baselines=baselines,
+            aswl_weights_initial=weights_initial,
+            aswl_weights_final=weights_final,
+            epoch_losses=epoch_losses,
+            vmd=vmd,
+            runtime_s=time.perf_counter() - t_begin,
+            stage_timing=timing,
+            **scored,
+        )
+        return cell, (model, sw, params)
 
 
 # -- backtest across periods and seeds ---------------------------------------
@@ -798,7 +820,8 @@ def forecast_from_dir(run_dir) -> dict:
     """Load a trained run directory (``state.npz`` and ``model.npz``) and
     produce the test-segment forecast, scored as a backtest cell is: the keys
     of :func:`_scored_forecast`, the protocol label as ``decomposition``, the
-    saved config dict and the seed.
+    saved config dict and the seed.  The warnings the forecast raises are
+    logged with the cell's coordinates.
 
     Pure function of the persisted state: repeated calls are bit-identical.
     """
@@ -813,9 +836,10 @@ def forecast_from_dir(run_dir) -> dict:
     params = NormalizationParams(min=state["mins"][:, None], max=state["maxs"][:, None])
     model = PatchForecaster(config.model, [np.random.default_rng(0)] * len(modes))
     model.load_param_arrays(load_checkpoint(run_dir / "model.npz")[0])
-    channel_pred, prefix_converged, _prefix_timing = _forecast_stage(
-        values, modes, params, model, train_size, config,
-    )
+    with _logged_warnings(period_index, meta["seed"]):
+        channel_pred, prefix_converged, _prefix_timing = _forecast_stage(
+            values, modes, params, model, train_size, config,
+        )
     _warn_prefixes(prefix_converged, period_index, meta["seed"])
     return {
         **_scored_forecast(values, train_size, global_start, modes, channel_pred, config),

@@ -7,9 +7,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import numeric_gradient, rel_err
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from modecast import autodiff
 from modecast.autodiff import (
     Adam,
     BatchNormState,
@@ -147,6 +148,24 @@ def test_tape_keeps_only_values_a_backward_rule_needs():
     assert freed() is None and kept() is not None
     grads = tape.backward(loss)
     assert np.array_equal(grads[x], 4.0 * x.values)  # d/dx of (2x)^2 / 2
+
+
+def test_backward_frees_what_the_rules_kept_and_serves_once():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    tape = Tape()
+    doubled = tape.add(x, x)
+    loss = tape.sum(tape.mul(doubled, doubled))   # mul's rule keeps doubled's values
+    kept = weakref.ref(doubled.values)
+    del doubled
+    assert kept() is not None and tape.n_ops == 3
+    grads = tape.backward(loss)
+    assert kept() is None
+    assert tape.n_ops == 3                         # ops recorded, not ops still held
+    assert np.array_equal(grads[x], 8.0 * x.values)
+    # the rules are gone: a second sweep raises instead of returning zeros
+    with pytest.raises(ValueError, match="one backward"):
+        tape.backward(loss)
+    assert np.array_equal(x.grad, 8.0 * x.values)
 
 
 def test_fanout_accumulation_matches_scaling():
@@ -374,6 +393,9 @@ def _attention_inputs(shape, seed, dtype):
     return [rng.normal(size=size).astype(dtype) for _ in range(4)]  # q, k, v, weight
 
 
+@example(shape=(2, 3, 4, 1, 6), seed=1)   # one window
+@example(shape=(2, 3, 4, 5, 1), seed=2)   # one token per window
+@example(shape=(1, 1, 1, 1, 1), seed=3)
 @given(shape=attention_shapes, seed=st.integers(0, 2**16))
 def test_attention_matches_the_five_op_chain(shape, seed):
     # float64; relative to the chain's largest |value| of each output: the
@@ -384,6 +406,23 @@ def test_attention_matches_the_five_op_chain(shape, seed):
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@example(shape=(2, 3, 4, 1, 6), seed=1)   # one window
+@example(shape=(2, 3, 4, 5, 1), seed=2)   # one token per window
+@example(shape=(1, 1, 1, 1, 1), seed=3)
+@given(shape=attention_shapes, seed=st.integers(0, 2**16))
+def test_attention_maps_are_window_inner_columns_that_sum_to_one(shape, seed):
+    # the maps are a [K, B, H, N_keys, N_queries] view of a contiguous
+    # [K, H, N_keys, B, N_queries] array; each query's N float64
+    # probabilities sum to one within N eps
+    n_channels, n_heads, d_k, batch, n_tokens = shape
+    q, k = (a.reshape(n_channels, n_heads, d_k, batch, n_tokens).transpose(0, 3, 1, 2, 4)
+            for a in _attention_inputs(shape, seed, np.float64)[:2])
+    maps = autodiff._attention_probabilities(q, k, 1.0 / math.sqrt(d_k))
+    assert maps.shape == (n_channels, batch, n_heads, n_tokens, n_tokens)
+    assert maps.transpose(0, 2, 3, 1, 4).flags.c_contiguous
+    assert np.max(np.abs(maps.sum(axis=-2) - 1.0)) <= n_tokens * np.finfo(np.float64).eps
 
 
 @given(shape=attention_shapes, seed=st.integers(0, 2**16))

@@ -24,7 +24,7 @@ from modecast.pipeline import (
     write_backtest_artifacts,
     write_forecast_csv,
 )
-from modecast.synthetic import trend_two_tone
+from modecast.synthetic import trend_two_tone, write_series_csv
 from modecast.vmd import decompose, write_decomposition_csv
 
 
@@ -199,6 +199,45 @@ def test_unconverged_or_duplicate_centre_decomposition_logs_once_per_cell(caplog
     for name in ("report.json", "report.txt", "manifest.json"):
         text = (tmp_path / name).read_text()
         assert "grid step" not in text and "unconverged" not in text
+
+
+def test_each_cell_logs_every_warning_it_raises(caplog, tmp_path):
+    # a constant series: every mode but one is flat, so the min-max fit, both
+    # scalings and linear AR's design matrix are degenerate in each cell; the
+    # second cell repeats the first's warnings from the same call sites
+    path = tmp_path / "flat.csv"
+    write_series_csv(path, np.full(600, 5.0))
+    cfg = small_config(data={"path": str(path), "generator": None},
+                       split={"n_periods": 2}, training={"epochs": 1, "seeds": [3]})
+    with caplog.at_level(logging.WARNING, logger="modecast"):
+        report = run_backtest(cfg)
+    assert all(cell.ok for cell in report.cells)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"period {period} seed 3: {message}"
+        for period in (0, 1)
+        for message in (
+            "constant array: min-max normalization is degenerate",
+            "degenerate normalization: mapping all values to 0",
+            "degenerate normalization: mapping all values to 0",
+            "degenerate autoregression design matrix; falling back to persistence",
+        )
+    ]
+    assert {r.name for r in caplog.records} == {"modecast.pipeline"}
+
+
+def test_forecast_from_dir_logs_its_warnings_on_every_call(caplog, tmp_path):
+    path = tmp_path / "flat.csv"
+    write_series_csv(path, np.full(600, 5.0))
+    cfg = small_config(data={"path": str(path), "generator": None},
+                       training={"epochs": 1, "seeds": [3]})
+    train_period_to_dir(cfg, 0, 3, tmp_path / "run")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="modecast"):
+        for _ in range(2):
+            forecast_from_dir(tmp_path / "run")
+    assert [r.getMessage() for r in caplog.records] == [
+        "period 0 seed 3: degenerate normalization: mapping all values to 0",
+    ] * 2
 
 
 def test_multi_step_horizon_blocks():
