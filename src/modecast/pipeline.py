@@ -6,7 +6,9 @@ splitting, which mirrors how decomposition-ensemble results are usually
 presented but leaks future samples into the training modes.  A
 ``strict_causal`` switch instead decomposes only the train portion for
 training and re-decomposes the train-plus-observed prefix at every test step;
-reports label which protocol produced them.
+reports label which protocol produced them.  Those prefix decompositions do
+not depend on the model, so where forking is safe a child process runs them
+while the cell trains.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import contextlib
 import hashlib
 import json
 import logging
+import os
+import pickle
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -342,6 +347,120 @@ def _logged_warnings(period_index: int, seed: int):
             log.warning("period %d seed %d: %s", period_index, seed, w.message)
 
 
+def _forks_safely() -> bool:
+    """Whether a prefix child may be forked: on Linux, from a process that
+    runs one thread.  A child forked while another thread holds a lock (a
+    BLAS pool's, the allocator's) can deadlock, which would hang the cell
+    with no error; ``/proc/self/task`` counts the threads Python's own fork
+    warning counts."""
+    if sys.platform != "linux":
+        return False
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _decompose_prefixes(values: np.ndarray, ends, vmd_config) -> list[tuple[VmdResult, float]]:
+    """``decompose(values[:s])`` for each prefix end ``s``, with its seconds."""
+    results = []
+    for s in ends:
+        t_begin = time.perf_counter()
+        results.append((decompose(values[:s], vmd_config), time.perf_counter() - t_begin))
+    return results
+
+
+def _run_prefix_child(values: np.ndarray, ends, vmd_config, write_fd: int) -> None:
+    """The forked child: decompose every prefix and write one length-framed
+    pickle of the results (or the exception) and the warnings raised; never
+    returns.  Anything else it raises ends it with status 1."""
+    status = 1
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                payload = {"results": _decompose_prefixes(values, ends, vmd_config)}
+            except Exception as exc:
+                payload = {"error": exc}
+        payload["warnings"] = [(w.category, str(w.message), w.filename, w.lineno)
+                               for w in caught]
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as fh:
+            fh.write(len(data).to_bytes(8, "little"))
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _prefix_child_payload(data: bytes, status: int) -> list[tuple[VmdResult, float]]:
+    """The results in a reaped child's ``data``, given its wait ``status``;
+    its warnings are issued again here and its exception is raised again.  A
+    child that died or sent a short payload is a :class:`PipelineStageError`."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise PipelineStageError("forecast", f"the prefix decomposition child {how}")
+    if len(data) != 8 + int.from_bytes(data[:8], "little"):
+        raise PipelineStageError(
+            "forecast", f"the prefix decomposition child sent a short payload ({len(data)} bytes)")
+    payload = pickle.loads(memoryview(data)[8:])
+    for category, message, filename, lineno in payload["warnings"]:
+        warnings.warn_explicit(message, category, filename, lineno)
+    if "error" in payload:
+        raise payload["error"]
+    return payload["results"]
+
+
+@contextlib.contextmanager
+def _prefix_decompositions(values: np.ndarray, train_size: int, config: ExperimentConfig):
+    """Yield a callable that returns the cell's strict-causal prefix
+    decompositions, ``(VmdResult, seconds)`` per forecast block after the
+    first, in block order (an empty list under ``full_period``).
+
+    Where :func:`_forks_safely`, a child forked on entry decomposes them while
+    the caller trains, and the callable waits for its results; otherwise the
+    callable runs the same :func:`decompose` calls in-process.  Either way the
+    results are the same arrays.  On exit a child not yet reaped is killed
+    and reaped, and its pipe is closed."""
+    horizon = config.model.horizon
+    ends = (range(train_size + horizon, values.shape[0], horizon)
+            if config.backtest.strict_causal else range(0))
+    if not ends or not _forks_safely():
+        yield lambda: _decompose_prefixes(values, ends, config.vmd)
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _run_prefix_child(values, ends, config.vmd, write_fd)
+    os.close(write_fd)
+    reaped = False
+
+    def results() -> list[tuple[VmdResult, float]]:
+        nonlocal reaped
+        with open(read_fd, "rb", closefd=False) as fh:
+            data = fh.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        return _prefix_child_payload(data, status)
+
+    try:
+        yield results
+    finally:
+        try:
+            if not reaped:
+                os.kill(pid, 9)   # SIGKILL: the child holds nothing to flush
+                os.waitpid(pid, 0)
+        finally:
+            os.close(read_fd)
+
+
 @_stage("forecast")
 def _forecast_stage(
     values: np.ndarray,
@@ -350,12 +469,14 @@ def _forecast_stage(
     model: PatchForecaster,
     train_size: int,
     config: ExperimentConfig,
+    prefixes,
 ):
     """Forecast the test segment in horizon-sized blocks under the protocol
     ``config.backtest.strict_causal`` selects; returns ``(channel_pred,
     prefix_converged, prefix_timing)``: the ``[K, n_test]`` forecast at the
-    raw scale, whether each prefix decomposition this call ran converged, and
-    their summed seconds and VMD iterations as ``prefix_decompose_s`` and
+    raw scale, whether each prefix decomposition converged, and the seconds
+    this call waited for them as ``prefix_wait_s``, their summed seconds
+    (wherever they ran) as ``prefix_decompose_s`` and their VMD iterations as
     ``prefix_vmd_iterations`` (all empty under ``full_period``).
 
     ``modes`` is the cell's own decomposition at the raw scale and ``params``
@@ -365,26 +486,26 @@ def _forecast_stage(
     takes each later block's window from a decomposition of the prefix
     observed before it, so no test-range sample enters a decomposition; the
     first block's prefix is the train segment, whose decomposition ``modes``
-    already is.  All windows are scaled, predicted and inverted at once.
+    already is.  ``prefixes`` is :func:`_prefix_decompositions`' callable,
+    which returns the later blocks' decompositions.  All windows are scaled,
+    predicted and inverted at once.
     """
     lookback = config.model.lookback
     starts = np.arange(train_size, values.shape[0], config.model.horizon)
+    sources = [modes] * len(starts)
     prefix_converged: list[bool] = []
-    prefix_timing: dict = (
-        {"prefix_decompose_s": 0.0, "prefix_vmd_iterations": 0}
-        if config.backtest.strict_causal else {}
-    )
-    windows = []
-    for s in starts:
-        source = modes
-        if config.backtest.strict_causal and s > train_size:
-            t_begin = time.perf_counter()
-            prefix = decompose(values[:s], config.vmd)
-            prefix_timing["prefix_decompose_s"] += time.perf_counter() - t_begin
-            prefix_timing["prefix_vmd_iterations"] += prefix.iterations
-            prefix_converged.append(prefix.converged)
-            source = prefix.modes
-        windows.append(source[:, s - lookback: s])
+    prefix_timing: dict = {}
+    if config.backtest.strict_causal:
+        t_begin = time.perf_counter()
+        decomposed = prefixes()
+        prefix_timing = {
+            "prefix_wait_s": time.perf_counter() - t_begin,
+            "prefix_decompose_s": sum(seconds for _, seconds in decomposed),
+            "prefix_vmd_iterations": sum(prefix.iterations for prefix, _ in decomposed),
+        }
+        prefix_converged = [prefix.converged for prefix, _ in decomposed]
+        sources[1:] = [prefix.modes for prefix, _ in decomposed]
+    windows = [source[:, s - lookback: s] for source, s in zip(sources, starts)]
     # [blocks, K, lookback] scaled, fed as [blocks, lookback, K]
     preds = model.predict(minmax_apply(np.stack(windows), params).transpose(0, 2, 1))
     # [K, blocks, horizon] -> [K, n_test]: the last block may overrun the period
@@ -435,16 +556,19 @@ def _run_period_full(
     global_start: int = 0,
 ) -> tuple[PeriodCell, tuple]:
     """:func:`run_period`'s cell and ``(model, scale_weights, params)``.
-    The warnings the cell raises are logged with its coordinates."""
-    with _logged_warnings(period_index, seed):
-        t_begin = time.perf_counter()
-        values = np.asarray(values, dtype=np.float64)
-        lookback, horizon = config.model.lookback, config.model.horizon
-        if train_size < lookback + horizon:
-            raise PipelineStageError(
-                "window", f"train portion ({train_size}) shorter than lookback+horizon"
-            )
+    The warnings the cell raises are logged with its coordinates.  Under
+    ``strict_causal`` the prefix decompositions start first, so that a
+    forked child runs them while the cell decomposes and trains."""
+    t_begin = time.perf_counter()
+    values = np.asarray(values, dtype=np.float64)
+    lookback, horizon = config.model.lookback, config.model.horizon
+    if train_size < lookback + horizon:
+        raise PipelineStageError(
+            "window", f"train portion ({train_size}) shorter than lookback+horizon"
+        )
 
+    with (_prefix_decompositions(values, train_size, config) as prefixes,
+          _logged_warnings(period_index, seed)):
         timing: dict = {}
         vmd = _decompose_stage(values, train_size, config, timing=timing)
         _warn_decomposition(vmd, period_index, seed)
@@ -454,7 +578,7 @@ def _run_period_full(
         )
 
         channel_pred, prefix_converged, prefix_timing = _forecast_stage(
-            values, vmd.modes, params, model, train_size, config, timing=timing,
+            values, vmd.modes, params, model, train_size, config, prefixes, timing=timing,
         )
         timing.update(prefix_timing)
         _warn_prefixes(prefix_converged, period_index, seed)
@@ -834,11 +958,12 @@ def forecast_from_dir(run_dir) -> dict:
     period_index = int(np.asarray(state["period_index"]).reshape(-1)[0])
     global_start = int(np.asarray(state["global_start"]).reshape(-1)[0])
     params = NormalizationParams(min=state["mins"][:, None], max=state["maxs"][:, None])
-    model = PatchForecaster(config.model, [np.random.default_rng(0)] * len(modes))
-    model.load_param_arrays(load_checkpoint(run_dir / "model.npz")[0])
-    with _logged_warnings(period_index, meta["seed"]):
+    with (_prefix_decompositions(values, train_size, config) as prefixes,
+          _logged_warnings(period_index, meta["seed"])):
+        model = PatchForecaster(config.model, [np.random.default_rng(0)] * len(modes))
+        model.load_param_arrays(load_checkpoint(run_dir / "model.npz")[0])
         channel_pred, prefix_converged, _prefix_timing = _forecast_stage(
-            values, modes, params, model, train_size, config,
+            values, modes, params, model, train_size, config, prefixes,
         )
     _warn_prefixes(prefix_converged, period_index, meta["seed"])
     return {

@@ -4,8 +4,10 @@ import csv
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -454,11 +456,15 @@ def test_strict_causal_timing_records_prefix_decompositions_only_there(tmp_path)
 
     stages = json.loads((tmp_path / "a" / "timing.json").read_text())["stages"]["period0_seed0"]
     assert stages["prefix_vmd_iterations"] == iterations
-    assert 0.0 < stages["prefix_decompose_s"] <= stages["forecast_s"]
+    # a forked child decomposes the prefixes outside the forecast stage, which
+    # only waits for what is left of them
+    assert 0.0 < stages["prefix_decompose_s"]
+    assert 0.0 <= stages["prefix_wait_s"] <= stages["forecast_s"]
 
-    # without the two keys the same report writes the same deterministic files
+    # without the three keys the same report writes the same deterministic files
     for cell in report.succeeded:
-        del cell.stage_timing["prefix_decompose_s"], cell.stage_timing["prefix_vmd_iterations"]
+        for key in ("prefix_decompose_s", "prefix_vmd_iterations", "prefix_wait_s"):
+            del cell.stage_timing[key]
     write_backtest_artifacts(report, tmp_path / "b")
     for name in ("report.txt", "report.json", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -475,6 +481,8 @@ def test_strict_causal_first_block_reuses_the_training_decomposition(tmp_path, m
     )
     calls = []
     counted = pipeline.decompose
+    # the spy counts calls in this process only: no prefix child
+    monkeypatch.setattr(pipeline, "_forks_safely", lambda: False)
     monkeypatch.setattr(pipeline, "decompose", lambda x, c: calls.append(len(x)) or counted(x, c))
     report = run_backtest(cfg, tmp_path / "reused")
     (cell,) = report.succeeded
@@ -515,6 +523,191 @@ def test_report_text_mentions_aswl_state(tmp_path):
     text = (tmp_path / "report.txt").read_text()
     assert "aswl: off" in text
     assert "smape uses the symmetric denominator" in text
+
+
+# -- strict-causal prefixes in a forked child ----------------------------------
+
+
+def strict_backtest_config(**overrides):
+    """Two periods of 350 samples (280 train), eight 8-step blocks after the
+    first in each."""
+    raw = {
+        "backtest": {"strict_causal": True},
+        "model": {"lookback": 24, "patch_len": 6, "stride": 3, "d_model": 8,
+                  "n_heads": 2, "n_layers": 1, "d_ff": 16, "horizon": 8},
+        "training": {"epochs": 1, "seeds": [0]},
+    }
+    raw.update(overrides)
+    return backtest_config(**raw)
+
+
+def force_prefix_child(monkeypatch, forked: bool) -> list[int]:
+    """Decompose strict-causal prefixes in a forked child (``forked``) or in
+    this process, whatever its thread count; returns the list of forked pids,
+    which grows as the pipeline forks."""
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(pipeline, "_forks_safely", lambda: forked)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="the prefix child forks on Linux")
+
+
+@linux_only
+def test_forked_prefixes_write_the_in_process_files(tmp_path, monkeypatch):
+    cfg = strict_backtest_config()
+    predictions = {}
+    for forked in (True, False):
+        forks = force_prefix_child(monkeypatch, forked)
+        run_backtest(cfg, tmp_path / f"bt{forked}")
+        train_period_to_dir(cfg, 1, 0, tmp_path / f"run{forked}")
+        predictions[forked] = forecast_from_dir(tmp_path / f"run{forked}")["predicted"]
+        # one child per cell: two backtest cells, the trained cell, the forecast
+        assert len(forks) == (4 if forked else 0)
+        assert_no_children()
+    assert np.array_equal(predictions[True], predictions[False])
+    names = sorted(p.relative_to(tmp_path / "btTrue") for p in (tmp_path / "btTrue").rglob("*")
+                   if p.is_file() and p.name != "timing.json")
+    assert len([n for n in names if n.suffix == ".csv"]) == 2 + 2   # decomposition, forecast
+    assert names == sorted(p.relative_to(tmp_path / "btFalse")
+                           for p in (tmp_path / "btFalse").rglob("*")
+                           if p.is_file() and p.name != "timing.json")
+    for name in names:
+        assert (tmp_path / "btTrue" / name).read_bytes() == \
+            (tmp_path / "btFalse" / name).read_bytes(), name
+
+
+@linux_only
+def test_full_period_backtest_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("a full-period cell forked")
+
+    monkeypatch.setattr(pipeline, "_forks_safely", lambda: True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    report = run_backtest(backtest_config(training={"epochs": 1, "seeds": [0]}))
+    assert len(report.cells) == 2 and all(c.ok for c in report.cells)
+
+
+@linux_only
+def test_forked_prefix_error_fails_the_cell_as_in_process(monkeypatch):
+    cfg = strict_backtest_config()
+    decompose_all = pipeline.decompose
+
+    def failing_prefixes(x, c):
+        if len(x) > 280:
+            raise FloatingPointError(f"overflow in a prefix of {len(x)} samples")
+        return decompose_all(x, c)
+
+    monkeypatch.setattr(pipeline, "decompose", failing_prefixes)
+    failures = {}
+    for forked in (True, False):
+        forks = force_prefix_child(monkeypatch, forked)
+        report = run_backtest(cfg)
+        assert len(forks) == (2 if forked else 0)
+        failures[forked] = [(c.period_index, c.stage, c.message) for c in report.cells]
+        assert_no_children()
+    assert failures[True] == failures[False] == [
+        (p, "forecast", "[stage forecast] overflow in a prefix of 288 samples") for p in (0, 1)
+    ]
+
+
+@linux_only
+@pytest.mark.parametrize("death, message", [
+    ("kill", "[stage forecast] the prefix decomposition child was killed by signal 9"),
+    ("exit", "[stage forecast] the prefix decomposition child sent a short payload (0 bytes)"),
+])
+def test_a_dead_prefix_child_fails_its_cell(monkeypatch, death, message):
+    parent = os.getpid()
+    decompose_all = pipeline.decompose
+
+    def dying_prefixes(x, c):
+        if len(x) > 280:
+            assert os.getpid() != parent, "a prefix was decomposed in the test process"
+            if death == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(0)
+        return decompose_all(x, c)
+
+    monkeypatch.setattr(pipeline, "decompose", dying_prefixes)
+    fds = open_fds()
+    forks = force_prefix_child(monkeypatch, True)
+    report = run_backtest(strict_backtest_config())
+    assert len(forks) == 2
+    assert [(c.stage, c.message) for c in report.cells] == [("forecast", message)] * 2
+    assert_no_children()
+    assert open_fds() == fds
+
+
+@linux_only
+@pytest.mark.parametrize("failing_stage", ["decompose", "train"])
+def test_a_cell_failing_after_the_fork_leaves_nothing_behind(monkeypatch, failing_stage):
+    overrides = {}
+    if failing_stage == "decompose":
+        decompose_all = pipeline.decompose
+
+        def failing_train_segment(x, c):
+            if len(x) == 280:
+                raise ValueError("the train segment does not decompose")
+            return decompose_all(x, c)
+
+        monkeypatch.setattr(pipeline, "decompose", failing_train_segment)
+    else:
+        # steps this large overflow the float32 model: a non-finite loss
+        overrides["training"] = {"epochs": 1, "seeds": [0], "learning_rate": 1e30}
+    fds = open_fds()
+    forks = force_prefix_child(monkeypatch, True)
+    report = run_backtest(strict_backtest_config(**overrides))
+    assert len(forks) == 2
+    assert [c.stage for c in report.cells] == [failing_stage] * 2
+    assert_no_children()
+    assert open_fds() == fds
+
+
+@linux_only
+def test_forked_prefix_warnings_are_logged_as_in_process(caplog, monkeypatch):
+    cfg = small_config(backtest={"strict_causal": True},
+                       model={"lookback": 32, "patch_len": 8, "stride": 4,
+                              "d_model": 8, "n_heads": 2, "n_layers": 1,
+                              "d_ff": 16, "horizon": 8},
+                       training={"epochs": 1, "seeds": [3]})
+    decompose_all = pipeline.decompose
+
+    def warning_decompose(x, c):
+        warnings.warn(f"decomposing {len(x)} samples")
+        return decompose_all(x, c)
+
+    monkeypatch.setattr(pipeline, "decompose", warning_decompose)
+    values = trend_two_tone(n=600, seed=3, noise_std=0.2)
+    logged = {}
+    for forked in (True, False):
+        forks = force_prefix_child(monkeypatch, forked)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="modecast"):
+            run_period(values, 480, cfg, seed=3, period_index=1)
+        assert len(forks) == (1 if forked else 0)
+        logged[forked] = [r.getMessage() for r in caplog.records]
+    # the train segment's decomposition, then each prefix's, once each
+    assert logged[True] == logged[False] == [
+        f"period 1 seed 3: decomposing {n} samples" for n in range(480, 600, 8)
+    ]
 
 
 # -- train / forecast persistence ----------------------------------------------
