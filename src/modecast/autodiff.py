@@ -766,17 +766,19 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint written by :func:`save_checkpoint`; any other file
-    raises :class:`CheckpointFormatError`."""
-    try:
-        data = np.load(path)   # allow_pickle=False: a file that is no array raises
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:   # text, empty, truncated
-        raise CheckpointFormatError(f"{path}: not a checkpoint file ({exc})") from exc
-    with data:
-        if _META_KEY not in data:
-            raise CheckpointFormatError(f"{path}: not a checkpoint file (missing metadata)")
-        meta = json.loads(bytes(data[_META_KEY]).decode())
-        version = meta.get("format_version")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version!r}")
-        arrays = {k: data[k] for k in data.files if k != _META_KEY}
+    raises :class:`CheckpointFormatError`.  The file is closed on every path:
+    ``np.load`` given a path leaves it open when the zip is truncated."""
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh)   # allow_pickle=False: a file that is no array raises
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:   # text, empty, truncated
+            raise CheckpointFormatError(f"{path}: not a checkpoint file ({exc})") from exc
+        with data:
+            if _META_KEY not in data:
+                raise CheckpointFormatError(f"{path}: not a checkpoint file (missing metadata)")
+            meta = json.loads(bytes(data[_META_KEY]).decode())
+            version = meta.get("format_version")
+            if version != CHECKPOINT_FORMAT_VERSION:
+                raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version!r}")
+            arrays = {k: data[k] for k in data.files if k != _META_KEY}
     return arrays, meta

@@ -20,11 +20,12 @@ float64.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import functools
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -219,12 +220,27 @@ class PatchForecaster:
             out[f"{name}.running_var"] = state.running_var.copy()
         return out
 
-    def load_param_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+    def channel_slice(self, channels: slice) -> PatchForecaster:
+        """A model of the channels ``channels`` selects, holding copies of
+        their parameters and batch-norm statistics: channels share nothing,
+        so it trains them as this model would."""
+        part = copy.copy(self)
+        part.n_channels = len(range(self.n_channels)[channels])
+        part.params = {name: Tensor(p.values[channels].copy(), requires_grad=True)
+                       for name, p in self.params.items()}
+        part.bn_states = {name: replace(s, running_mean=s.running_mean[channels].copy(),
+                                        running_var=s.running_var[channels].copy())
+                          for name, s in self.bn_states.items()}
+        return part
+
+    def load_param_arrays(self, arrays: dict[str, np.ndarray],
+                          channels: slice = slice(None)) -> None:
         """Load a :meth:`param_arrays` map into the model's arrays in place,
         each array cast to the model's dtype (a float64 checkpoint loads
-        rounded into a float32 model).  Every key and shape is checked before
-        anything is loaded."""
-        expected = self.param_arrays()
+        rounded into a float32 model).  Given ``channels``, the map holds
+        those channels only (a :meth:`channel_slice`'s arrays).  Every key and
+        shape is checked before anything is loaded."""
+        expected = {name: a[channels] for name, a in self.param_arrays().items()}
         if set(expected) != set(arrays):
             missing, extra = set(expected) - set(arrays), set(arrays) - set(expected)
             raise CheckpointMismatchError(
@@ -238,10 +254,10 @@ class PatchForecaster:
                 )
         # into the existing arrays, which an optimizer may hold views of
         for name, p in self.params.items():
-            p.values[...] = loaded[name]
+            p.values[channels] = loaded[name]
         for name, state in self.bn_states.items():
-            state.running_mean[...] = loaded[f"{name}.running_mean"]
-            state.running_var[...] = loaded[f"{name}.running_var"]
+            state.running_mean[channels] = loaded[f"{name}.running_mean"]
+            state.running_var[channels] = loaded[f"{name}.running_var"]
 
     # -- forward ----------------------------------------------------------
 
@@ -360,6 +376,7 @@ def train_epoch(
     batch_size: int,
     rng: np.random.Generator,
     sw: ScaleWeights | None = None,
+    rejoin: Callable[[Tape, Tensor], Tensor] | None = None,
 ) -> float:
     """One shuffled pass of minibatch training over the model's K channels.
 
@@ -369,6 +386,10 @@ def train_epoch(
     :func:`weighted_loss` (the scale weights ``sw``, or the plain sum when
     ``sw`` is None), so the optimizer may also hold ``sw.theta``.  Returns the
     mean minibatch loss.  Aborts on a non-finite loss.
+
+    When the model holds only some of the channels ``sw`` weighs, ``rejoin``
+    maps the tape's MSE of this model's channels to the MSE of all of them,
+    in channel order, before they are weighted.
     """
     _retain_freed_memory()
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -382,7 +403,10 @@ def train_epoch(
         tape = Tape()
         pred = model.forward_on_tape(tape, inputs[idx], training=True)   # [K, B, T]
         target = Tensor(np.moveaxis(targets[idx], -1, 0))
-        total = weighted_loss(tape, tape.mse(pred, target), sw)
+        per_channel = tape.mse(pred, target)
+        if rejoin is not None:
+            per_channel = rejoin(tape, per_channel)
+        total = weighted_loss(tape, per_channel, sw)
         value = float(total.values)
         if not math.isfinite(value):
             raise FloatingPointError(

@@ -8,7 +8,8 @@ presented but leaks future samples into the training modes.  A
 training and re-decomposes the train-plus-observed prefix at every test step;
 reports label which protocol produced them.  Those prefix decompositions do
 not depend on the model, so where forking is safe a child process runs them
-while the cell trains.
+while the cell trains.  A cell with no such child may instead fork one that
+trains half of its channels.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ except ImportError:  # not on Windows
     resource = None
 
 from . import scale_weights as swmod
-from .autodiff import Adam, load_checkpoint, save_checkpoint
+from .autodiff import Adam, Tape, Tensor, load_checkpoint, save_checkpoint
 from .baselines import baseline_linear_ar, baseline_naive
 from .config import ConfigError, ExperimentConfig
 from .forecaster import PatchForecaster, train_epoch
@@ -248,13 +249,69 @@ def _normalize_stage(train_modes: np.ndarray):
     return params, minmax_apply(train_modes, params)
 
 
+def _fit(model: PatchForecaster, inputs: np.ndarray, targets: np.ndarray, sw,
+         rng: np.random.Generator, config: ExperimentConfig, rejoin=None) -> list[float]:
+    """Train ``model`` (and ``sw.theta`` where it trains) for the configured
+    epochs with its own ``Adam``; returns the epoch losses."""
+    params = model.parameters()
+    if sw is not None and config.aswl.train_theta:
+        params.append(sw.theta)
+    optimizer = Adam(params, lr=config.training.learning_rate)
+    return [
+        train_epoch(model, inputs, targets, optimizer, config.training.batch_size, rng, sw,
+                    rejoin)
+        for _epoch in range(config.training.epochs)
+    ]
+
+
+class _LossSwap:
+    """``train_epoch``'s ``rejoin`` for one of two processes that train a
+    model's channels between them: it sends this side's per-channel losses,
+    receives the peer's and joins them in channel order, this side's on the
+    tape and the peer's as a constant.  Both sides then weigh the same
+    ``[K]`` losses, so they take the same loss and ``theta`` steps, and each
+    channel's parameters get the gradient one joint tape would give them."""
+
+    def __init__(self, link, first: bool):
+        self.link = link
+        self.first = first   # whether this side holds the leading channels
+        self.wait_s = 0.0
+
+    def __call__(self, tape: Tape, own: Tensor) -> Tensor:
+        self.link.send(own.values)
+        t_begin = time.perf_counter()
+        theirs = Tensor(self.link.recv())
+        self.wait_s += time.perf_counter() - t_begin
+        return tape.concat([own, theirs] if self.first else [theirs, own])
+
+
+def _training_child_forks(k: int, config: ExperimentConfig, prefix_child: bool) -> bool:
+    """Whether a cell trains its channels in two processes: it has two or
+    more, no prefix child runs beside it (``prefix_child``: the cell has
+    strict-causal prefixes, which fork a child wherever one may fork),
+    :func:`_forks_safely`, and there are two usable cores per cell worker."""
+    return (k >= 2 and not prefix_child and _forks_safely()
+            and len(os.sched_getaffinity(0)) >= 2 * config.backtest.workers)
+
+
 @_stage("train")
 def _train_stage(
     train_norm: np.ndarray,  # [K, train_size]
     ranges: np.ndarray,
     config: ExperimentConfig,
     seed: int,
+    prefix_child: bool,
 ):
+    """Build and train the cell's model; returns ``(model, sw,
+    weights_initial, weights_final, epoch_losses, train_timing)``.
+
+    Where :func:`_training_child_forks`, a forked child trains channels
+    ``[ceil(K/2), K)`` while this process trains the rest, each on a
+    :meth:`PatchForecaster.channel_slice` with a :class:`_LossSwap`, and the
+    child's trained arrays are loaded back into the model.  The results are
+    the same arrays either way.  ``train_timing`` holds the channel count the
+    child trained as ``train_child_channels`` (0 in-process) and this
+    process's wait for its losses and arrays as ``train_wait_s``."""
     k = train_norm.shape[0]
     cfg_m = config.model
     batch = make_windows(train_norm.T, cfg_m.lookback, cfg_m.horizon)
@@ -269,19 +326,33 @@ def _train_stage(
             if config.aswl.init == "ranges"
             else swmod.uniform(k)
         )
-    params = model.parameters()
-    if sw is not None and config.aswl.train_theta:
-        params.append(sw.theta)
-    optimizer = Adam(params, lr=config.training.learning_rate)
 
     weights_initial = swmod.weights(sw).tolist() if sw is not None else None
-    epoch_losses = [
-        train_epoch(model, batch.inputs, batch.targets, optimizer,
-                    config.training.batch_size, shuffle_rng, sw)
-        for _epoch in range(config.training.epochs)
-    ]
+    if not _training_child_forks(k, config, prefix_child):
+        epoch_losses = _fit(model, batch.inputs, batch.targets, sw, shuffle_rng, config)
+        train_timing = {"train_child_channels": 0, "train_wait_s": 0.0}
+    else:
+        half = (k + 1) // 2
+        ours, theirs = slice(0, half), slice(half, k)
+
+        def train_theirs(link):
+            part = model.channel_slice(theirs)
+            _fit(part, batch.inputs[..., theirs], batch.targets[..., theirs], sw, shuffle_rng,
+                 config, _LossSwap(link, first=False))
+            return part.param_arrays()
+
+        with _forked_child("train", "training", train_theirs) as child:
+            part = model.channel_slice(ours)
+            swap = _LossSwap(child, first=True)
+            epoch_losses = _fit(part, batch.inputs[..., ours], batch.targets[..., ours], sw,
+                                shuffle_rng, config, swap)
+            t_begin = time.perf_counter()
+            model.load_param_arrays(child.recv(), theirs)
+            train_timing = {"train_child_channels": k - half,
+                            "train_wait_s": swap.wait_s + time.perf_counter() - t_begin}
+        model.load_param_arrays(part.param_arrays(), ours)
     weights_final = swmod.weights(sw).tolist() if sw is not None else None
-    return model, sw, weights_initial, weights_final, epoch_losses
+    return model, sw, weights_initial, weights_final, epoch_losses, train_timing
 
 
 @_stage("baselines")
@@ -348,7 +419,7 @@ def _logged_warnings(period_index: int, seed: int):
 
 
 def _forks_safely() -> bool:
-    """Whether a prefix child may be forked: on Linux, from a process that
+    """Whether a child process may be forked: on Linux, from a process that
     runs one thread.  A child forked while another thread holds a lock (a
     BLAS pool's, the allocator's) can deadlock, which would hang the cell
     with no error; ``/proc/self/task`` counts the threads Python's own fork
@@ -370,46 +441,150 @@ def _decompose_prefixes(values: np.ndarray, ends, vmd_config) -> list[tuple[VmdR
     return results
 
 
-def _run_prefix_child(values: np.ndarray, ends, vmd_config, write_fd: int) -> None:
-    """The forked child: decompose every prefix and write one length-framed
-    pickle of the results (or the exception) and the warnings raised; never
-    returns.  Anything else it raises ends it with status 1."""
+@dataclass
+class _ChildEnd:
+    """A forked child's last message: what its work returned or raised, and
+    the warnings it raised as ``(category, message, filename, lineno)``."""
+
+    result: object
+    error: Exception | None
+    warnings: list
+
+
+class _Link:
+    """One process's end of a pair of pipes that carry length-framed
+    pickles."""
+
+    def __init__(self, read_fd: int, write_fd: int):
+        self._reader = open(read_fd, "rb")
+        self._write_fd = write_fd
+
+    def send(self, message) -> None:
+        data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        view = memoryview(len(data).to_bytes(8, "little") + data)
+        while view:
+            view = view[os.write(self._write_fd, view):]
+
+    def recv(self):
+        """The next message.  A stream that ends first raises ``EOFError``
+        whose argument is the number of bytes of the message that came."""
+        header = self._reader.read(8)
+        size = int.from_bytes(header, "little")
+        data = self._reader.read(size) if len(header) == 8 else b""
+        if len(header) < 8 or len(data) < size:
+            raise EOFError(len(header) + len(data))
+        return pickle.loads(data)
+
+
+class _Child(_Link):
+    """The parent's end of a child :func:`_forked_child` started.  Its
+    failures are :class:`PipelineStageError` of ``stage``, naming the child
+    as ``the <what> child``."""
+
+    def __init__(self, pid: int, stage: str, what: str, read_fd: int, write_fd: int):
+        super().__init__(read_fd, write_fd)
+        self.pid, self.stage, self.what = pid, stage, what
+        self.reaped = False
+
+    def send(self, message) -> None:
+        try:
+            super().send(message)
+        except BrokenPipeError:
+            pass   # the child has ended: the next recv says how
+
+    def recv(self):
+        """The child's next message.  Its last one, what its work returned,
+        reaps it, issues its warnings again here and raises its exception
+        again.  A child that died or sent a short message is a
+        :class:`PipelineStageError`."""
+        try:
+            message = super().recv()
+        except EOFError as exc:
+            self._reap()
+            raise PipelineStageError(
+                self.stage, f"the {self.what} child sent a short payload ({exc.args[0]} bytes)"
+            ) from None
+        if not isinstance(message, _ChildEnd):
+            return message
+        self._reap()
+        for category, text, filename, lineno in message.warnings:
+            warnings.warn_explicit(text, category, filename, lineno)
+        if message.error is not None:
+            raise message.error
+        return message.result
+
+    def _reap(self) -> None:
+        status = os.waitpid(self.pid, 0)[1]
+        self.reaped = True
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise PipelineStageError(self.stage, f"the {self.what} child {how}")
+
+    def close(self) -> None:
+        """Kill and reap the child unless it was reaped, and close the pipes."""
+        try:
+            if not self.reaped:
+                os.kill(self.pid, 9)   # SIGKILL: the child holds nothing to flush
+                os.waitpid(self.pid, 0)
+        finally:
+            try:
+                self._reader.close()
+            finally:
+                os.close(self._write_fd)
+
+
+def _run_child(work, link: _Link) -> None:
+    """The forked child: run ``work(link)`` and send a :class:`_ChildEnd`;
+    never returns.  Anything else it raises ends it with status 1."""
     status = 1
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                payload = {"results": _decompose_prefixes(values, ends, vmd_config)}
+                result, error = work(link), None
             except Exception as exc:
-                payload = {"error": exc}
-        payload["warnings"] = [(w.category, str(w.message), w.filename, w.lineno)
-                               for w in caught]
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        with open(write_fd, "wb") as fh:
-            fh.write(len(data).to_bytes(8, "little"))
-            fh.write(data)
+                result, error = None, exc
+        link.send(_ChildEnd(result, error, [(w.category, str(w.message), w.filename, w.lineno)
+                                            for w in caught]))
         status = 0
     finally:
         os._exit(status)
 
 
-def _prefix_child_payload(data: bytes, status: int) -> list[tuple[VmdResult, float]]:
-    """The results in a reaped child's ``data``, given its wait ``status``;
-    its warnings are issued again here and its exception is raised again.  A
-    child that died or sent a short payload is a :class:`PipelineStageError`."""
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise PipelineStageError("forecast", f"the prefix decomposition child {how}")
-    if len(data) != 8 + int.from_bytes(data[:8], "little"):
-        raise PipelineStageError(
-            "forecast", f"the prefix decomposition child sent a short payload ({len(data)} bytes)")
-    payload = pickle.loads(memoryview(data)[8:])
-    for category, message, filename, lineno in payload["warnings"]:
-        warnings.warn_explicit(message, category, filename, lineno)
-    if "error" in payload:
-        raise payload["error"]
-    return payload["results"]
+@contextlib.contextmanager
+def _forked_child(stage: str, what: str, work):
+    """Fork a child that runs ``work(link)``, where ``link`` (a
+    :class:`_Link`) exchanges messages with the :class:`_Child` yielded here;
+    the child's last message is what ``work`` returned.  On exit a child not
+    yet reaped is killed and reaped, and the pipes are closed."""
+    up_read, up_write = os.pipe()
+    down_read, down_write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (up_read, up_write, down_read, down_write):
+            os.close(fd)
+        raise
+    if pid == 0:
+        os.close(up_read)
+        os.close(down_write)
+        _run_child(work, _Link(down_read, up_write))
+    os.close(up_write)
+    os.close(down_read)
+    child = _Child(pid, stage, what, up_read, down_write)
+    try:
+        yield child
+    finally:
+        child.close()
+
+
+def _prefix_ends(n_samples: int, train_size: int, config: ExperimentConfig) -> range:
+    """The strict-causal prefix ends of a period: each forecast block's start
+    after the first (none under ``full_period``)."""
+    horizon = config.model.horizon
+    return (range(train_size + horizon, n_samples, horizon)
+            if config.backtest.strict_causal else range(0))
 
 
 @contextlib.contextmanager
@@ -421,44 +596,14 @@ def _prefix_decompositions(values: np.ndarray, train_size: int, config: Experime
     Where :func:`_forks_safely`, a child forked on entry decomposes them while
     the caller trains, and the callable waits for its results; otherwise the
     callable runs the same :func:`decompose` calls in-process.  Either way the
-    results are the same arrays.  On exit a child not yet reaped is killed
-    and reaped, and its pipe is closed."""
-    horizon = config.model.horizon
-    ends = (range(train_size + horizon, values.shape[0], horizon)
-            if config.backtest.strict_causal else range(0))
+    results are the same arrays."""
+    ends = _prefix_ends(values.shape[0], train_size, config)
     if not ends or not _forks_safely():
         yield lambda: _decompose_prefixes(values, ends, config.vmd)
         return
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        os.close(read_fd)
-        _run_prefix_child(values, ends, config.vmd, write_fd)
-    os.close(write_fd)
-    reaped = False
-
-    def results() -> list[tuple[VmdResult, float]]:
-        nonlocal reaped
-        with open(read_fd, "rb", closefd=False) as fh:
-            data = fh.read()
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        return _prefix_child_payload(data, status)
-
-    try:
-        yield results
-    finally:
-        try:
-            if not reaped:
-                os.kill(pid, 9)   # SIGKILL: the child holds nothing to flush
-                os.waitpid(pid, 0)
-        finally:
-            os.close(read_fd)
+    with _forked_child("forecast", "prefix decomposition",
+                       lambda link: _decompose_prefixes(values, ends, config.vmd)) as child:
+        yield child.recv
 
 
 @_stage("forecast")
@@ -558,7 +703,8 @@ def _run_period_full(
     """:func:`run_period`'s cell and ``(model, scale_weights, params)``.
     The warnings the cell raises are logged with its coordinates.  Under
     ``strict_causal`` the prefix decompositions start first, so that a
-    forked child runs them while the cell decomposes and trains."""
+    forked child runs them while the cell decomposes and trains; a cell with
+    none may fork a child that trains half of its channels."""
     t_begin = time.perf_counter()
     values = np.asarray(values, dtype=np.float64)
     lookback, horizon = config.model.lookback, config.model.horizon
@@ -573,9 +719,11 @@ def _run_period_full(
         vmd = _decompose_stage(values, train_size, config, timing=timing)
         _warn_decomposition(vmd, period_index, seed)
         params, train_norm = _normalize_stage(vmd.modes[:, :train_size], timing=timing)
-        model, sw, weights_initial, weights_final, epoch_losses = _train_stage(
-            train_norm, params.range[:, 0], config, seed, timing=timing,
+        model, sw, weights_initial, weights_final, epoch_losses, train_timing = _train_stage(
+            train_norm, params.range[:, 0], config, seed,
+            bool(_prefix_ends(values.shape[0], train_size, config)), timing=timing,
         )
+        timing.update(train_timing)
 
         channel_pred, prefix_converged, prefix_timing = _forecast_stage(
             values, vmd.modes, params, model, train_size, config, prefixes, timing=timing,

@@ -288,6 +288,9 @@ def test_forecast_with_a_removed_config_key_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("state", ["text", "empty", "truncated", "npz_without_metadata"])
+# a file left open warns when it is collected, which these filters make fail
+@pytest.mark.filterwarnings("error::ResourceWarning",
+                            "error::pytest.PytestUnraisableExceptionWarning")
 def test_forecast_from_a_state_npz_that_is_no_checkpoint_exits_2(tmp_path, capsys, state):
     # numpy refuses text as pickled data, and an empty or cut-short file
     # before it reads an array; the npz lacks the checkpoint metadata: each

@@ -1,7 +1,9 @@
 """Patch forecaster: patching, instance scaling, attention, training, persistence."""
 
+import concurrent.futures
 import ctypes
 import math
+import queue
 import platform
 import sys
 
@@ -715,6 +717,52 @@ def test_load_after_the_optimizer_is_built_keeps_training_the_loaded_values():
         assert np.array_equal(trained[0][name], trained[1][name]), name
     assert not np.array_equal(trained[1]["w_head"], arrays["w_head"])
     assert not np.array_equal(trained[1]["layer0.w_ff1"], arrays["layer0.w_ff1"])
+
+
+def test_channel_slices_that_swap_their_losses_train_as_the_whole_model():
+    # channels share no parameters and ASWL ties them only through the [K]
+    # losses, so two channel slices that swap their losses every step (two
+    # threads here, two processes in the pipeline) train as one model does
+    k, split = 3, 2
+    rng = np.random.default_rng(40)
+    inputs, targets = rng.normal(size=(20, 8, k)), rng.normal(size=(20, 1, k))
+    theta = swmod.init_from_scales(np.array([4.0, 1.0, 0.3])).theta.values
+
+    def train(model, channels, rejoin=None):
+        sw = swmod.ScaleWeights(Tensor(theta.copy(), requires_grad=True))
+        opt = Adam(model.parameters() + [sw.theta], lr=0.01)
+        shuffle = np.random.default_rng(5)
+        losses = [train_epoch(model, inputs[..., channels], targets[..., channels], opt, 8,
+                              shuffle, sw, rejoin) for _ in range(2)]
+        return losses, sw.theta.values
+
+    whole = PatchForecaster(TINY, [np.random.default_rng(41 + m) for m in range(k)])
+    parts = [whole.channel_slice(slice(0, split)), whole.channel_slice(slice(split, k))]
+    initial = whole.param_arrays()
+    want = train(whole, slice(None))
+    boxes = [queue.Queue(), queue.Queue()]
+
+    def rejoin_for(first: bool):
+        def rejoin(tape, own):
+            boxes[not first].put(own.values.copy())
+            theirs = Tensor(boxes[first].get(timeout=60))
+            return tape.concat([own, theirs] if first else [theirs, own])
+        return rejoin
+
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        got = [pool.submit(train, part, channels, rejoin_for(first))
+               for part, channels, first in ((parts[0], slice(0, split), True),
+                                             (parts[1], slice(split, k), False))]
+        got = [future.result(timeout=120) for future in got]
+    for losses, theta_trained in got:
+        assert losses == want[0]
+        assert np.array_equal(theta_trained, want[1])
+    rejoined = PatchForecaster(TINY, [np.random.default_rng(999 + m) for m in range(k)])
+    rejoined.load_param_arrays(parts[0].param_arrays(), slice(0, split))
+    rejoined.load_param_arrays(parts[1].param_arrays(), slice(split, k))
+    for name, array in whole.param_arrays().items():
+        assert np.array_equal(rejoined.param_arrays()[name], array), name
+    assert not np.array_equal(whole.params["w_head"].values, initial["w_head"])
 
 
 def test_float64_checkpoint_loads_rounded_to_float32(tmp_path):

@@ -15,6 +15,7 @@ import pytest
 from conftest import forecast_csv_columns
 
 from modecast import pipeline
+from modecast.autodiff import load_checkpoint
 from modecast.config import ExperimentConfig
 from modecast.metrics import mse, smape
 from modecast.pipeline import (
@@ -430,7 +431,10 @@ def test_backtest_manifest_covers_artifacts(tmp_path):
     assert set(timing["cells"]) == set(timing["stages"]) == cells
     names = ("decompose", "normalize", "train", "forecast", "baselines")
     for cell, stages in timing["stages"].items():
-        assert set(stages) == {f"{n}_s" for n in names} | {f"{n}_minor_faults" for n in names}
+        assert set(stages) == ({f"{n}_s" for n in names} | {f"{n}_minor_faults" for n in names}
+                               | {"train_child_channels", "train_wait_s"})
+        assert stages["train_child_channels"] in (0, 1)
+        assert 0.0 <= stages["train_wait_s"] <= stages["train_s"]
         assert all(stages[f"{n}_s"] >= 0.0 for n in names)
         assert sum(stages[f"{n}_s"] for n in names) <= timing["cells"][cell]
         counted = int if pipeline.resource is not None else type(None)
@@ -541,10 +545,11 @@ def strict_backtest_config(**overrides):
     return backtest_config(**raw)
 
 
-def force_prefix_child(monkeypatch, forked: bool) -> list[int]:
-    """Decompose strict-causal prefixes in a forked child (``forked``) or in
-    this process, whatever its thread count; returns the list of forked pids,
-    which grows as the pipeline forks."""
+def force_children(monkeypatch, forked: bool, cores: int = 2) -> list[int]:
+    """Fork the pipeline's children where it may (``forked``: a strict-causal
+    cell's prefix child, else a training child) or run everything in this
+    process, whatever its thread count, on ``cores`` usable cores; returns
+    the list of forked pids, which grows as the pipeline forks."""
     forks: list[int] = []
     fork = os.fork
 
@@ -556,6 +561,7 @@ def force_prefix_child(monkeypatch, forked: bool) -> list[int]:
 
     monkeypatch.setattr(pipeline, "_forks_safely", lambda: forked)
     monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     return forks
 
 
@@ -576,7 +582,7 @@ def test_forked_prefixes_write_the_in_process_files(tmp_path, monkeypatch):
     cfg = strict_backtest_config()
     predictions = {}
     for forked in (True, False):
-        forks = force_prefix_child(monkeypatch, forked)
+        forks = force_children(monkeypatch, forked)
         run_backtest(cfg, tmp_path / f"bt{forked}")
         train_period_to_dir(cfg, 1, 0, tmp_path / f"run{forked}")
         predictions[forked] = forecast_from_dir(tmp_path / f"run{forked}")["predicted"]
@@ -596,14 +602,15 @@ def test_forked_prefixes_write_the_in_process_files(tmp_path, monkeypatch):
 
 
 @linux_only
-def test_full_period_backtest_never_forks(monkeypatch):
-    def no_fork():
-        raise AssertionError("a full-period cell forked")
-
-    monkeypatch.setattr(pipeline, "_forks_safely", lambda: True)
-    monkeypatch.setattr(os, "fork", no_fork)
-    report = run_backtest(backtest_config(training={"epochs": 1, "seeds": [0]}))
-    assert len(report.cells) == 2 and all(c.ok for c in report.cells)
+@pytest.mark.parametrize("cores, workers, forked", [(1, 1, 0), (3, 2, 0), (4, 2, 1)])
+def test_a_training_child_forks_only_with_two_cores_per_worker(monkeypatch, cores, workers,
+                                                               forked):
+    cfg = small_config(backtest={"workers": workers}, training={"epochs": 1, "seeds": [3]})
+    forks = force_children(monkeypatch, True, cores)
+    cell = run_period(trend_two_tone(n=600, seed=3, noise_std=0.2), 480, cfg, seed=3)
+    assert len(forks) == forked
+    assert cell.stage_timing["train_child_channels"] == forked
+    assert_no_children()
 
 
 @linux_only
@@ -619,7 +626,7 @@ def test_forked_prefix_error_fails_the_cell_as_in_process(monkeypatch):
     monkeypatch.setattr(pipeline, "decompose", failing_prefixes)
     failures = {}
     for forked in (True, False):
-        forks = force_prefix_child(monkeypatch, forked)
+        forks = force_children(monkeypatch, forked)
         report = run_backtest(cfg)
         assert len(forks) == (2 if forked else 0)
         failures[forked] = [(c.period_index, c.stage, c.message) for c in report.cells]
@@ -648,7 +655,7 @@ def test_a_dead_prefix_child_fails_its_cell(monkeypatch, death, message):
 
     monkeypatch.setattr(pipeline, "decompose", dying_prefixes)
     fds = open_fds()
-    forks = force_prefix_child(monkeypatch, True)
+    forks = force_children(monkeypatch, True)
     report = run_backtest(strict_backtest_config())
     assert len(forks) == 2
     assert [(c.stage, c.message) for c in report.cells] == [("forecast", message)] * 2
@@ -673,7 +680,7 @@ def test_a_cell_failing_after_the_fork_leaves_nothing_behind(monkeypatch, failin
         # steps this large overflow the float32 model: a non-finite loss
         overrides["training"] = {"epochs": 1, "seeds": [0], "learning_rate": 1e30}
     fds = open_fds()
-    forks = force_prefix_child(monkeypatch, True)
+    forks = force_children(monkeypatch, True)
     report = run_backtest(strict_backtest_config(**overrides))
     assert len(forks) == 2
     assert [c.stage for c in report.cells] == [failing_stage] * 2
@@ -698,7 +705,7 @@ def test_forked_prefix_warnings_are_logged_as_in_process(caplog, monkeypatch):
     values = trend_two_tone(n=600, seed=3, noise_std=0.2)
     logged = {}
     for forked in (True, False):
-        forks = force_prefix_child(monkeypatch, forked)
+        forks = force_children(monkeypatch, forked)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="modecast"):
             run_period(values, 480, cfg, seed=3, period_index=1)
@@ -708,6 +715,144 @@ def test_forked_prefix_warnings_are_logged_as_in_process(caplog, monkeypatch):
     assert logged[True] == logged[False] == [
         f"period 1 seed 3: decomposing {n} samples" for n in range(480, 600, 8)
     ]
+
+
+# -- a cell's channels trained in two processes ------------------------------
+
+
+def files_but_timing(root: Path) -> list[Path]:
+    return sorted(p.relative_to(root) for p in root.rglob("*")
+                  if p.is_file() and p.name != "timing.json")
+
+
+@linux_only
+def test_a_training_child_writes_the_in_process_files(tmp_path, monkeypatch):
+    full = backtest_config(vmd={"n_modes": 3}, training={"epochs": 2, "seeds": [0]})
+    # one 70-step block per period: no prefixes, so the training child forks
+    single_block = backtest_config(
+        backtest={"strict_causal": True},
+        model={"lookback": 24, "patch_len": 6, "stride": 3, "d_model": 8,
+               "n_heads": 2, "n_layers": 1, "d_ff": 16, "horizon": 70},
+        training={"epochs": 1, "seeds": [0]},
+    )
+    for forked in (True, False):
+        forks = force_children(monkeypatch, forked)
+        fds = open_fds()
+        run_backtest(full, tmp_path / f"full{forked}")
+        run_backtest(single_block, tmp_path / f"strict{forked}")
+        train_period_to_dir(full, 1, 0, tmp_path / f"run{forked}")
+        forecast = forecast_from_dir(tmp_path / f"run{forked}")
+        pipeline.write_forecast_csv(tmp_path / f"run{forked}" / "forecast.csv",
+                                    forecast["test_index"], forecast["actual"],
+                                    forecast["predicted"])
+        # one child per trained cell: two per backtest and the trained cell
+        assert len(forks) == (5 if forked else 0)
+        assert_no_children()
+        assert open_fds() == fds
+        for name in ("full", "strict"):
+            timing = json.loads((tmp_path / f"{name}{forked}" / "timing.json").read_text())
+            for stages in timing["stages"].values():
+                # of 3 modes the parent trains 2 and the child 1; of 2, 1 each
+                assert stages["train_child_channels"] == int(forked)
+                assert (stages["train_wait_s"] > 0.0) == forked
+    for name in ("full", "strict", "run"):
+        names = files_but_timing(tmp_path / f"{name}True")
+        assert names == files_but_timing(tmp_path / f"{name}False")
+        for rel in names:
+            ours, theirs = tmp_path / f"{name}True" / rel, tmp_path / f"{name}False" / rel
+            if rel.suffix == ".npz":   # a zip entry records when it was written
+                (a, meta_a), (b, meta_b) = load_checkpoint(ours), load_checkpoint(theirs)
+                assert meta_a == meta_b and a.keys() == b.keys(), rel
+                assert all(np.array_equal(a[key], b[key]) for key in a), rel
+            else:
+                assert ours.read_bytes() == theirs.read_bytes(), rel
+
+
+@linux_only
+@pytest.mark.parametrize("death, message", [
+    ("kill", "[stage train] the training child was killed by signal 9"),
+    ("exit", "[stage train] the training child sent a short payload (0 bytes)"),
+])
+def test_a_dead_training_child_fails_only_its_cell(monkeypatch, death, message):
+    parent = os.getpid()
+    train = pipeline.train_epoch
+    epochs: list[int] = []
+    forks = force_children(monkeypatch, True)
+
+    def dying_child(*args, **kwargs):
+        # the first cell's child dies as its second epoch starts; until the
+        # parent records the first fork, a child sees no forks
+        if os.getpid() != parent and not forks:
+            epochs.append(1)
+            if len(epochs) == 2:
+                if death == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_epoch", dying_child)
+    fds = open_fds()
+    report = run_backtest(backtest_config(training={"epochs": 2, "seeds": [0]}))
+    assert len(forks) == 2
+    assert [(c.ok, getattr(c, "stage", None), getattr(c, "message", None))
+            for c in report.cells] == [(False, "train", message), (True, None, None)]
+    assert_no_children()
+    assert open_fds() == fds
+
+
+@linux_only
+def test_a_non_finite_loss_fails_the_split_cell_as_in_process(monkeypatch):
+    # steps this large overflow the float32 model: a non-finite loss
+    cfg = backtest_config(training={"epochs": 1, "seeds": [0], "learning_rate": 1e30})
+    failures = {}
+    for forked in (True, False):
+        forks = force_children(monkeypatch, forked)
+        fds = open_fds()
+        report = run_backtest(cfg)
+        assert len(forks) == (2 if forked else 0)
+        failures[forked] = [(c.stage, c.message) for c in report.cells]
+        assert_no_children()
+        assert open_fds() == fds
+    assert failures[True] == failures[False]
+    assert [stage for stage, _ in failures[True]] == ["train"] * 2
+    assert all("non-finite training loss" in message for _, message in failures[True])
+
+
+@linux_only
+def test_a_training_child_warning_is_logged_once(caplog, monkeypatch):
+    parent = os.getpid()
+    train = pipeline.train_epoch
+
+    def warning_child(*args, **kwargs):
+        if os.getpid() != parent:
+            warnings.warn("a warning from the training child")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_epoch", warning_child)
+    forks = force_children(monkeypatch, True)
+    with caplog.at_level(logging.WARNING, logger="modecast"):
+        run_period(trend_two_tone(n=600, seed=3, noise_std=0.2), 480,
+                   small_config(training={"epochs": 1, "seeds": [3]}), seed=3, period_index=1)
+    assert len(forks) == 1
+    assert [r.getMessage() for r in caplog.records if "training child" in r.getMessage()] == [
+        "period 1 seed 3: a warning from the training child"
+    ]
+
+
+@linux_only
+@pytest.mark.parametrize("horizon, child_channels", [(8, 0), (120, 1)])
+def test_a_strict_causal_cell_forks_once(monkeypatch, horizon, child_channels):
+    # 8-step blocks have prefixes, whose child leaves no core for training;
+    # one 120-step block has none, so its cell trains in two processes
+    cfg = small_config(backtest={"strict_causal": True},
+                       model={"lookback": 32, "patch_len": 8, "stride": 4, "d_model": 8,
+                              "n_heads": 2, "n_layers": 1, "d_ff": 16, "horizon": horizon},
+                       training={"epochs": 1, "seeds": [3]})
+    forks = force_children(monkeypatch, True)
+    cell = run_period(trend_two_tone(n=600, seed=3, noise_std=0.2), 480, cfg, seed=3)
+    assert len(forks) == 1
+    assert cell.stage_timing["train_child_channels"] == child_channels
+    assert_no_children()
 
 
 # -- train / forecast persistence ----------------------------------------------

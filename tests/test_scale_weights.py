@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import numeric_gradient, rel_err
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modecast import scale_weights as sw
 from modecast.autodiff import Adam, Tape, Tensor
@@ -114,3 +116,37 @@ def test_mass_stays_fixed_under_optimization():
         weights = sw.weights(s)
         assert abs(weights.sum() - 3.0) < 1e-9
         assert np.all(weights > 0)
+
+
+@given(st.integers(2, 8), st.data(), st.booleans(), st.booleans())
+def test_losses_rejoined_by_concat_weigh_as_the_unsplit_losses(k, data, aswl, own_first):
+    # two processes that train a model's channels between them each join
+    # their own [K] losses (on the tape) with the peer's (a constant): the
+    # loss, their gradients and theta's must be the unsplit tape's, bit for bit
+    split = data.draw(st.integers(1, k - 1), label="split")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, size=k)
+    theta = rng.normal(size=k)
+    own = slice(0, split) if own_first else slice(split, k)
+    peer = slice(split, k) if own_first else slice(0, split)
+
+    def run(rejoined: bool):
+        s = sw.ScaleWeights(Tensor(theta.copy(), requires_grad=True)) if aswl else None
+        tape = Tape()
+        leaf = Tensor((x[own] if rejoined else x).copy(), requires_grad=True)
+        per_channel = tape.mul(leaf, leaf)
+        if rejoined:
+            theirs = Tensor(x[peer] * x[peer])
+            per_channel = tape.concat([per_channel, theirs] if own_first
+                                      else [theirs, per_channel])
+        total = sw.weighted_loss(tape, per_channel, s)
+        tape.backward(total)
+        return total.values, leaf.grad, None if s is None else s.theta.grad
+
+    total, grad, theta_grad = run(False)
+    total_r, grad_r, theta_grad_r = run(True)
+    assert total_r.tobytes() == total.tobytes()
+    assert grad_r.tobytes() == grad[own].tobytes()
+    if aswl:
+        assert theta_grad_r.tobytes() == theta_grad.tobytes()
