@@ -22,7 +22,6 @@ import json
 import logging
 import os
 import sys
-from fnmatch import fnmatchcase
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +36,12 @@ from .pipeline import (
     load_series,
     render_report_text,
     run_backtest,
+    run_dir_meta,
+    run_forecasts,
     train_period_to_dir,
     write_cell_forecasts,
     write_manifest,
+    write_run_manifest,
 )
 from .vmd import decompose, write_decomposition_csv, write_decomposition_metadata
 
@@ -115,7 +117,6 @@ def cmd_forecast(args) -> int:
         if not (run_dir / name).exists():
             raise UserError(f"{run_dir} does not contain a trained run ({name} missing)")
     outdir = Path(args.outdir) if args.outdir else run_dir
-    manifest = _existing_manifest(outdir, ("forecast.csv", "imf*_forecast.csv"))
     try:
         result = forecast_from_dir(run_dir)
     except CheckpointMismatchError as exc:
@@ -123,58 +124,21 @@ def cmd_forecast(args) -> int:
             f"{run_dir / 'model.npz'} does not fit the model its config describes "
             f"(trained by an older modecast?): {exc}"
         ) from exc
+    owner = run_dir_meta(outdir) or result   # read before anything is written
     emitted = write_cell_forecasts(
         outdir, result["test_index"], result["actual"], result["predicted"],
         result["channel_actual"], result["channel_predicted"],
     )
     mp = result["overall"]
-    _merge_manifest(outdir, manifest, result["config"], [result["seed"]], emitted)
+    write_run_manifest(outdir, owner, emitted)
     print(f"forecast ({result['decomposition']}): mse={mp.mse:.6g} smape={mp.smape:.6g}")
     print(f"wrote {emitted[0]}")
     return EXIT_OK
 
 
-def _existing_manifest(outdir: Path, rewrites: tuple[str, ...]) -> dict:
-    """The manifest already in ``outdir`` (empty when there is none), read
-    before a command writes anything there.  One that is not a JSON object,
-    or that lists an artifact no longer in ``outdir``, is a
-    :class:`UserError`: :func:`_merge_manifest` re-hashes every listed file.
-    A missing artifact whose name matches one of the ``rewrites`` glob
-    patterns is dropped from the manifest instead: the command writes it
-    again, or it is gone."""
-    path = outdir / "manifest.json"
-    if not path.exists():
-        return {}
-    try:
-        manifest = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise UserError(f"{path}: not a manifest ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise UserError(f"{path}: not a manifest (expected a JSON object)")
-    artifacts = manifest.get("artifacts", {})
-    if not isinstance(artifacts, dict):
-        raise UserError(f"{path}: not a manifest (artifacts is not a JSON object)")
-    for name in list(artifacts):
-        if (outdir / name).is_file():
-            continue
-        if not any(fnmatchcase(name, p) for p in rewrites):
-            raise UserError(f"{path} lists {outdir / name}, which is missing")
-        del artifacts[name]
-    return manifest
-
-
-def _merge_manifest(outdir: Path, existing: dict, config: dict, seeds, new_paths) -> None:
-    """Write the manifest, folding new artifacts into the ``existing`` one
-    (the forecast command usually writes into the directory that 'train'
-    filled): its config and seeds are kept and every listed artifact is
-    re-hashed."""
-    paths = set(new_paths)
-    paths.update(outdir / name for name in existing.get("artifacts", {}))
-    write_manifest(outdir, existing.get("config", config), existing.get("seeds", seeds),
-                   list(paths))
-
-
-def _read_metric_column(path: Path, preferred: str) -> np.ndarray:
+def _read_metric_column(path: Path, preferred: str) -> tuple[list | None, np.ndarray]:
+    """The CSV's ``t`` column as read (None when it has none) and its value
+    column: ``preferred``, else the last column other than ``t``."""
     if not path.exists():
         raise UserError(f"input file not found: {path}")
     with path.open(newline="") as fh:
@@ -188,10 +152,12 @@ def _read_metric_column(path: Path, preferred: str) -> np.ndarray:
             if not candidates:
                 raise UserError(f"{path}: no value column")
             column = candidates[-1]
+        rows = list(reader)
         try:
-            values = [float(row[column]) for row in reader]
+            values = [float(row[column]) for row in rows]
         except (TypeError, ValueError) as exc:
             raise UserError(f"{path}: unparseable value in column {column!r}") from exc
+        t = [row["t"] for row in rows] if "t" in reader.fieldnames else None
     if not values:
         raise UserError(f"{path}: no data rows")
     values = np.asarray(values)
@@ -203,31 +169,35 @@ def _read_metric_column(path: Path, preferred: str) -> np.ndarray:
             f"{path}: non-finite value {float(values[bad[0]])} in column {column!r}, "
             f"data row {bad[0] + 1}"
         )
-    return values
+    return t, values
 
 
 def cmd_evaluate(args) -> int:
-    predicted = _read_metric_column(Path(args.forecast), "predicted")
-    actual = _read_metric_column(Path(args.actual), "actual")
+    predicted_t, predicted = _read_metric_column(Path(args.forecast), "predicted")
+    actual_t, actual = _read_metric_column(Path(args.actual), "actual")
     if predicted.shape != actual.shape:
         raise UserError(
             f"length mismatch: {args.forecast} has {predicted.size} rows, "
             f"{args.actual} has {actual.size}"
         )
+    if predicted_t is not None and actual_t is not None and predicted_t != actual_t:
+        row = next(i for i, (tp, ta) in enumerate(zip(predicted_t, actual_t)) if tp != ta)
+        raise UserError(
+            f"t differs between {args.forecast} and {args.actual} at data row {row + 1} "
+            f"({predicted_t[row]} against {actual_t[row]})"
+        )
     mp = metric_pair(actual, predicted)
     outdir = _outdir(args)
-    manifest = _existing_manifest(outdir, ("metrics.json",))
+    owner = run_dir_meta(outdir)   # read before anything is written
     outdir.mkdir(parents=True, exist_ok=True)
     payload = {"mse": mp.mse, "smape": mp.smape, "n": int(actual.size)}
     metrics_path = outdir / "metrics.json"
     metrics_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _merge_manifest(
-        outdir,
-        manifest,
-        {"forecast": str(args.forecast), "actual": str(args.actual)},
-        [],
-        [metrics_path],
-    )
+    if owner is None:
+        inputs = {"forecast": str(args.forecast), "actual": str(args.actual)}
+        write_manifest(outdir, inputs, [], [metrics_path])
+    else:   # a trained run's directory also lists what forecast wrote there
+        write_run_manifest(outdir, owner, [*run_forecasts(outdir, owner), metrics_path])
     print(f"mse={mp.mse!r}")
     print(f"smape={mp.smape!r}")
     return EXIT_OK

@@ -34,7 +34,7 @@ except ImportError:  # not on Windows
     resource = None
 
 from . import scale_weights as swmod
-from .autodiff import Adam, Tape, Tensor, load_checkpoint, save_checkpoint
+from .autodiff import Adam, CheckpointFormatError, Tape, Tensor, load_checkpoint, save_checkpoint
 from .baselines import baseline_linear_ar, baseline_naive
 from .config import ConfigError, ExperimentConfig
 from .forecaster import PatchForecaster, train_epoch
@@ -966,7 +966,8 @@ def render_report_text(doc: dict) -> str:
 
 def write_manifest(outdir, config: dict, seeds, paths: list[Path]) -> None:
     """Config snapshot, seeds, and content hashes of every emitted artifact;
-    enough to check a rerun reproduced byte-identical outputs."""
+    enough to check a rerun reproduced byte-identical outputs.  A
+    ``manifest.json`` already in ``outdir`` is overwritten, never read."""
     outdir = Path(outdir)
     manifest = {
         "config": config,
@@ -977,6 +978,37 @@ def write_manifest(outdir, config: dict, seeds, paths: list[Path]) -> None:
         },
     }
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+# what ``train`` writes into a run directory, and all that its manifest lists
+TRAIN_ARTIFACTS = ("model.npz", "state.npz", "decomposition.csv", "decomposition_meta.json")
+
+
+def run_dir_meta(outdir) -> dict | None:
+    """The metadata of the ``state.npz`` in ``outdir``, or None when there is
+    none: the config and seed of the ``train`` run that owns the directory."""
+    path = Path(outdir) / "state.npz"
+    return _load_state(path)[1] if path.is_file() else None
+
+
+def run_forecasts(outdir, meta: dict) -> list[Path]:
+    """The forecast CSVs in ``outdir`` that ``forecast`` writes for the run
+    ``meta`` describes: ``forecast.csv`` and, under ``full_period``, one
+    ``imf{m}_forecast.csv`` per mode."""
+    outdir = Path(outdir)
+    config = ExperimentConfig.from_dict(meta["config"])
+    per_mode = 0 if config.backtest.strict_causal else config.vmd.n_modes
+    names = ["forecast.csv", *(f"imf{m}_forecast.csv" for m in range(per_mode))]
+    return [outdir / name for name in names if (outdir / name).is_file()]
+
+
+def write_run_manifest(outdir, meta: dict, written: list[Path]) -> None:
+    """Write the manifest of a directory ``forecast`` or ``evaluate`` wrote
+    ``written`` into: those files and the :data:`TRAIN_ARTIFACTS` present,
+    under the config and seed in ``meta`` (a ``state.npz``'s metadata)."""
+    outdir = Path(outdir)
+    present = [outdir / name for name in TRAIN_ARTIFACTS if (outdir / name).is_file()]
+    write_manifest(outdir, meta["config"], [meta["seed"]], present + list(written))
 
 
 def write_backtest_artifacts(report: ExperimentReport, outdir) -> None:
@@ -1032,6 +1064,25 @@ def write_backtest_artifacts(report: ExperimentReport, outdir) -> None:
 
 # -- single-period persistence (train / forecast commands) --------------------
 
+# what ``forecast`` reads from a ``state.npz``
+_STATE_META = ("config", "seed", "decomposition")
+_STATE_ARRAYS = ("values", "modes", "mins", "maxs", "train_size", "period_index", "global_start")
+
+
+def _load_state(path) -> tuple[dict, dict, ExperimentConfig]:
+    """A ``state.npz``'s arrays, metadata and saved config.  A checkpoint that
+    lacks one of the arrays or metadata keys (a ``model.npz`` copied over it,
+    say) raises :class:`CheckpointFormatError` naming the first missing key."""
+    state, meta = load_checkpoint(path)
+    for kind, keys, found in (("metadata key", _STATE_META, meta),
+                              ("array", _STATE_ARRAYS, state)):
+        missing = [key for key in keys if key not in found]
+        if missing:
+            raise CheckpointFormatError(
+                f"{path}: not a trained run's state (missing {kind} {missing[0]!r})"
+            )
+    return state, meta, ExperimentConfig.from_dict(meta["config"])
+
 
 def train_period_to_dir(
     config: ExperimentConfig, period_index: int, seed: int, outdir
@@ -1083,8 +1134,7 @@ def train_period_to_dir(
     )
     write_decomposition_csv(outdir / "decomposition.csv", cell.vmd.modes)
     write_decomposition_metadata(outdir / "decomposition_meta.json", config.vmd, cell.vmd)
-    written = ("model.npz", "state.npz", "decomposition.csv", "decomposition_meta.json")
-    write_manifest(outdir, config.to_dict(), [seed], [outdir / name for name in written])
+    write_manifest(outdir, config.to_dict(), [seed], [outdir / name for name in TRAIN_ARTIFACTS])
     return cell
 
 
@@ -1098,8 +1148,7 @@ def forecast_from_dir(run_dir) -> dict:
     Pure function of the persisted state: repeated calls are bit-identical.
     """
     run_dir = Path(run_dir)
-    state, meta = load_checkpoint(run_dir / "state.npz")
-    config = ExperimentConfig.from_dict(meta["config"])
+    state, meta, config = _load_state(run_dir / "state.npz")
     values = state["values"]
     modes = state["modes"]
     train_size = int(np.asarray(state["train_size"]).reshape(-1)[0])

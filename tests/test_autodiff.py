@@ -201,7 +201,7 @@ def _loss_through(tape, out, weight):
     return tape.sum(tape.mul(out, Tensor(weight)))
 
 
-def _gradcheck(build, shapes, seeds=range(10), positive=False):
+def _gradcheck(build, shapes, seeds=range(10), positive=False, tol=GRAD_TOL):
     """build(tape, tensors) -> output tensor; checks every input's gradient."""
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -228,7 +228,7 @@ def _gradcheck(build, shapes, seeds=range(10), positive=False):
 
         for t in tensors:
             numeric = numeric_gradient(value, t.values)
-            assert rel_err(t.grad, numeric) < GRAD_TOL
+            assert rel_err(t.grad, numeric) < tol
 
 
 OP_CASES = {
@@ -289,6 +289,57 @@ def test_gradcheck_batch_norm(training, ndim):
                              training=training)
 
     _gradcheck(build, [shape, (2, 3), (2, 3)], seeds=range(5))
+
+
+# Bounds set from an error estimate, not from measured errors: central
+# differences at h=1e-6 in float64 leave ~1e-8 of the largest gradient at
+# these sizes, and batch norm's eps keeps 1/sqrt(var + eps) below ~316, which
+# bounds its curvature.
+GELU_FD_BOUND = 1e-6
+BATCH_NORM_FD_BOUND = 1e-5
+leaf_dtypes = st.sampled_from([np.float32, np.float64])
+
+
+def _gradients_keep_leaf_dtypes(build, shapes, dtypes, seed):
+    """Each leaf, in its own dtype, gets its gradient in that dtype, both as
+    ``backward`` returns it and in ``grad``."""
+    rng = np.random.default_rng(seed)
+    tensors = [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+               for shape, dtype in zip(shapes, dtypes)]
+    tape = Tape()
+    grads = tape.backward(tape.sum(build(tape, tensors)))
+    for t in tensors:
+        assert grads[t].dtype == t.values.dtype and grads[t].shape == t.shape
+        assert t.grad.dtype == t.values.dtype
+
+
+@given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3), dtype=leaf_dtypes,
+       seed=st.integers(0, 2**16))
+def test_gelu_gradients_match_finite_differences(shape, dtype, seed):
+    def build(tp, ts):
+        return tp.gelu(ts[0])
+
+    _gradcheck(build, [tuple(shape)], seeds=(seed,), tol=GELU_FD_BOUND)
+    _gradients_keep_leaf_dtypes(build, [tuple(shape)], [dtype], seed)
+
+
+@given(
+    kf=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+    # [K, F, T] or [K, F, B, N] with at least three tokens per (channel,
+    # feature): two normalize to +-1 up to eps, so x's gradient is O(eps) and
+    # a relative bound on it measures finite-difference noise
+    tokens=st.one_of(st.tuples(st.integers(3, 6)),
+                     st.tuples(st.integers(1, 3), st.integers(3, 4))),
+    dtypes=st.tuples(leaf_dtypes, leaf_dtypes, leaf_dtypes),
+    seed=st.integers(0, 2**16),
+)
+def test_training_batch_norm_gradients_match_finite_differences(kf, tokens, dtypes, seed):
+    def build(tp, ts):
+        return tp.batch_norm(ts[0], ts[1], ts[2], training=True)
+
+    shapes = [kf + tokens, kf, kf]
+    _gradcheck(build, shapes, seeds=(seed,), tol=BATCH_NORM_FD_BOUND)
+    _gradients_keep_leaf_dtypes(build, shapes, dtypes, seed)
 
 
 # -- rewritten kernels against the code they replaced ---------------------------

@@ -137,6 +137,26 @@ def test_evaluate_length_mismatch_exits_2(tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+def test_evaluate_rows_must_share_their_t(tmp_path, capsys):
+    # rows are paired by position, so a forecast of t=0..2 scored against
+    # the same values at other times would read as a perfect score
+    f, a = tmp_path / "pred.csv", tmp_path / "act.csv"
+    write_two_column(f, "predicted", [1.0, 2.0, 3.0])
+    with a.open("w", newline="") as fh:
+        csv.writer(fh).writerows([["t", "actual"], [0, 1.0], [6, 2.0], [7, 3.0]])
+    outdir = tmp_path / "scores"
+    assert main(["evaluate", "--forecast", str(f), "--actual", str(a),
+                 "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: t differs between {f} and {a} at data row 2 (1 against 6)")
+    assert not outdir.exists()
+    # without a t column on one side rows still pair by position
+    with a.open("w", newline="") as fh:
+        csv.writer(fh).writerows([["actual"], [1.0], [2.0], [3.0]])
+    assert main(["evaluate", "--forecast", str(f), "--actual", str(a),
+                 "--outdir", str(outdir)]) == 0
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("side", ["forecast", "actual"])
 def test_evaluate_rejects_non_finite_values(tmp_path, capsys, side, bad):
@@ -310,6 +330,34 @@ def test_forecast_from_a_state_npz_that_is_no_checkpoint_exits_2(tmp_path, capsy
     assert f"{tmp_path / 'state.npz'}: not a checkpoint file" in err
 
 
+def _model_over_state(run_dir):
+    (run_dir / "state.npz").write_bytes((run_dir / "model.npz").read_bytes())
+
+
+def _state_without_values(run_dir):
+    arrays, meta = load_checkpoint(run_dir / "state.npz")
+    del arrays["values"]
+    save_checkpoint(run_dir / "state.npz", arrays, meta=meta)
+
+
+@pytest.mark.parametrize("damage,missing", [
+    (_model_over_state, "metadata key 'config'"),
+    (_state_without_values, "array 'values'"),
+], ids=["metadata_key", "array"])
+def test_forecast_from_a_checkpoint_that_is_no_run_state_exits_2(tmp_path, capsys, damage,
+                                                                  missing):
+    cfg = write_config(tmp_path, backtest_raw())
+    run_dir = tmp_path / "run"
+    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+    damage(run_dir)
+    capsys.readouterr()
+    assert main(["forecast", "--run-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir / 'state.npz'}: not a trained run's state")
+    assert f"(missing {missing})" in err
+    assert not (run_dir / "forecast.csv").exists()
+
+
 def test_backtest_series_too_short_for_periods_exits_2(tmp_path, capsys):
     assert main(["backtest", "-c", SYNTHETIC, "-o", "split.n_periods=1000",
                  "--outdir", str(tmp_path / "o")]) == 2
@@ -432,52 +480,53 @@ def test_report_with_an_incomplete_report_json_exits_2(tmp_path, capsys, content
     assert reason in err
 
 
+def _trained_twins(tmp_path):
+    """Two directories one ``train`` filled alike; the clean one has no manifest."""
+    cfg = write_config(tmp_path, backtest_raw())
+    run_dir, clean = tmp_path / "run", tmp_path / "clean"
+    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+    clean.mkdir()
+    for path in run_dir.iterdir():
+        if path.name != "manifest.json":
+            (clean / path.name).write_bytes(path.read_bytes())
+    return run_dir, clean
+
+
+def _forecast_and_evaluate_twins(tmp_path, run_dir, clean):
+    """Run forecast, then evaluate, in both directories; after each the
+    manifests must be byte-identical."""
+    write_two_column(tmp_path / "pred.csv", "predicted", [1.0])
+    write_two_column(tmp_path / "act.csv", "actual", [1.0])
+    for args in (["forecast", "--run-dir"],
+                 ["evaluate", "--forecast", str(tmp_path / "pred.csv"),
+                  "--actual", str(tmp_path / "act.csv"), "--outdir"]):
+        for directory in (run_dir, clean):
+            assert main(args + [str(directory)]) == 0
+        assert (run_dir / "manifest.json").read_bytes() == (clean / "manifest.json").read_bytes()
+
+
 @pytest.mark.parametrize("manifest", [b'{"config": {"data"', b'["model.npz"]'],
                          ids=["cut_short", "list"])
-def test_forecast_and_evaluate_with_a_bad_manifest_exit_2_before_writing(
-        tmp_path, capsys, manifest):
-    cfg = write_config(tmp_path, backtest_raw())
-    run_dir = tmp_path / "run"
-    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+def test_forecast_and_evaluate_overwrite_a_bad_manifest(tmp_path, manifest):
+    # an old manifest is overwritten, never read: forecast and evaluate write
+    # the manifest a directory without one gets
+    run_dir, clean = _trained_twins(tmp_path)
     (run_dir / "manifest.json").write_bytes(manifest)
-    capsys.readouterr()
-    assert main(["forecast", "--run-dir", str(run_dir)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {run_dir / 'manifest.json'}: not a manifest")
-    assert not list(run_dir.glob("*forecast.csv"))
-
-    f, a = tmp_path / "pred.csv", tmp_path / "act.csv"
-    write_two_column(f, "predicted", [1.0])
-    write_two_column(a, "actual", [1.0])
-    assert main(["evaluate", "--forecast", str(f), "--actual", str(a),
-                 "--outdir", str(run_dir)]) == 2
-    assert "not a manifest" in capsys.readouterr().err
-    assert not (run_dir / "metrics.json").exists()
+    _forecast_and_evaluate_twins(tmp_path, run_dir, clean)
+    listed = json.loads((run_dir / "manifest.json").read_text())["artifacts"]
+    assert sorted(listed) == [
+        "decomposition.csv", "decomposition_meta.json", "forecast.csv", "imf0_forecast.csv",
+        "imf1_forecast.csv", "metrics.json", "model.npz", "state.npz",
+    ]
 
 
-def test_forecast_and_evaluate_with_a_listed_file_missing_exit_2_before_writing(
-        tmp_path, capsys):
-    # the manifest merge re-hashes every listed artifact, so a deleted one
-    # must stop the command before it writes anything
-    cfg = write_config(tmp_path, backtest_raw())
-    run_dir = tmp_path / "run"
-    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
-    (run_dir / "decomposition.csv").unlink()
-    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-    capsys.readouterr()
-    assert main(["forecast", "--run-dir", str(run_dir)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {run_dir / 'manifest.json'} lists "
-                          f"{run_dir / 'decomposition.csv'}, which is missing")
-    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
-
-    f, a = tmp_path / "pred.csv", tmp_path / "act.csv"
-    write_two_column(f, "predicted", [1.0])
-    write_two_column(a, "actual", [1.0])
-    assert main(["evaluate", "--forecast", str(f), "--actual", str(a),
-                 "--outdir", str(run_dir)]) == 2
-    assert "decomposition.csv, which is missing" in capsys.readouterr().err
-    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+def test_forecast_and_evaluate_overwrite_a_manifest_that_lists_a_missing_file(tmp_path):
+    # a listed file that was deleted is left out, not re-hashed
+    run_dir, clean = _trained_twins(tmp_path)
+    for directory in (run_dir, clean):
+        (directory / "decomposition.csv").unlink()
+    _forecast_and_evaluate_twins(tmp_path, run_dir, clean)
+    assert "decomposition.csv" not in json.loads((run_dir / "manifest.json").read_text())["artifacts"]
 
 
 def test_forecast_and_evaluate_rewrite_their_own_missing_outputs(tmp_path):
