@@ -19,7 +19,6 @@ import hashlib
 import json
 import logging
 import os
-import pickle
 import sys
 import time
 import warnings
@@ -451,132 +450,84 @@ class _ChildEnd:
     warnings: list
 
 
-class _Link:
-    """One process's end of a pair of pipes that carry length-framed
-    pickles."""
+class _Child:
+    """The parent's end of a child :func:`_forked_child` started: its
+    ``multiprocessing`` process and connection.  Its failures are
+    :class:`PipelineStageError` of ``stage``, naming the child as ``the
+    <what> child``."""
 
-    def __init__(self, read_fd: int, write_fd: int):
-        self._reader = open(read_fd, "rb")
-        self._write_fd = write_fd
-
-    def send(self, message) -> None:
-        data = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        view = memoryview(len(data).to_bytes(8, "little") + data)
-        while view:
-            view = view[os.write(self._write_fd, view):]
-
-    def recv(self):
-        """The next message.  A stream that ends first raises ``EOFError``
-        whose argument is the number of bytes of the message that came."""
-        header = self._reader.read(8)
-        size = int.from_bytes(header, "little")
-        data = self._reader.read(size) if len(header) == 8 else b""
-        if len(header) < 8 or len(data) < size:
-            raise EOFError(len(header) + len(data))
-        return pickle.loads(data)
-
-
-class _Child(_Link):
-    """The parent's end of a child :func:`_forked_child` started.  Its
-    failures are :class:`PipelineStageError` of ``stage``, naming the child
-    as ``the <what> child``."""
-
-    def __init__(self, pid: int, stage: str, what: str, read_fd: int, write_fd: int):
-        super().__init__(read_fd, write_fd)
-        self.pid, self.stage, self.what = pid, stage, what
-        self.reaped = False
+    def __init__(self, process, conn, stage: str, what: str):
+        self.process, self.conn, self.stage, self.what = process, conn, stage, what
 
     def send(self, message) -> None:
         try:
-            super().send(message)
-        except BrokenPipeError:
+            self.conn.send(message)
+        except ConnectionError:
             pass   # the child has ended: the next recv says how
 
     def recv(self):
         """The child's next message.  Its last one, what its work returned,
-        reaps it, issues its warnings again here and raises its exception
-        again.  A child that died or sent a short message is a
-        :class:`PipelineStageError`."""
+        waits for it to exit, issues its warnings again here and raises its
+        exception again.  A child that ends first is a
+        :class:`PipelineStageError` that says how it ended."""
         try:
-            message = super().recv()
-        except EOFError as exc:
-            self._reap()
-            raise PipelineStageError(
-                self.stage, f"the {self.what} child sent a short payload ({exc.args[0]} bytes)"
-            ) from None
+            message = self.conn.recv()
+        except (EOFError, OSError):   # OSError: cut off mid-message or reset
+            self.process.join()
+            code = self.process.exitcode
+            how = (f"was killed by signal {-code}" if code < 0
+                   else f"exited with status {code}" if code else "ended without its result")
+            raise PipelineStageError(self.stage, f"the {self.what} child {how}") from None
         if not isinstance(message, _ChildEnd):
             return message
-        self._reap()
+        self.process.join()
         for category, text, filename, lineno in message.warnings:
             warnings.warn_explicit(text, category, filename, lineno)
         if message.error is not None:
             raise message.error
         return message.result
 
-    def _reap(self) -> None:
-        status = os.waitpid(self.pid, 0)[1]
-        self.reaped = True
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise PipelineStageError(self.stage, f"the {self.what} child {how}")
-
     def close(self) -> None:
-        """Kill and reap the child unless it was reaped, and close the pipes."""
+        """Kill the child if it still runs, wait for it and release it."""
+        self.process.kill()   # no signal once it has been waited for
+        self.process.join()
+        self.process.close()
+
+
+def _run_child(work, conn, parent_end) -> None:
+    """The forked child: run ``work(conn)`` and send a :class:`_ChildEnd`.
+    Anything else it raises ends it with status 1."""
+    parent_end.close()   # so that a parent that dies ends the child's reads
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
-            if not self.reaped:
-                os.kill(self.pid, 9)   # SIGKILL: the child holds nothing to flush
-                os.waitpid(self.pid, 0)
-        finally:
-            try:
-                self._reader.close()
-            finally:
-                os.close(self._write_fd)
-
-
-def _run_child(work, link: _Link) -> None:
-    """The forked child: run ``work(link)`` and send a :class:`_ChildEnd`;
-    never returns.  Anything else it raises ends it with status 1."""
-    status = 1
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                result, error = work(link), None
-            except Exception as exc:
-                result, error = None, exc
-        link.send(_ChildEnd(result, error, [(w.category, str(w.message), w.filename, w.lineno)
-                                            for w in caught]))
-        status = 0
-    finally:
-        os._exit(status)
+            result, error = work(conn), None
+        except Exception as exc:
+            result, error = None, exc
+    conn.send(_ChildEnd(result, error, [(w.category, str(w.message), w.filename, w.lineno)
+                                        for w in caught]))
 
 
 @contextlib.contextmanager
 def _forked_child(stage: str, what: str, work):
-    """Fork a child that runs ``work(link)``, where ``link`` (a
-    :class:`_Link`) exchanges messages with the :class:`_Child` yielded here;
-    the child's last message is what ``work`` returned.  On exit a child not
-    yet reaped is killed and reaped, and the pipes are closed."""
-    up_read, up_write = os.pipe()
-    down_read, down_write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        for fd in (up_read, up_write, down_read, down_write):
-            os.close(fd)
-        raise
-    if pid == 0:
-        os.close(up_read)
-        os.close(down_write)
-        _run_child(work, _Link(down_read, up_write))
-    os.close(up_write)
-    os.close(down_read)
-    child = _Child(pid, stage, what, up_read, down_write)
-    try:
-        yield child
-    finally:
-        child.close()
+    """Fork a child that runs ``work(conn)``, where ``conn`` (a
+    ``multiprocessing`` connection) exchanges messages with the
+    :class:`_Child` yielded here; the child's last message is what ``work``
+    returned.  On exit a child still running is killed, and the child and
+    the connection are released."""
+    import multiprocessing   # here: a run that never forks never loads it
+
+    context = multiprocessing.get_context("fork")
+    ours, theirs = context.Pipe()
+    with ours:
+        with theirs:
+            process = context.Process(target=_run_child, args=(work, theirs, ours))
+            process.start()
+        child = _Child(process, ours, stage, what)
+        try:
+            yield child
+        finally:
+            child.close()
 
 
 def _prefix_ends(n_samples: int, train_size: int, config: ExperimentConfig) -> range:
@@ -1004,10 +955,13 @@ def run_forecasts(outdir, meta: dict) -> list[Path]:
 
 def write_run_manifest(outdir, meta: dict, written: list[Path]) -> None:
     """Write the manifest of a directory ``forecast`` or ``evaluate`` wrote
-    ``written`` into: those files and the :data:`TRAIN_ARTIFACTS` present,
-    under the config and seed in ``meta`` (a ``state.npz``'s metadata)."""
+    ``written`` into: those files and, where the directory holds a
+    ``state.npz``, the :data:`TRAIN_ARTIFACTS` present, under the config and
+    seed in ``meta`` (a ``state.npz``'s metadata).  Without a ``state.npz``
+    no ``train`` wrote there, so a ``decompose`` output is not listed."""
     outdir = Path(outdir)
-    present = [outdir / name for name in TRAIN_ARTIFACTS if (outdir / name).is_file()]
+    trained = (outdir / "state.npz").is_file()
+    present = [outdir / name for name in TRAIN_ARTIFACTS if trained and (outdir / name).is_file()]
     write_manifest(outdir, meta["config"], [meta["seed"]], present + list(written))
 
 

@@ -294,9 +294,14 @@ def test_gradcheck_batch_norm(training, ndim):
 # Bounds set from an error estimate, not from measured errors: central
 # differences at h=1e-6 in float64 leave ~1e-8 of the largest gradient at
 # these sizes, and batch norm's eps keeps 1/sqrt(var + eps) below ~316, which
-# bounds its curvature.
+# bounds its curvature.  mse and eval-mode batch norm are polynomials of
+# degree two or less in each leaf, so their differences carry rounding only;
+# attention's softmax has bounded curvature in the scaled scores.
 GELU_FD_BOUND = 1e-6
 BATCH_NORM_FD_BOUND = 1e-5
+ATTENTION_FD_BOUND = 1e-6
+MSE_FD_BOUND = 1e-6
+EVAL_BATCH_NORM_FD_BOUND = 1e-6
 leaf_dtypes = st.sampled_from([np.float32, np.float64])
 
 
@@ -340,6 +345,51 @@ def test_training_batch_norm_gradients_match_finite_differences(kf, tokens, dtyp
     shapes = [kf + tokens, kf, kf]
     _gradcheck(build, shapes, seeds=(seed,), tol=BATCH_NORM_FD_BOUND)
     _gradients_keep_leaf_dtypes(build, shapes, dtypes, seed)
+
+
+@given(
+    kf=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+    tokens=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    dtypes=st.tuples(leaf_dtypes, leaf_dtypes, leaf_dtypes),
+    seed=st.integers(0, 2**16),
+)
+def test_eval_batch_norm_gradients_match_finite_differences(kf, tokens, dtypes, seed):
+    rng = np.random.default_rng(seed)
+    state = BatchNormState(running_mean=rng.normal(size=kf),
+                           running_var=rng.uniform(0.5, 2.0, size=kf))
+
+    def build(tp, ts):
+        return tp.batch_norm(ts[0], ts[1], ts[2], state=state, training=False)
+
+    shapes = [kf + tuple(tokens), kf, kf]
+    _gradcheck(build, shapes, seeds=(seed,), tol=EVAL_BATCH_NORM_FD_BOUND)
+    _gradients_keep_leaf_dtypes(build, shapes, dtypes, seed)
+
+
+@given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       dtypes=st.tuples(leaf_dtypes, leaf_dtypes), seed=st.integers(0, 2**16))
+def test_mse_gradients_match_finite_differences(shape, dtypes, seed):
+    # [K, ...]: one mean per leading channel
+    def build(tp, ts):
+        return tp.mse(ts[0], ts[1])
+
+    shapes = [tuple(shape)] * 2
+    _gradcheck(build, shapes, seeds=(seed,), tol=MSE_FD_BOUND)
+    _gradients_keep_leaf_dtypes(build, shapes, dtypes, seed)
+
+
+# K channels, H heads of d_k features, B windows of N >= 2 tokens, small
+# enough to difference every entry: with one token per window each query's
+# softmax is 1 whatever the scores, so q's and k's gradients are exactly zero
+# and a relative bound on them would measure finite-difference noise
+@given(shape=st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3),
+                       st.integers(1, 2), st.integers(2, 4)),
+       seed=st.integers(0, 2**16))
+def test_attention_gradients_match_finite_differences(shape, seed):
+    n_channels, n_heads, d_k, batch, n_tokens = shape
+    _gradcheck(lambda tp, ts: tp.attention(*ts, n_heads, n_tokens),
+               [(n_channels, n_heads * d_k, batch * n_tokens)] * 3, seeds=(seed,),
+               tol=ATTENTION_FD_BOUND)
 
 
 # -- rewritten kernels against the code they replaced ---------------------------

@@ -245,6 +245,21 @@ def test_train_manifest_lists_only_what_train_wrote(tmp_path):
     ]
 
 
+def test_forecast_into_a_decompose_directory_lists_only_the_forecasts(tmp_path):
+    # the directory holds decompose's files but no state.npz: no train wrote
+    # there, so forecast's manifest lists only what forecast wrote
+    cfg = write_config(tmp_path, backtest_raw())
+    decomp, run_dir = tmp_path / "decomp", tmp_path / "run"
+    assert main(["decompose", "-c", str(cfg), "--outdir", str(decomp)]) == 0
+    assert main(["train", "-c", str(cfg), "--outdir", str(run_dir)]) == 0
+    assert main(["forecast", "--run-dir", str(run_dir), "--outdir", str(decomp)]) == 0
+    manifest = json.loads((decomp / "manifest.json").read_text())
+    assert sorted(manifest["artifacts"]) == [
+        "forecast.csv", "imf0_forecast.csv", "imf1_forecast.csv",
+    ]
+    assert (decomp / "decomposition.csv").is_file()
+
+
 def test_forecast_with_misshapen_running_statistics_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, backtest_raw())
     run_dir = tmp_path / "run"

@@ -376,7 +376,8 @@ def test_backtest_worker_pool_matches_sequential(tmp_path):
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    # the process pool is imported only by a run with workers > 1
+    # the process pool is imported only by a run with workers > 1, and the
+    # forked-child helper imports multiprocessing only when a cell forks
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = "import sys, modecast.cli; print('multiprocessing' in sys.modules)"
@@ -639,7 +640,8 @@ def test_forked_prefix_error_fails_the_cell_as_in_process(monkeypatch):
 @linux_only
 @pytest.mark.parametrize("death, message", [
     ("kill", "[stage forecast] the prefix decomposition child was killed by signal 9"),
-    ("exit", "[stage forecast] the prefix decomposition child sent a short payload (0 bytes)"),
+    ("exit", "[stage forecast] the prefix decomposition child ended without its result"),
+    ("exit3", "[stage forecast] the prefix decomposition child exited with status 3"),
 ])
 def test_a_dead_prefix_child_fails_its_cell(monkeypatch, death, message):
     parent = os.getpid()
@@ -650,7 +652,7 @@ def test_a_dead_prefix_child_fails_its_cell(monkeypatch, death, message):
             assert os.getpid() != parent, "a prefix was decomposed in the test process"
             if death == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
-            os._exit(0)
+            os._exit(3 if death == "exit3" else 0)
         return decompose_all(x, c)
 
     monkeypatch.setattr(pipeline, "decompose", dying_prefixes)
@@ -771,7 +773,8 @@ def test_a_training_child_writes_the_in_process_files(tmp_path, monkeypatch):
 @linux_only
 @pytest.mark.parametrize("death, message", [
     ("kill", "[stage train] the training child was killed by signal 9"),
-    ("exit", "[stage train] the training child sent a short payload (0 bytes)"),
+    ("exit", "[stage train] the training child ended without its result"),
+    ("exit3", "[stage train] the training child exited with status 3"),
 ])
 def test_a_dead_training_child_fails_only_its_cell(monkeypatch, death, message):
     parent = os.getpid()
@@ -787,7 +790,7 @@ def test_a_dead_training_child_fails_only_its_cell(monkeypatch, death, message):
             if len(epochs) == 2:
                 if death == "kill":
                     os.kill(os.getpid(), signal.SIGKILL)
-                os._exit(0)
+                os._exit(3 if death == "exit3" else 0)
         return train(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "train_epoch", dying_child)
