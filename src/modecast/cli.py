@@ -31,6 +31,7 @@ from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .forecaster import CheckpointMismatchError
 from .metrics import metric_pair
 from .pipeline import (
+    PipelineStageError,
     config_period,
     forecast_from_dir,
     load_series,
@@ -102,7 +103,13 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     seed = config.training.seeds[0]
     outdir = _outdir(args)
-    cell = train_period_to_dir(config, args.period, seed, outdir)
+    try:
+        cell = train_period_to_dir(config, args.period, seed, outdir)
+    except PipelineStageError as exc:
+        if exc.stage != "window":
+            raise
+        # the configured lookback and horizon do not fit the period's train part
+        raise UserError(f"period {args.period}: {exc}") from exc
     print(
         f"trained period {args.period} seed {seed}: "
         f"test mse={cell.overall.mse:.6g} smape={cell.overall.smape:.6g}"

@@ -207,45 +207,22 @@ def _minor_faults() -> int | None:
     return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _stage(name: str):
-    """Decorator that tags any stage failure with the stage name.  Given a
-    ``timing`` dict, the call also stores its seconds and minor page faults
-    there as ``<name>_s`` and ``<name>_minor_faults`` (None without
-    ``resource``)."""
-
-    def wrap(fn):
-        def inner(*args, timing: dict | None = None, **kwargs):
-            t_begin, faults_begin = time.perf_counter(), _minor_faults()
-            try:
-                return fn(*args, **kwargs)
-            except PipelineStageError:
-                raise
-            except Exception as exc:
-                raise PipelineStageError(name, str(exc)) from exc
-            finally:
-                if timing is not None:
-                    timing[f"{name}_s"] = time.perf_counter() - t_begin
-                    faults = _minor_faults()
-                    timing[f"{name}_minor_faults"] = (
-                        None if faults is None else faults - faults_begin
-                    )
-
-        return inner
-
-    return wrap
-
-
-@_stage("decompose")
-def _decompose_stage(values: np.ndarray, train_size: int, config: ExperimentConfig) -> VmdResult:
-    return decompose(values[:train_size] if config.backtest.strict_causal else values, config.vmd)
-
-
-@_stage("normalize")
-def _normalize_stage(train_modes: np.ndarray):
-    """Fit min-max on each mode's train segment and scale that segment; the
-    forecast stage reuses the fit for its windows."""
-    params = minmax_fit(train_modes)
-    return params, minmax_apply(train_modes, params)
+@contextlib.contextmanager
+def _stage(name: str, timing: dict):
+    """Tag any failure inside with the stage name, and store the block's
+    seconds and minor page faults in ``timing`` as ``<name>_s`` and
+    ``<name>_minor_faults`` (None without ``resource``)."""
+    t_begin, faults_begin = time.perf_counter(), _minor_faults()
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except Exception as exc:
+        raise PipelineStageError(name, str(exc)) from exc
+    finally:
+        timing[f"{name}_s"] = time.perf_counter() - t_begin
+        faults = _minor_faults()
+        timing[f"{name}_minor_faults"] = None if faults is None else faults - faults_begin
 
 
 def _fit(model: PatchForecaster, inputs: np.ndarray, targets: np.ndarray, sw,
@@ -284,33 +261,27 @@ class _LossSwap:
         return tape.concat([own, theirs] if self.first else [theirs, own])
 
 
-def _training_child_forks(k: int, config: ExperimentConfig, prefix_child: bool) -> bool:
-    """Whether a cell trains its channels in two processes: it has two or
-    more, no prefix child runs beside it (``prefix_child``: the cell has
-    strict-causal prefixes, which fork a child wherever one may fork),
-    :func:`_forks_safely`, and there are two usable cores per cell worker."""
-    return (k >= 2 and not prefix_child and _forks_safely()
-            and len(os.sched_getaffinity(0)) >= 2 * config.backtest.workers)
-
-
-@_stage("train")
 def _train_stage(
     train_norm: np.ndarray,  # [K, train_size]
     ranges: np.ndarray,
     config: ExperimentConfig,
     seed: int,
-    prefix_child: bool,
+    prefix_ends: range,
+    timing: dict,
 ):
     """Build and train the cell's model; returns ``(model, sw,
-    weights_initial, weights_final, epoch_losses, train_timing)``.
+    weights_initial, weights_final, epoch_losses)``.
 
-    Where :func:`_training_child_forks`, a forked child trains channels
-    ``[ceil(K/2), K)`` while this process trains the rest, each on a
-    :meth:`PatchForecaster.channel_slice` with a :class:`_LossSwap`, and the
-    child's trained arrays are loaded back into the model.  The results are
-    the same arrays either way.  ``train_timing`` holds the channel count the
-    child trained as ``train_child_channels`` (0 in-process) and this
-    process's wait for its losses and arrays as ``train_wait_s``."""
+    A cell with two or more channels and no strict-causal ``prefix_ends``
+    (whose child takes the second core) trains in two processes where
+    :func:`_forks_safely` and there are two usable cores per cell worker: a
+    forked child trains channels ``[ceil(K/2), K)`` while this process trains
+    the rest, each on a :meth:`PatchForecaster.channel_slice` with a
+    :class:`_LossSwap`, and the child's trained arrays are loaded back into
+    the model.  The results are the same arrays either way.  ``timing`` gets
+    the channel count the child trained as ``train_child_channels`` (0
+    in-process) and this process's wait for its losses and arrays as
+    ``train_wait_s``."""
     k = train_norm.shape[0]
     cfg_m = config.model
     batch = make_windows(train_norm.T, cfg_m.lookback, cfg_m.horizon)
@@ -327,9 +298,10 @@ def _train_stage(
         )
 
     weights_initial = swmod.weights(sw).tolist() if sw is not None else None
-    if not _training_child_forks(k, config, prefix_child):
+    timing.update(train_child_channels=0, train_wait_s=0.0)
+    if (k < 2 or prefix_ends or not _forks_safely()
+            or len(os.sched_getaffinity(0)) < 2 * config.backtest.workers):
         epoch_losses = _fit(model, batch.inputs, batch.targets, sw, shuffle_rng, config)
-        train_timing = {"train_child_channels": 0, "train_wait_s": 0.0}
     else:
         half = (k + 1) // 2
         ours, theirs = slice(0, half), slice(half, k)
@@ -347,15 +319,14 @@ def _train_stage(
                                 shuffle_rng, config, swap)
             t_begin = time.perf_counter()
             model.load_param_arrays(child.recv(), theirs)
-            train_timing = {"train_child_channels": k - half,
-                            "train_wait_s": swap.wait_s + time.perf_counter() - t_begin}
+            timing.update(train_child_channels=k - half,
+                          train_wait_s=swap.wait_s + time.perf_counter() - t_begin)
         model.load_param_arrays(part.param_arrays(), ours)
     weights_final = swmod.weights(sw).tolist() if sw is not None else None
-    return model, sw, weights_initial, weights_final, epoch_losses, train_timing
+    return model, sw, weights_initial, weights_final, epoch_losses
 
 
-@_stage("baselines")
-def _baselines_stage(
+def _baseline_scores(
     train_values: np.ndarray, actual: np.ndarray, config: ExperimentConfig
 ) -> dict[str, MetricPair]:
     """Score the configured plumbing baselines on the test segment."""
@@ -369,37 +340,22 @@ def _baselines_stage(
     return scores
 
 
-def _warn_decomposition(result: VmdResult, period_index: int, seed: int) -> None:
-    """Log a cell's own decomposition stopping unconverged, or ending with two
-    centres closer than one step of its ``1/(2n)`` frequency grid (a sign that
-    ``vmd.n_modes`` is too large)."""
+def _warn_decomposition(result: VmdResult) -> None:
+    """Warn of a cell's own decomposition stopping unconverged, or ending with
+    two centres closer than one step of its ``1/(2n)`` frequency grid (a sign
+    that ``vmd.n_modes`` is too large)."""
     if not result.converged:
-        log.warning(
-            "period %d seed %d: decomposition stopped unconverged at vmd.max_iter "
-            "(%d iterations)",
-            period_index, seed, result.iterations,
-        )
+        warnings.warn(f"decomposition stopped unconverged at vmd.max_iter "
+                      f"({result.iterations} iterations)")
     centres = result.omegas   # ascending: decompose sorts its modes
     if centres.size < 2:
         return
     closest = int(np.argmin(np.diff(centres)))
     grid_step = 1.0 / (2 * result.modes.shape[1])
     if centres[closest + 1] - centres[closest] < grid_step:
-        log.warning(
-            "period %d seed %d: decomposition centres %.6g and %.6g are closer than "
-            "one grid step (%.3g); vmd.n_modes may be too large",
-            period_index, seed, centres[closest], centres[closest + 1], grid_step,
-        )
-
-
-def _warn_prefixes(prefix_converged: list[bool], period_index: int, seed: int) -> None:
-    """Log a cell's strict-causal prefix decompositions stopping unconverged."""
-    if not all(prefix_converged):
-        log.warning(
-            "period %d seed %d: %d of %d strict-causal prefix decompositions stopped "
-            "unconverged at vmd.max_iter",
-            period_index, seed, prefix_converged.count(False), len(prefix_converged),
-        )
+        warnings.warn(f"decomposition centres {centres[closest]:.6g} and "
+                      f"{centres[closest + 1]:.6g} are closer than one grid step "
+                      f"({grid_step:.3g}); vmd.n_modes may be too large")
 
 
 @contextlib.contextmanager
@@ -539,25 +495,22 @@ def _prefix_ends(n_samples: int, train_size: int, config: ExperimentConfig) -> r
 
 
 @contextlib.contextmanager
-def _prefix_decompositions(values: np.ndarray, train_size: int, config: ExperimentConfig):
-    """Yield a callable that returns the cell's strict-causal prefix
-    decompositions, ``(VmdResult, seconds)`` per forecast block after the
-    first, in block order (an empty list under ``full_period``).
+def _prefix_decompositions(values: np.ndarray, ends: range, vmd_config):
+    """Yield a callable that returns the strict-causal prefix decompositions
+    :func:`_decompose_prefixes` gives for ``ends``.
 
     Where :func:`_forks_safely`, a child forked on entry decomposes them while
     the caller trains, and the callable waits for its results; otherwise the
     callable runs the same :func:`decompose` calls in-process.  Either way the
     results are the same arrays."""
-    ends = _prefix_ends(values.shape[0], train_size, config)
     if not ends or not _forks_safely():
-        yield lambda: _decompose_prefixes(values, ends, config.vmd)
+        yield lambda: _decompose_prefixes(values, ends, vmd_config)
         return
     with _forked_child("forecast", "prefix decomposition",
-                       lambda link: _decompose_prefixes(values, ends, config.vmd)) as child:
+                       lambda link: _decompose_prefixes(values, ends, vmd_config)) as child:
         yield child.recv
 
 
-@_stage("forecast")
 def _forecast_stage(
     values: np.ndarray,
     modes: np.ndarray,   # [K, n]
@@ -566,14 +519,11 @@ def _forecast_stage(
     train_size: int,
     config: ExperimentConfig,
     prefixes,
-):
+    timing: dict,
+) -> np.ndarray:
     """Forecast the test segment in horizon-sized blocks under the protocol
-    ``config.backtest.strict_causal`` selects; returns ``(channel_pred,
-    prefix_converged, prefix_timing)``: the ``[K, n_test]`` forecast at the
-    raw scale, whether each prefix decomposition converged, and the seconds
-    this call waited for them as ``prefix_wait_s``, their summed seconds
-    (wherever they ran) as ``prefix_decompose_s`` and their VMD iterations as
-    ``prefix_vmd_iterations`` (all empty under ``full_period``).
+    ``config.backtest.strict_causal`` selects; returns the ``[K, n_test]``
+    forecast at the raw scale.
 
     ``modes`` is the cell's own decomposition at the raw scale and ``params``
     its per-mode min-max fit (``[K, 1]`` arrays).  Each block's ``[K,
@@ -582,31 +532,36 @@ def _forecast_stage(
     takes each later block's window from a decomposition of the prefix
     observed before it, so no test-range sample enters a decomposition; the
     first block's prefix is the train segment, whose decomposition ``modes``
-    already is.  ``prefixes`` is :func:`_prefix_decompositions`' callable,
-    which returns the later blocks' decompositions.  All windows are scaled,
-    predicted and inverted at once.
+    already is.  ``prefixes`` returns the later blocks' decompositions,
+    ``(VmdResult, seconds)`` each, in block order.  ``timing`` gets the
+    seconds this call waited for them as ``prefix_wait_s``, their summed
+    seconds (wherever they ran) as ``prefix_decompose_s`` and their VMD
+    iterations as ``prefix_vmd_iterations``; any that stopped unconverged
+    raise one warning.  All windows are scaled, predicted and inverted at
+    once.
     """
     lookback = config.model.lookback
     starts = np.arange(train_size, values.shape[0], config.model.horizon)
     sources = [modes] * len(starts)
-    prefix_converged: list[bool] = []
-    prefix_timing: dict = {}
     if config.backtest.strict_causal:
         t_begin = time.perf_counter()
         decomposed = prefixes()
-        prefix_timing = {
-            "prefix_wait_s": time.perf_counter() - t_begin,
-            "prefix_decompose_s": sum(seconds for _, seconds in decomposed),
-            "prefix_vmd_iterations": sum(prefix.iterations for prefix, _ in decomposed),
-        }
-        prefix_converged = [prefix.converged for prefix, _ in decomposed]
+        timing.update(
+            prefix_wait_s=time.perf_counter() - t_begin,
+            prefix_decompose_s=sum(seconds for _, seconds in decomposed),
+            prefix_vmd_iterations=sum(prefix.iterations for prefix, _ in decomposed),
+        )
+        unconverged = sum(not prefix.converged for prefix, _ in decomposed)
+        if unconverged:
+            warnings.warn(f"{unconverged} of {len(decomposed)} strict-causal prefix "
+                          f"decompositions stopped unconverged at vmd.max_iter")
         sources[1:] = [prefix.modes for prefix, _ in decomposed]
     windows = [source[:, s - lookback: s] for source, s in zip(sources, starts)]
     # [blocks, K, lookback] scaled, fed as [blocks, lookback, K]
     preds = model.predict(minmax_apply(np.stack(windows), params).transpose(0, 2, 1))
     # [K, blocks, horizon] -> [K, n_test]: the last block may overrun the period
     preds = preds.reshape(modes.shape[0], -1)[:, : values.shape[0] - train_size]
-    return minmax_invert(preds, params), prefix_converged, prefix_timing
+    return minmax_invert(preds, params)
 
 
 def _scored_forecast(values: np.ndarray, train_size: int, global_start: int, modes: np.ndarray,
@@ -661,30 +616,31 @@ def _run_period_full(
     lookback, horizon = config.model.lookback, config.model.horizon
     if train_size < lookback + horizon:
         raise PipelineStageError(
-            "window", f"train portion ({train_size}) shorter than lookback+horizon"
+            "window", f"train portion ({train_size}) shorter than lookback+horizon "
+                      f"({lookback}+{horizon})"
         )
-
-    with (_prefix_decompositions(values, train_size, config) as prefixes,
+    ends = _prefix_ends(values.shape[0], train_size, config)
+    timing: dict = {}
+    with (_prefix_decompositions(values, ends, config.vmd) as prefixes,
           _logged_warnings(period_index, seed)):
-        timing: dict = {}
-        vmd = _decompose_stage(values, train_size, config, timing=timing)
-        _warn_decomposition(vmd, period_index, seed)
-        params, train_norm = _normalize_stage(vmd.modes[:, :train_size], timing=timing)
-        model, sw, weights_initial, weights_final, epoch_losses, train_timing = _train_stage(
-            train_norm, params.range[:, 0], config, seed,
-            bool(_prefix_ends(values.shape[0], train_size, config)), timing=timing,
-        )
-        timing.update(train_timing)
-
-        channel_pred, prefix_converged, prefix_timing = _forecast_stage(
-            values, vmd.modes, params, model, train_size, config, prefixes, timing=timing,
-        )
-        timing.update(prefix_timing)
-        _warn_prefixes(prefix_converged, period_index, seed)
+        with _stage("decompose", timing):
+            vmd = decompose(values[:train_size] if config.backtest.strict_causal else values,
+                            config.vmd)
+        _warn_decomposition(vmd)
+        with _stage("normalize", timing):
+            # fit on each mode's train segment; the forecast stage reuses the fit
+            params = minmax_fit(vmd.modes[:, :train_size])
+            train_norm = minmax_apply(vmd.modes[:, :train_size], params)
+        with _stage("train", timing):
+            model, sw, weights_initial, weights_final, epoch_losses = _train_stage(
+                train_norm, params.range[:, 0], config, seed, ends, timing)
+        with _stage("forecast", timing):
+            channel_pred = _forecast_stage(values, vmd.modes, params, model, train_size, config,
+                                           prefixes, timing)
         scored = _scored_forecast(values, train_size, global_start, vmd.modes, channel_pred,
                                   config)
-        baselines = _baselines_stage(values[:train_size], scored["actual"], config,
-                                     timing=timing)
+        with _stage("baselines", timing):
+            baselines = _baseline_scores(values[:train_size], scored["actual"], config)
 
         cell = PeriodCell(
             period_index=period_index,
@@ -727,18 +683,27 @@ def _run_cell(args) -> PeriodCell | FailedCell:
 def run_backtest(config: ExperimentConfig, outdir=None) -> ExperimentReport:
     """Every period x seed cell, aggregated; failures are recorded per cell and
     do not stop the remaining cells.  ``outdir`` (optional) receives forecast
-    CSVs, decomposition CSVs, plot data, the report, and a manifest."""
+    CSVs, decomposition CSVs, plot data, the report, and a manifest.  With
+    ``backtest.workers > 1`` a pool of forked processes runs the cells, but
+    only where :func:`_forks_safely`; elsewhere they run here, and one
+    warning says so."""
     t_begin = time.perf_counter()
     values = load_series(config)
     splits = config_splits(config, len(values))
     jobs = [(values, split, config, seed) for split in splits for seed in config.training.seeds]
 
-    if config.backtest.workers > 1:
+    workers = config.backtest.workers
+    if workers > 1 and not _forks_safely():
+        log.warning("backtest.workers=%d: running the cells one at a time, since this process "
+                    "runs several threads (or is not on Linux) and a worker forked from it "
+                    "could deadlock; OPENBLAS_NUM_THREADS=1 allows parallel cells", workers)
+        workers = 1
+    if workers > 1:
         # imported here: the pool's import pulls in multiprocessing, which a
         # one-worker run never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.backtest.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, jobs))
     else:
         cells = [_run_cell(job) for job in jobs]
@@ -1097,7 +1062,9 @@ def forecast_from_dir(run_dir) -> dict:
     produce the test-segment forecast, scored as a backtest cell is: the keys
     of :func:`_scored_forecast`, the protocol label as ``decomposition``, the
     saved config dict and the seed.  The warnings the forecast raises are
-    logged with the cell's coordinates.
+    logged with the cell's coordinates.  Strict-causal prefixes are
+    decomposed in this process: a forked child would have nothing to run
+    beside.
 
     Pure function of the persisted state: repeated calls are bit-identical.
     """
@@ -1109,14 +1076,16 @@ def forecast_from_dir(run_dir) -> dict:
     period_index = int(np.asarray(state["period_index"]).reshape(-1)[0])
     global_start = int(np.asarray(state["global_start"]).reshape(-1)[0])
     params = NormalizationParams(min=state["mins"][:, None], max=state["maxs"][:, None])
-    with (_prefix_decompositions(values, train_size, config) as prefixes,
-          _logged_warnings(period_index, meta["seed"])):
+    ends = _prefix_ends(values.shape[0], train_size, config)
+    timing: dict = {}   # a lone forecast reports no timing
+    with _logged_warnings(period_index, meta["seed"]):
         model = PatchForecaster(config.model, [np.random.default_rng(0)] * len(modes))
         model.load_param_arrays(load_checkpoint(run_dir / "model.npz")[0])
-        channel_pred, prefix_converged, _prefix_timing = _forecast_stage(
-            values, modes, params, model, train_size, config, prefixes,
-        )
-    _warn_prefixes(prefix_converged, period_index, meta["seed"])
+        with _stage("forecast", timing):
+            channel_pred = _forecast_stage(
+                values, modes, params, model, train_size, config,
+                lambda: _decompose_prefixes(values, ends, config.vmd), timing,
+            )
     return {
         **_scored_forecast(values, train_size, global_start, modes, channel_pred, config),
         "decomposition": meta["decomposition"],

@@ -392,6 +392,68 @@ def test_attention_gradients_match_finite_differences(shape, seed):
                tol=ATTENTION_FD_BOUND)
 
 
+# The ops the model records beside those above.  Bounds set from the same
+# estimate before their first run: each op is linear in every leaf except exp
+# and div's denominator, so central differences at h=1e-6 carry rounding only
+# (~1e-10 of the loss per unit gradient at these sizes); exp's and 1/b's third
+# derivatives (inputs |x| <= ~4, denominators >= 0.5) add under 1e-10 more.
+ELEMENTWISE_FD_BOUNDS = {"add": 1e-6, "mul": 1e-6, "div": 1e-6, "add_scalar": 1e-6,
+                         "mul_scalar": 1e-6, "exp": 1e-6, "sum": 1e-6, "reshape": 1e-6,
+                         "transpose": 1e-6, "concat": 1e-6}
+ASTYPE_FD_BOUND = 1e-6
+small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def _op_case(draw, name):
+    """``(build, shapes)`` for the op ``name`` over drawn shapes and arguments."""
+    shape = draw(small_shapes)
+    if name in ("add", "mul", "div"):
+        # either operand broadcasts: some axes 1, leading axes dropped
+        other = tuple(1 if draw(st.booleans()) else n for n in shape)
+        other = other[draw(st.integers(0, len(shape) - 1)):]
+        shapes = [shape, other] if draw(st.booleans()) else [other, shape]
+        return (lambda tp, ts: getattr(tp, name)(ts[0], ts[1])), shapes
+    if name in ("add_scalar", "mul_scalar"):
+        c = draw(st.floats(-3.0, 3.0))
+        return (lambda tp, ts: getattr(tp, name)(ts[0], c)), [shape]
+    if name in ("exp", "sum"):
+        return (lambda tp, ts: getattr(tp, name)(ts[0])), [shape]
+    if name == "reshape":
+        new_shape = tuple(draw(st.permutations(shape))) + (1,) * draw(st.integers(0, 1))
+        return (lambda tp, ts: tp.reshape(ts[0], new_shape)), [shape]
+    if name == "transpose":
+        axes = (None if len(shape) >= 2 and draw(st.booleans())
+                else tuple(draw(st.permutations(range(len(shape))))))
+        return (lambda tp, ts: tp.transpose(ts[0], axes)), [shape]
+    # concat: one to three pieces whose sizes differ along the drawn axis
+    axis = draw(st.integers(0, len(shape) - 1))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    return ((lambda tp, ts: tp.concat(ts, axis=axis)),
+            [shape[:axis] + (n,) + shape[axis + 1:] for n in sizes])
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTWISE_FD_BOUNDS))
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_op_gradients_match_finite_differences(name, data, seed):
+    build, shapes = data.draw(_op_case(name))
+    # div's operands are |x| + 0.5, away from a zero denominator
+    _gradcheck(build, shapes, seeds=(seed,), positive=name == "div",
+               tol=ELEMENTWISE_FD_BOUNDS[name])
+    dtypes = data.draw(st.tuples(*[leaf_dtypes] * len(shapes)))
+    _gradients_keep_leaf_dtypes(build, shapes, dtypes, seed)
+
+
+@given(shape=small_shapes, source=leaf_dtypes, target=leaf_dtypes, seed=st.integers(0, 2**16))
+def test_astype_gradients_match_finite_differences(shape, source, target, seed):
+    # differenced through a float64 cast: a float32 output rounds each entry
+    # by ~6e-8 relative, which a step of h=1e-6 would turn into ~0.1 noise
+    _gradcheck(lambda tp, ts: tp.astype(ts[0], np.float64), [shape], seeds=(seed,),
+               tol=ASTYPE_FD_BOUND)
+    _gradients_keep_leaf_dtypes(lambda tp, ts: tp.astype(ts[0], target), [shape], [source],
+                                seed)
+
+
 # -- rewritten kernels against the code they replaced ---------------------------
 
 _GELU_C = np.sqrt(2.0 / np.pi)

@@ -425,6 +425,22 @@ def test_train_period_out_of_range_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_train_with_a_window_longer_than_its_train_part_exits_2(tmp_path, capsys):
+    # 800 train samples in period 0 cannot hold a 900-sample lookback
+    window = ["-o", "model.lookback=900", "-o", "training.epochs=1"]
+    assert main(["train", "-c", SYNTHETIC, *window, "--outdir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: period 0: [stage window] train portion (800) shorter than "
+        "lookback+horizon (900+1)",
+    ]
+    assert not (tmp_path / "o").exists()
+    # a backtest records each cell's failure and goes on, as for any failed cell
+    assert main(["backtest", "-c", SYNTHETIC, *window, "--outdir", str(tmp_path / "bt")]) == 1
+    assert "3 cell(s) failed" in capsys.readouterr().err
+    report = json.loads((tmp_path / "bt" / "report.json").read_text())
+    assert [cell["stage"] for cell in report["cells"]] == ["window"] * 3
+
+
 def test_seed_flag_overrides_training_seed(tmp_path):
     cfg = write_config(tmp_path, backtest_raw())
     out = tmp_path / "o"

@@ -1,5 +1,6 @@
 """Composite pipeline: per-period flow, backtest aggregation, artifact oracles."""
 
+import concurrent.futures
 import csv
 import json
 import logging
@@ -352,7 +353,9 @@ def test_backtest_records_failures_and_continues():
     assert report.overall_mean() is None
 
 
-def test_backtest_worker_pool_matches_sequential(tmp_path):
+def test_backtest_worker_pool_matches_sequential(tmp_path, monkeypatch):
+    # the pool starts whatever this process's thread count
+    monkeypatch.setattr(pipeline, "_forks_safely", lambda: True)
     cfg_seq = backtest_config(training={"epochs": 1, "seeds": [0]})
     cfg_par = backtest_config(training={"epochs": 1, "seeds": [0]},
                               backtest={"strict_causal": False, "workers": 2})
@@ -372,6 +375,34 @@ def test_backtest_worker_pool_matches_sequential(tmp_path):
     docs = [json.loads((run / "report.json").read_text()) for run in (seq_dir, par_dir)]
     for doc in docs:
         del doc["config"]["backtest"]["workers"]
+    assert docs[0] == docs[1]
+
+
+def test_backtest_workers_run_in_process_where_forking_is_unsafe(tmp_path, monkeypatch,
+                                                                 caplog):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(pipeline, "_forks_safely", lambda: False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    one, two = tmp_path / "one", tmp_path / "two"
+    run_backtest(backtest_config(training={"epochs": 1, "seeds": [0]}), one)
+    with caplog.at_level(logging.WARNING, logger="modecast"):
+        run_backtest(backtest_config(training={"epochs": 1, "seeds": [0]},
+                                     backtest={"workers": 2}), two)
+    assert [r.getMessage() for r in caplog.records] == [
+        "backtest.workers=2: running the cells one at a time, since this process runs "
+        "several threads (or is not on Linux) and a worker forked from it could deadlock; "
+        "OPENBLAS_NUM_THREADS=1 allows parallel cells",
+    ]
+    csvs = sorted(p.relative_to(one) for p in one.rglob("*.csv"))
+    assert csvs == sorted(p.relative_to(two) for p in two.rglob("*.csv"))
+    assert len(csvs) == 2 * (1 + 1 + 2)   # decomposition, forecast, imf*
+    for rel in csvs:
+        assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+    docs = [json.loads((run / "report.json").read_text()) for run in (one, two)]
+    assert docs[1]["config"]["backtest"].pop("workers") == 2
+    del docs[0]["config"]["backtest"]["workers"]
     assert docs[0] == docs[1]
 
 
@@ -587,8 +618,9 @@ def test_forked_prefixes_write_the_in_process_files(tmp_path, monkeypatch):
         run_backtest(cfg, tmp_path / f"bt{forked}")
         train_period_to_dir(cfg, 1, 0, tmp_path / f"run{forked}")
         predictions[forked] = forecast_from_dir(tmp_path / f"run{forked}")["predicted"]
-        # one child per cell: two backtest cells, the trained cell, the forecast
-        assert len(forks) == (4 if forked else 0)
+        # one child per cell: two backtest cells and the trained cell; the
+        # forecast decomposes its prefixes in-process
+        assert len(forks) == (3 if forked else 0)
         assert_no_children()
     assert np.array_equal(predictions[True], predictions[False])
     names = sorted(p.relative_to(tmp_path / "btTrue") for p in (tmp_path / "btTrue").rglob("*")
