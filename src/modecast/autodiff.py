@@ -2,9 +2,9 @@
 
 The engine is deliberately small: a ``Tensor`` wraps a numpy array, a ``Tape``
 records every operation applied through it (input and output node ids,
-backward rule), and ``Tape.backward`` replays the records in exact reverse
-order, accumulating gradients additively wherever a tensor fans out to
-several consumers.  One tape serves one forward/backward cycle; parameters
+backward rule; ``Tape(record=False)``, for inference, records none), and
+``Tape.backward`` replays the records in exact reverse order, accumulating
+gradients additively wherever a tensor fans out to several consumers.  One tape serves one forward/backward cycle; parameters
 are plain ``Tensor`` objects that outlive tapes and carry their accumulated
 ``grad`` between optimizer steps.
 
@@ -46,8 +46,10 @@ class Tensor:
 
     ``grad`` is allocated (zeros) for ``requires_grad`` tensors and accumulates
     across ``Tape.backward`` calls until ``zero_grad`` resets it.  ``node_id``
-    is assigned by whichever tape last recorded this tensor, and ``owner``
-    names that tape; tensors may be reused across consecutive tapes.
+    is assigned by whichever tape last numbered this tensor, and ``owner``
+    names that tape; a tape numbers its ops' outputs and ``requires_grad``
+    inputs, the tensors a gradient can reach.  Tensors may be reused across
+    consecutive tapes.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "node_id", "owner")
@@ -180,9 +182,9 @@ def _attention_probabilities(q: np.ndarray, k: np.ndarray, scale: float) -> np.n
 
 @dataclass
 class _TapeEntry:
-    input_ids: tuple[int, ...]
+    input_ids: tuple[int | None, ...]   # None: a constant input, see Tape._record
     output_id: int
-    backward: Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    backward: Callable[[np.ndarray], tuple[np.ndarray | None, ...]]
 
 
 @dataclass
@@ -215,9 +217,14 @@ class Tape:
     drops it, unless a backward rule keeps its values.  ``backward`` releases
     each rule, and the arrays it kept, as soon as the rule has run, so a tape
     serves one backward.
+
+    ``Tape(record=False)`` runs the same ops to the same outputs but keeps
+    nothing: no rule, no array a rule would need, no node.  Nothing it
+    computes is its own, so its ``backward`` raises.  Inference runs on one.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, record: bool = True) -> None:
+        self._recording = record
         self._token = object()  # a tensor's ``owner`` when this tape numbered it
         self._n_nodes = 0
         self._n_ops = 0
@@ -237,8 +244,16 @@ class Tape:
             self._leaves.append((nid, t))
         return nid
 
+    def _is_constant(self, t: Tensor) -> bool:
+        """Whether ``t`` needs no gradient on this tape: no op here produced
+        it and it does not require grad."""
+        return not t.requires_grad and t.owner is not self._token
+
     def _record(self, inputs: Sequence[Tensor], out_values: np.ndarray, backward) -> Tensor:
-        input_ids = tuple(self._register(t) for t in inputs)
+        if not self._recording:
+            return Tensor(out_values)
+        # a constant input gets no node: the sweep drops its gradient
+        input_ids = tuple(None if self._is_constant(t) else self._register(t) for t in inputs)
         out = Tensor(out_values)
         out_id = self._register(out)
         self._entries.append(_TapeEntry(input_ids, out_id, backward))
@@ -348,7 +363,9 @@ class Tape:
         product's shape) are added into the product in place: one tape entry
         and no new array where ``matmul`` -> ``add`` -> ``add`` records three
         and allocates two.  The sums and their gradients are the chain's bit
-        for bit, since each addition only swaps commutative operands."""
+        for bit, since each addition only swaps commutative operands.  The
+        backward rule skips a constant operand's product and returns None in
+        its place."""
         av, bv = a.values, b.values
         if min(av.ndim, bv.ndim) < 2 or av.shape[:-2] != bv.shape[:-2]:
             raise ValueError(
@@ -371,8 +388,11 @@ class Tape:
             inputs += (addend,)
             addend_shapes.append(addend.shape)
 
+        a_constant, b_constant = self._is_constant(a), self._is_constant(b)
+
         def bwd(g):
-            return (np.matmul(g, np.swapaxes(bv, -1, -2)), np.matmul(np.swapaxes(av, -1, -2), g),
+            return (None if a_constant else np.matmul(g, np.swapaxes(bv, -1, -2)),
+                    None if b_constant else np.matmul(np.swapaxes(av, -1, -2), g),
                     *(_unbroadcast(g, shape) for shape in addend_shapes))
 
         return self._record(inputs, out, bwd)
@@ -588,7 +608,8 @@ class Tape:
         tensor's dtype, and accumulates the same values into its ``grad``.
         The sweep pops each entry before running its rule, so the arrays a
         rule kept are freed once it has run; a second ``backward`` on the
-        tape raises ``ValueError``.
+        tape raises ``ValueError``.  A constant input's gradient (see
+        ``_record``) is dropped as its rule returns.
         """
         if self._consumed:
             raise ValueError("this tape's backward has run: a tape serves one backward")
@@ -610,6 +631,8 @@ class Tape:
             if g is None:
                 continue
             for nid, ig in zip(entry.input_ids, entry.backward(g)):
+                if nid is None:
+                    continue
                 acc = grads.get(nid)
                 grads[nid] = ig if acc is None else acc + ig
 

@@ -338,13 +338,14 @@ class PatchForecaster:
         ``[batch, lookback, K]`` windows to ``[K, batch, horizon]`` forecasts.
         The encoder, which treats windows independently, runs on
         ``PREDICT_ROWS`` at a time to bound memory; the head runs once on all
-        rows, since its matrix product can round differently on fewer."""
+        rows, since its matrix product can round differently on fewer.  Both
+        run on tapes that record nothing."""
         normed, stats = instance_normalize(self._channel_major(windows))
         flat = np.concatenate([
-            self._encode(Tape(), normed[:, i: i + PREDICT_ROWS], False).values
+            self._encode(Tape(record=False), normed[:, i: i + PREDICT_ROWS], False).values
             for i in range(0, normed.shape[1], PREDICT_ROWS)
         ], axis=1)
-        return self._head(Tape(), Tensor(flat), stats).values
+        return self._head(Tape(record=False), Tensor(flat), stats).values
 
 
 @functools.cache

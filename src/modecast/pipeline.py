@@ -202,17 +202,24 @@ def config_period(config: ExperimentConfig, n_samples: int, period_index: int) -
 # -- single-period pipeline ---------------------------------------------------
 
 
-def _minor_faults() -> int | None:
-    """Minor page faults of this process so far; None without ``resource``."""
-    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def _usage() -> tuple[int, int] | None:
+    """Minor page faults of this process so far and its peak resident set
+    size in KiB; None without ``resource``."""
+    if resource is None:
+        return None
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    # ru_maxrss is in KiB, but in bytes on macOS
+    return usage.ru_minflt, usage.ru_maxrss // (1024 if sys.platform == "darwin" else 1)
 
 
 @contextlib.contextmanager
 def _stage(name: str, timing: dict):
-    """Tag any failure inside with the stage name, and store the block's
-    seconds and minor page faults in ``timing`` as ``<name>_s`` and
-    ``<name>_minor_faults`` (None without ``resource``)."""
-    t_begin, faults_begin = time.perf_counter(), _minor_faults()
+    """Tag any failure inside with the stage name, and store in ``timing``
+    the block's seconds as ``<name>_s``, its minor page faults as
+    ``<name>_minor_faults`` and how far it raised the process's peak resident
+    set, in KiB, as ``<name>_peak_rss_growth_kb`` (both None without
+    ``resource``)."""
+    t_begin, usage_begin = time.perf_counter(), _usage()
     try:
         yield
     except PipelineStageError:
@@ -221,8 +228,10 @@ def _stage(name: str, timing: dict):
         raise PipelineStageError(name, str(exc)) from exc
     finally:
         timing[f"{name}_s"] = time.perf_counter() - t_begin
-        faults = _minor_faults()
-        timing[f"{name}_minor_faults"] = None if faults is None else faults - faults_begin
+        usage = _usage()
+        growth = (None, None) if usage is None else (usage[0] - usage_begin[0],
+                                                     usage[1] - usage_begin[1])
+        timing[f"{name}_minor_faults"], timing[f"{name}_peak_rss_growth_kb"] = growth
 
 
 def _fit(model: PatchForecaster, inputs: np.ndarray, targets: np.ndarray, sw,

@@ -77,7 +77,7 @@ def weights_on_tape(tape: Tape, sw: ScaleWeights) -> Tensor:
 
 def weights(sw: ScaleWeights) -> np.ndarray:
     """Current weight values (no gradient tracking)."""
-    return weights_on_tape(Tape(), sw).values.copy()
+    return weights_on_tape(Tape(record=False), sw).values.copy()
 
 
 def weighted_loss(tape: Tape, per_channel_loss: Tensor, sw: ScaleWeights | None) -> Tensor:

@@ -212,7 +212,11 @@ def minmax_invert(values: np.ndarray, params: NormalizationParams) -> np.ndarray
 
 
 def make_windows(channels: np.ndarray, lookback: int, horizon: int) -> WindowBatch:
-    """Build all unit-stride supervised windows from a ``[n, channels]`` array."""
+    """Build all unit-stride supervised windows from a ``[n, channels]`` array.
+
+    ``inputs`` and ``targets`` are read-only views of ``channels`` (of its
+    float64 copy, if it had another dtype): no window is copied, so they take
+    no memory of their own.  Copy one before writing into it."""
     channels = np.asarray(channels, dtype=np.float64)
     if channels.ndim != 2:
         raise ValueError(f"expected [n, channels] data, got shape {channels.shape}")
@@ -227,6 +231,4 @@ def make_windows(channels: np.ndarray, lookback: int, horizon: int) -> WindowBat
     view = np.lib.stride_tricks.sliding_window_view(channels, lookback + horizon, axis=0)
     # view: [n_windows, channels, lookback+horizon] -> [b, t, c]
     stacked = view.transpose(0, 2, 1)[:n_windows]
-    inputs = np.ascontiguousarray(stacked[:, :lookback, :])
-    targets = np.ascontiguousarray(stacked[:, lookback:, :])
-    return WindowBatch(inputs=inputs, targets=targets)
+    return WindowBatch(inputs=stacked[:, :lookback, :], targets=stacked[:, lookback:, :])

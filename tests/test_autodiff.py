@@ -1,6 +1,7 @@
 """Tensor/tape engine: forward semantics, gradient checks, Adam, checkpoints."""
 
 import math
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -192,6 +193,44 @@ def test_no_gradient_leak_between_backward_passes():
     x.zero_grad()
     second = run_once(x)
     assert np.array_equal(first, second)
+
+
+def test_a_tape_that_does_not_record_keeps_nothing():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    recorded = Tape()
+    want = recorded.sum(recorded.mul(recorded.add(x, x), recorded.add(x, x)))
+    tape = Tape(record=False)
+    doubled = tape.add(x, x)
+    loss = tape.sum(tape.mul(doubled, doubled))   # a recorded mul's rule keeps doubled
+    kept = weakref.ref(doubled.values)
+    del doubled
+    assert kept() is None
+    assert np.array_equal(loss.values, want.values)
+    assert tape.n_ops == 0 and not tape._entries and not tape._leaves
+    # nothing it computed is its own, as for any tensor of another tape
+    with pytest.raises(ValueError, match="not produced on this tape"):
+        tape.backward(loss)
+    assert not x.grad.any()
+
+
+def test_backward_keeps_no_gradient_for_a_constant_operand():
+    # the constant's float64 gradient would take 3.2 MB; matmul skips it,
+    # and the leaf's gradient is the product it always was
+    rng = np.random.default_rng(11)
+    leaf = Tensor(rng.normal(size=(1, 1, 4)), requires_grad=True)
+    constant = Tensor(rng.normal(size=(1, 4, 100000)))
+    tape = Tape()
+    loss = tape.sum(tape.matmul(leaf, constant))
+    tracemalloc.start()
+    try:
+        grads = tape.backward(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6e6
+    want = np.matmul(np.ones((1, 1, 100000)), np.swapaxes(constant.values, -1, -2))
+    assert np.array_equal(grads[leaf], want)
+    assert constant.node_id is None
 
 
 # -- finite-difference gradient checks over every differentiable op -----------
@@ -821,13 +860,15 @@ def test_matmul_addends_equal_the_add_chain(dtype, addend_dtype, kind, full_bias
     bias = Tensor(b) if kind in ("bias", "both") else None
     residual = Tensor(r) if kind in ("residual", "both") else None
 
+    # w and x require grad: the rule skips a constant operand's product
     tape = Tape()
-    out = tape.matmul(Tensor(w), Tensor(x), bias=bias, residual=residual)
+    out = tape.matmul(Tensor(w, requires_grad=True), Tensor(x, requires_grad=True),
+                      bias=bias, residual=residual)
     (entry,) = tape._entries
     grads = entry.backward(g)
 
     chain = Tape()
-    want = chain.matmul(Tensor(w), Tensor(x))
+    want = chain.matmul(Tensor(w, requires_grad=True), Tensor(x, requires_grad=True))
     if bias is not None:
         want = chain.add(want, bias)
     if residual is not None:

@@ -6,6 +6,7 @@ import math
 import queue
 import platform
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,13 +335,38 @@ def test_forward_is_pure():
     assert np.array_equal(model.predict(window), model.predict(window))
 
 
-def test_predict_in_row_chunks_matches_one_forward_pass():
-    # predict encodes PREDICT_ROWS windows at a time; the result must equal
-    # one inference pass over every row, bit for bit
+def test_predict_in_row_chunks_matches_one_forward_pass(monkeypatch):
+    # predict encodes PREDICT_ROWS windows at a time on tapes that keep no
+    # op; the result must equal one inference pass over every row, recorded
+    # on a tape, bit for bit
     model = PatchForecaster(TINY, [np.random.default_rng(40), np.random.default_rng(41)])
     windows = np.random.default_rng(42).normal(size=(2 * PREDICT_ROWS + 5, 8, 2))
     one_pass = model.forward_on_tape(Tape(), windows, training=False).values
+    tapes = []
+
+    class SpyTape(Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tapes.append(self)
+
+    monkeypatch.setattr(forecaster, "Tape", SpyTape)
     assert np.array_equal(model.predict(windows), one_pass)
+    assert len(tapes) == 4 and all(t.n_ops == 0 for t in tapes)   # 3 chunks, 1 head
+
+
+def test_predict_memory_at_the_bundled_shape():
+    # configs/synthetic.yaml's model; a recorded inference tape peaked near 10 MB here
+    cfg = ForecasterConfig(lookback=96, horizon=1, patch_len=16, stride=8, d_model=64,
+                           n_heads=4, n_layers=2, d_ff=128)
+    model = PatchForecaster(cfg, [np.random.default_rng(m) for m in range(3)])
+    windows = np.random.default_rng(46).normal(size=(120, 96, 3))
+    tracemalloc.start()
+    try:
+        model.predict(windows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0e6
 
 
 def test_forward_rejects_wrong_length():

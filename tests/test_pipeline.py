@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -464,6 +465,7 @@ def test_backtest_manifest_covers_artifacts(tmp_path):
     names = ("decompose", "normalize", "train", "forecast", "baselines")
     for cell, stages in timing["stages"].items():
         assert set(stages) == ({f"{n}_s" for n in names} | {f"{n}_minor_faults" for n in names}
+                               | {f"{n}_peak_rss_growth_kb" for n in names}
                                | {"train_child_channels", "train_wait_s"})
         assert stages["train_child_channels"] in (0, 1)
         assert 0.0 <= stages["train_wait_s"] <= stages["train_s"]
@@ -471,6 +473,7 @@ def test_backtest_manifest_covers_artifacts(tmp_path):
         assert sum(stages[f"{n}_s"] for n in names) <= timing["cells"][cell]
         counted = int if pipeline.resource is not None else type(None)
         assert all(isinstance(stages[f"{n}_minor_faults"], counted) for n in names)
+        assert all(isinstance(stages[f"{n}_peak_rss_growth_kb"], counted) for n in names)
 
 
 def test_strict_causal_timing_records_prefix_decompositions_only_there(tmp_path):
@@ -550,7 +553,23 @@ def test_stage_faults_are_null_without_resource(monkeypatch):
     values = trend_two_tone(n=600, seed=3, noise_std=0.2)
     cell = run_period(values, 480, small_config(training={"epochs": 1}), seed=3)
     assert cell.stage_timing["train_minor_faults"] is None
+    assert cell.stage_timing["train_peak_rss_growth_kb"] is None
     assert cell.stage_timing["train_s"] > 0.0
+
+
+@pytest.mark.parametrize("platform,unit", [("linux", 1), ("darwin", 1024)])
+def test_stage_peak_rss_growth_is_in_kib(monkeypatch, platform, unit):
+    # ru_maxrss counts KiB, but bytes on macOS
+    usages = iter([SimpleNamespace(ru_minflt=10, ru_maxrss=1000 * unit),
+                   SimpleNamespace(ru_minflt=15, ru_maxrss=3048 * unit)])
+    fake = SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: next(usages))
+    monkeypatch.setattr(pipeline, "resource", fake)
+    monkeypatch.setattr(pipeline.sys, "platform", platform)
+    timing = {}
+    with pipeline._stage("decompose", timing):
+        pass
+    assert timing["decompose_minor_faults"] == 5
+    assert timing["decompose_peak_rss_growth_kb"] == 2048
 
 
 def test_report_text_mentions_aswl_state(tmp_path):

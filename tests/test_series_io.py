@@ -283,6 +283,23 @@ def test_window_content_alignment_multichannel():
         assert np.array_equal(batch.targets[b], data[b + 5: b + 7])
 
 
+def test_windows_are_read_only_views_of_the_modes():
+    # the pipeline windows [K, n] modes through their transpose: no window
+    # is copied, and writing into one raises rather than changing the modes
+    modes = np.random.default_rng(8).normal(size=(3, 40))
+    before = modes.copy()
+    batch = make_windows(modes.T, 8, 2)
+    for part in (batch.inputs, batch.targets):
+        assert np.shares_memory(part, modes)
+        with pytest.raises(ValueError, match="read-only"):
+            part[0, 0, 0] = 1.0
+    assert np.array_equal(modes, before)
+    # the values of the contiguous copies the views replace
+    starts = range(40 - 8 - 2 + 1)
+    assert np.array_equal(batch.inputs, np.stack([modes.T[b: b + 8] for b in starts]))
+    assert np.array_equal(batch.targets, np.stack([modes.T[b + 8: b + 10] for b in starts]))
+
+
 @pytest.mark.parametrize("n,lookback,horizon", [(10, 4, 1), (30, 7, 3), (100, 20, 5)])
 def test_window_count_property(n, lookback, horizon):
     batch = make_windows(np.zeros((n, 2)), lookback, horizon)
